@@ -13,11 +13,9 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import lab, norms, series
 from .compose import apply as apply_symbol
-from .compose import compose_basis, gram, operator_matrix
+from .compose import compose_basis
 from .errors import InvalidInputError, NumericError
 from .measures import AlphaMeasure, Measure, measure_from_json, measure_tag
 from .symbols import Symbol, check_theorem2, is_vertical_translation, symbol_from_json

@@ -21,7 +21,7 @@ from .errors import InvalidInputError, TruncationError
 from .measures import Measure, measure_tag
 from .series import DirichletSeries, from_terms
 from . import series as ds
-from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2, is_vertical_translation
+from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2
 
 THEOREM2_ETA = 1e-6  # default margin when certifying c0 = 0 symbols
 
@@ -110,6 +110,11 @@ def admissibility_certificate(sym: Symbol) -> Certificate:
     return check_theorem2(sym, THEOREM2_ETA)
 
 
+def _section_columns(sym: Symbol, N: int) -> tuple[int, ...]:
+    """Basis indices n whose image n^{-Phi} has support up to N, i.e. n^{c0} <= N."""
+    return tuple(n for n in range(1, N + 1) if n**sym.c0 <= N)
+
+
 def operator_matrix(
     sym: Symbol,
     mu: Measure | None,
@@ -132,10 +137,7 @@ def operator_matrix(
             )
     w = np.ones(N) if mu is None else mu.weights(N)
     sqw = np.sqrt(w)
-    if sym.c0 == 0:
-        ns = tuple(range(1, N + 1))
-    else:
-        ns = tuple(n for n in range(1, N + 1) if n**sym.c0 <= N)
+    ns = _section_columns(sym, N)
     entries = np.empty((N, len(ns)), dtype=np.complex128)
     for j, n in enumerate(ns):
         g = compose_basis(sym, n, N).coeffs
@@ -157,33 +159,42 @@ def gram(matrix: OperatorMatrix) -> np.ndarray:
 @dataclass(frozen=True)
 class DefectReport:
     """Spectral norm of G - I at truncation N, with the value at N/2 for
-    stabilization assessment."""
+    stabilization assessment and the largest singular value of the section."""
 
     value: float
     value_half: float
     N: int
+    s_max: float
 
     @property
     def stabilization_delta(self) -> float:
         return abs(self.value - self.value_half)
 
 
-def _defect_at(sym: Symbol, mu: Measure | None, N: int, require_admissible: bool) -> float:
-    m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    g = gram(m)
-    return float(np.linalg.norm(g - np.eye(g.shape[0]), ord=2))
+def _gram_defect(s: np.ndarray) -> float:
+    # G = M* M has eigenvalues s_i^2, and M has no more columns than rows
+    return float(np.max(np.abs(s * s - 1.0)))
 
 
 def isometry_defect(
     sym: Symbol, mu: Measure | None, N: int, *, require_admissible: bool = True
 ) -> DefectReport:
-    """||G - I||_2 restricted to the columns present; 0 exactly for vertical translations."""
+    """||G - I||_2 restricted to the columns present; 0 exactly for vertical translations.
+
+    One section build serves both truncations: the N/2 section is the
+    leading block of the N section (rows up to N/2, columns n with
+    n^{c0} <= N/2), since coefficients and weights up to N/2 do not depend
+    on N.
+    """
     if N < 4:
         raise InvalidInputError("need N >= 4 to compare against the N/2 section")
+    m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
+    s = np.linalg.svd(m.entries, compute_uv=False)
+    half = N // 2
+    k = len(_section_columns(sym, half))
+    s_half = np.linalg.svd(m.entries[:half, :k], compute_uv=False)
     return DefectReport(
-        value=_defect_at(sym, mu, N, require_admissible),
-        value_half=_defect_at(sym, mu, N // 2, require_admissible),
-        N=N,
+        value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(s[0])
     )
 
 

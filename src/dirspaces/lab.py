@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DivergenceError, InvalidInputError, PoleError
 from .measures import Measure, measure_tag
@@ -25,19 +22,12 @@ from .symbols import (
     Lemma1Result,
     Symbol,
     Verdict,
-    check_theorem2,
     halfplane_lower_bound,
     is_vertical_translation,
     lemma1_region,
     translate_symbol,
 )
-from .compose import (
-    DefectReport,
-    admissibility_certificate,
-    compose_basis,
-    contraction_lower_bound,
-    isometry_defect,
-)
+from .compose import admissibility_certificate, compose_basis, isometry_defect
 
 # Calibrated on the non-translation symbol gallery at N = 64 (not a theory value).
 DEFECT_THRESHOLD = 0.01
@@ -204,7 +194,6 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
 
     # admissibility was already screened above; Unknown proceeds with that caveat attached
     defect = isometry_defect(sym, mu, N, require_admissible=False)
-    bound = contraction_lower_bound(sym, mu, N, require_admissible=False)
     region = lemma1_region(sym)
     profile = two_norm_profile(sym, mu, p, (0.25, 0.5, 1.0, 2.0), N)
 
@@ -228,7 +217,7 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
         isometry_defect=defect.value,
         defect_half=defect.value_half,
         stabilization_delta=defect.stabilization_delta,
-        contraction_bound=bound,
+        contraction_bound=defect.s_max,
         lemma1=region,
         norm_profile=profile,
         notes=tuple(notes),

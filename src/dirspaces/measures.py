@@ -40,14 +40,30 @@ class QuadratureSpec:
 
 
 class Measure:
-    """Base class; concrete measures implement density() and integrate()."""
+    """Base class; concrete measures implement density() and _gl_nodes()."""
+
+    spec: QuadratureSpec
 
     def density(self, sigma):
         raise NotImplementedError
 
     def integrate(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integral of g against the measure; g must accept ndarray input."""
-        raise NotImplementedError
+        """Integral of g against the measure; g must accept ndarray input.
+
+        Evaluates the fixed rule at spec.nodes and 2 spec.nodes nodes and
+        returns the finer value once the two agree to spec.tol.
+        """
+        x1, w1 = self._gl_nodes(self.spec.nodes)
+        est = float(np.sum(w1 * g(x1)))
+        x2, w2 = self._gl_nodes(2 * self.spec.nodes)
+        ref = float(np.sum(w2 * g(x2)))
+        if not math.isfinite(ref):
+            raise NumericError("integrand produced non-finite values")
+        if abs(ref - est) > self.spec.tol * max(1.0, abs(ref)):
+            raise NumericError(
+                f"quadrature did not converge: {est!r} vs {ref!r} on node doubling"
+            )
+        return ref
 
     def weight(self, n) -> float:
         """w_h(n) = integral of n^{-2 sigma} d mu(sigma); n real >= 1 allowed."""
@@ -75,6 +91,10 @@ class Measure:
 
     def _rule(self) -> tuple[np.ndarray, np.ndarray]:
         """(sigma nodes, weights) such that integral g d mu ~ sum w_i g(x_i)."""
+        return self._gl_nodes(self.spec.nodes)
+
+    def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """The m-node Gauss-Laguerre rule for this measure."""
         raise NotImplementedError
 
     def __post_init__(self):
@@ -103,22 +123,6 @@ class AlphaMeasure(Measure):
         # substitute u = 2 sigma: integral g d mu = (1/Gamma(a+1)) sum w_i g(x_i / 2)
         x, w = roots_genlaguerre(m, self.alpha)
         return x / 2.0, w / math.gamma(self.alpha + 1)
-
-    def _rule(self):
-        return self._gl_nodes(self.spec.nodes)
-
-    def integrate(self, g):
-        x1, w1 = self._gl_nodes(self.spec.nodes)
-        est = float(np.sum(w1 * g(x1)))
-        x2, w2 = self._gl_nodes(2 * self.spec.nodes)
-        ref = float(np.sum(w2 * g(x2)))
-        if not math.isfinite(ref):
-            raise NumericError("integrand produced non-finite values")
-        if abs(ref - est) > self.spec.tol * max(1.0, abs(ref)):
-            raise NumericError(
-                f"quadrature did not converge: {est!r} vs {ref!r} on node doubling"
-            )
-        return ref
 
     def weight(self, n) -> float:
         # closed form 1/(log n + 1)^{alpha+1}
@@ -202,42 +206,24 @@ class DensityMeasure(Measure):
     def _rule(self):
         if self.spec.scheme == "adaptive":
             raise NotImplementedError("no fixed rule for the adaptive scheme")
-        return self._gl_nodes(self.spec.nodes)
+        return super()._rule()
 
     def integrate(self, g):
-        if self.spec.scheme == "adaptive":
-            val, err = quad(
-                lambda s: float(np.asarray(g(np.array([s])))[0] * self.h(np.array([s]))[0]),
-                0.0,
-                self._sigma_max,
-                limit=400,
-                epsabs=1e-13,
-                epsrel=self.spec.tol / 10,
-            )
-            if not math.isfinite(val):
-                raise NumericError("adaptive quadrature produced non-finite values")
-            if err > self.spec.tol * max(1.0, abs(val)):
-                raise NumericError(f"adaptive quadrature error estimate {err!r} above tolerance")
-            return val
-        x1, w1 = self._gl_nodes(self.spec.nodes)
-        est = float(np.sum(w1 * g(x1)))
-        x2, w2 = self._gl_nodes(2 * self.spec.nodes)
-        ref = float(np.sum(w2 * g(x2)))
-        if not math.isfinite(ref):
-            raise NumericError("integrand produced non-finite values")
-        if abs(ref - est) > self.spec.tol * max(1.0, abs(ref)):
-            raise NumericError(
-                f"quadrature did not converge: {est!r} vs {ref!r} on node doubling"
-            )
-        return ref
-
-
-def integrate(mu: Measure, g) -> float:
-    return mu.integrate(g)
-
-
-def weight(mu: Measure, n) -> float:
-    return mu.weight(n)
+        if self.spec.scheme != "adaptive":
+            return super().integrate(g)
+        val, err = quad(
+            lambda s: float(np.asarray(g(np.array([s])))[0] * self.h(np.array([s]))[0]),
+            0.0,
+            self._sigma_max,
+            limit=400,
+            epsabs=1e-13,
+            epsrel=self.spec.tol / 10,
+        )
+        if not math.isfinite(val):
+            raise NumericError("adaptive quadrature produced non-finite values")
+        if err > self.spec.tol * max(1.0, abs(val)):
+            raise NumericError(f"adaptive quadrature error estimate {err!r} above tolerance")
+        return val
 
 
 def measure_from_json(obj: dict) -> Measure:

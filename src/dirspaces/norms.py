@@ -10,7 +10,6 @@ lift.  A^p norms integrate the translated H^p norms against the measure.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ from scipy.integrate import quad
 from scipy.stats import qmc
 
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import AlphaMeasure, Measure
-from .series import DirichletSeries, bohr_lift, multiply, power, translate
+from .measures import Measure
+from .series import DirichletSeries, bohr_lift, power, translate
 
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
@@ -141,16 +140,7 @@ def qmc_norm_hp(
         c = abs(complex(f.coeffs[0]))
         return c, 0.0
     seeds = np.random.SeedSequence(seed).spawn(replicates)
-    means = np.empty(replicates)
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            means[:] = list(pool.map(lambda ss: _qmc_replicate(lift, p, points, ss), seeds))
-    else:
-        for r, ss in enumerate(seeds):
-            means[r] = _qmc_replicate(lift, p, points, ss)
+    means = np.array([_qmc_replicate(lift, p, points, ss) for ss in seeds])
     integral = float(np.mean(means))
     se_int = float(np.std(means, ddof=1) / math.sqrt(replicates))
     if integral <= 0:
@@ -168,14 +158,6 @@ def _qmc_replicate(lift, p: float, points: int, ss: np.random.SeedSequence) -> f
     sob = qmc.Sobol(d=lift.dimension, scramble=True, seed=np.random.default_rng(ss))
     u = sob.random(points)
     return float(np.mean(np.abs(lift.evaluate(u)) ** p))
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("DIRSPACES_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:

@@ -235,26 +235,16 @@ def bohr_lift(f: DirichletSeries) -> PolytorusPolynomial:
     """Bohr lift: n^{-s} -> z_1^{alpha_1} ... z_k^{alpha_k} via the factorization of n."""
     if not f.exact:
         raise InvalidInputError("bohr_lift requires an exact polynomial")
-    spf = spf_table(max(f.truncation, 2))
+    spf_table(max(f.truncation, 2))  # fill the cache once; factorize reuses it
     raw: dict[BohrMonomial, complex] = {}
     dim = 0
     for n0 in np.nonzero(f.coeffs)[0]:
         n = int(n0) + 1
-        mono = () if n == 1 else _mono_with_table(n, spf)
+        mono = monomial_of_index(n)
         raw[mono] = complex(f.coeffs[n0])
         dim = max(dim, len(mono))
     terms = {m + (0,) * (dim - len(m)): c for m, c in raw.items()} if dim else raw
     return PolytorusPolynomial(terms=terms, dimension=dim)
-
-
-def _mono_with_table(n: int, spf: np.ndarray) -> BohrMonomial:
-    fac = factorize(n, spf)
-    plist = primes_upto(fac[-1][0])
-    pos = {p: i for i, p in enumerate(plist)}
-    exps = [0] * len(plist)
-    for p, e in fac:
-        exps[pos[p]] = e
-    return tuple(exps)
 
 
 def inverse_lift(poly: PolytorusPolynomial, N: int | None = None) -> DirichletSeries:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dirspaces as d
-from dirspaces import InvalidInputError, TruncationError, symbol
+from dirspaces import InvalidInputError, TruncationError, compose, symbol
 from dirspaces.compose import admissibility_certificate
 
 from conftest import GALLERY, random_polynomial
@@ -173,6 +173,41 @@ def test_defect_dilation_lower_bound(alpha0):
 def test_defect_translation_by_constant(alpha0):
     rep = d.isometry_defect(symbol(1, 1.0), alpha0, 16)
     assert rep.value > 0.5  # every nonconstant basis norm shrinks
+
+
+C0_ZERO = [symbol(0, 1.0), symbol(0, {1: 1.0, 2: 0.25}), symbol(0, {1: 2.0, 3: 0.5j})]
+
+
+def _gram_route_defect(sym, mu, N):
+    g = d.gram(d.operator_matrix(sym, mu, N, require_admissible=False))
+    return np.linalg.norm(g - np.eye(g.shape[0]), ord=2)
+
+
+@pytest.mark.parametrize(
+    "sym", GALLERY + C0_ZERO, ids=lambda sym: f"c0={sym.c0},phi={sym.phi.coeffs.tolist()}"
+)
+@pytest.mark.parametrize("N", [16, 33, 64])
+def test_defect_matches_gram_route(sym, N, alpha0, alpha1):
+    for mu in (alpha0, alpha1):
+        rep = d.isometry_defect(sym, mu, N, require_admissible=False)
+        assert rep.value == pytest.approx(_gram_route_defect(sym, mu, N), rel=1e-12)
+        assert rep.value_half == pytest.approx(_gram_route_defect(sym, mu, N // 2), rel=1e-12)
+        assert rep.s_max == d.contraction_lower_bound(sym, mu, N, require_admissible=False)
+
+
+def test_classify_builds_one_section(monkeypatch, alpha0):
+    sizes = []
+    build = compose.operator_matrix
+
+    def counted(sym, mu, N, **kwargs):
+        sizes.append(N)
+        return build(sym, mu, N, **kwargs)
+
+    monkeypatch.setattr(compose, "operator_matrix", counted)
+    for sym in GALLERY:
+        sizes.clear()
+        d.classify(sym, alpha0, 32)
+        assert sizes == [32]
 
 
 def test_contraction_bound_translation(alpha0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import lab, norms, series
@@ -49,6 +50,20 @@ def _parse_series(args) -> series.DirichletSeries:
     terms = json.loads(args.terms)
     N = args.N or max((t[0] for t in terms), default=1)
     return series.from_json({"terms": terms, "N": N})
+
+
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
@@ -107,12 +122,10 @@ def cmd_kernel(args) -> None:
 
 def cmd_compose(args) -> None:
     sym = _parse_symbol(args)
-    N = args.N or 64
     if args.terms or args.series_json:
-        f = _parse_series(args)
-        out = apply_symbol(sym, f, N)
+        out = apply_symbol(sym, _parse_series(args), args.N)
     else:
-        out = compose_basis(sym, args.n, N)
+        out = compose_basis(sym, args.n, args.N)
     _emit({"symbol": sym.to_json(), "result": series.to_json(out)})
 
 
@@ -133,13 +146,13 @@ def cmd_check_symbol(args) -> None:
 def cmd_classify(args) -> None:
     sym = _parse_symbol(args)
     mu = _parse_measure(args)
-    report = lab.classify(sym, mu, args.N or 32, p=args.p)
+    report = lab.classify(sym, mu, args.N, p=args.p)
     _emit(report.to_json())
 
 
 def cmd_lemma2(args) -> None:
     mu = _parse_measure(args)
-    points = lab.lemma2_profile(mu, _sigma_list(args.sigmas), args.N or 10_000)
+    points = lab.lemma2_profile(mu, _sigma_list(args.sigmas), args.N)
     if args.csv:
         sys.stdout.write(lab.lemma2_to_csv(points))
     else:
@@ -150,7 +163,7 @@ def cmd_profile(args) -> None:
     sym = _parse_symbol(args)
     mu = _parse_measure(args)
     points = lab.two_norm_profile(
-        sym, mu, args.p, _sigma_list(args.sigmas), args.N or 128, seed=args.seed
+        sym, mu, args.p, _sigma_list(args.sigmas), args.N, seed=args.seed
     )
     if args.csv:
         sys.stdout.write(lab.profile_to_csv(points))
@@ -176,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", help="JSON [[n,re,im],...] of the polynomial")
     p.add_argument("--series-json", help="full series JSON (overrides --terms)")
     p.add_argument("--space", choices=("h", "a"), default="a")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--N", type=int)
+    p.add_argument("--p", type=_finite_float, default=2.0)
+    p.add_argument("--N", type=_positive_int)
     p.add_argument("--seed", type=int, default=0)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("weights", help="weights w_h(n) of a measure")
     p.add_argument("--n", type=int, help="single index")
-    p.add_argument("--nmax", type=int, default=8, help="list weights for n = 1..nmax")
+    p.add_argument("--nmax", type=_positive_int, default=8, help="list weights for n = 1..nmax")
     _add_measure_flags(p)
     p.set_defaults(func=cmd_weights)
 
@@ -193,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-im", type=float, default=0.0)
     p.add_argument("--w-re", type=float, required=True)
     p.add_argument("--w-im", type=float, default=0.0)
-    p.add_argument("--N", type=int, default=256)
+    p.add_argument("--N", type=_positive_int, default=256)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_kernel)
 
@@ -202,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="basis index to compose")
     p.add_argument("--terms", help="JSON terms of a polynomial to compose instead")
     p.add_argument("--series-json")
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_positive_int, default=64)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("check-symbol", help="admissibility certificates for a symbol")
@@ -213,15 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full isometry/invertibility diagnostic report")
     _add_symbol_flags(p)
     _add_measure_flags(p)
-    p.add_argument("--N", type=int, default=32)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--N", type=_positive_int, default=32)
+    p.add_argument("--p", type=_finite_float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("lemma2", help="point-evaluation bound profile S(sigma)")
     _add_measure_flags(p)
     p.add_argument("--sigmas", default="4,6,8,10,12")
-    p.add_argument("--N", type=int, default=10_000)
+    p.add_argument("--N", type=_positive_int, default=10_000)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_lemma2)
 
@@ -229,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_symbol_flags(p)
     _add_measure_flags(p)
     p.add_argument("--sigmas", default="0.25,0.5,1,2")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--N", type=int, default=128)
+    p.add_argument("--p", type=_finite_float, default=2.0)
+    p.add_argument("--N", type=_positive_int, default=128)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_profile)

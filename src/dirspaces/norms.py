@@ -18,10 +18,11 @@ from scipy.stats import qmc
 
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
 from .measures import Measure
-from .series import DirichletSeries, bohr_lift, power, translate
+from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_monomial, power
 
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
+QMC_MAX_REL_SPREAD = 0.2
 
 # Bernoulli numbers B_2, B_4, ..., B_18 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -90,15 +91,7 @@ def _power_truncation(f: DirichletSeries, q: int) -> int:
     return N
 
 
-def norm_hp(
-    f: DirichletSeries,
-    p: float,
-    method: str = "auto",
-    *,
-    points: int = QMC_POINTS,
-    replicates: int = QMC_REPLICATES,
-    seed: int = 0,
-) -> float:
+def norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> float:
     """H^p norm of an exact polynomial.
 
     Even integer p is computed exactly via ||f^{p/2}||_2^{2/p}; other p by
@@ -109,55 +102,66 @@ def norm_hp(
     if not f.exact:
         raise InvalidInputError("norm_hp requires an exact polynomial")
     q = _even_q(p)
-    if method == "exact" and q is None:
-        raise InvalidInputError("exact evaluation needs an even integer p")
-    if method in ("auto", "exact") and q is not None:
+    if q is not None:
         fq = power(f, q, _power_truncation(f, q))
         return norm_h2(fq) ** (1.0 / q)
-    value, _ = qmc_norm_hp(f, p, points=points, replicates=replicates, seed=seed)
+    value, _ = qmc_norm_hp(f, p, seed=seed)
     return value
 
 
-def qmc_norm_hp(
-    f: DirichletSeries,
-    p: float,
-    *,
-    points: int = QMC_POINTS,
-    replicates: int = QMC_REPLICATES,
-    seed: int = 0,
-    max_rel_spread: float = 0.2,
-) -> tuple[float, float]:
+def qmc_norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> tuple[float, float]:
     """Randomized-QMC estimate of the H^p norm with its standard error.
 
-    Integrates |D(f)|^p over the polytorus with `replicates` independently
+    Integrates |D(f)|^p over the polytorus with QMC_REPLICATES independently
     scrambled Sobol sequences; the estimate is the mean and the uncertainty
     the replicate standard error, propagated through the 1/p-th root.
     """
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
-    lift = bohr_lift(f)
-    if lift.dimension == 0:
-        c = abs(complex(f.coeffs[0]))
-        return c, 0.0
-    seeds = np.random.SeedSequence(seed).spawn(replicates)
-    means = np.array([_qmc_replicate(lift, p, points, ss) for ss in seeds])
-    integral = float(np.mean(means))
-    se_int = float(np.std(means, ddof=1) / math.sqrt(replicates))
-    if integral <= 0:
-        raise NumericError("QMC integral estimate is nonpositive")
-    if se_int > max_rel_spread * integral:
-        raise NumericError(
-            f"QMC did not converge: integral {integral!r} with spread {se_int!r}"
-        )
-    value = integral ** (1.0 / p)
-    stderr = se_int * value / (p * integral)
+    (integral,), (se,) = _qmc_moments(bohr_lift(f), p, np.zeros(1), seed)
+    value = float(integral) ** (1.0 / p)
+    # The zero polynomial has integral 0 and no spread.
+    stderr = float(se) * value / (p * float(integral)) if integral else 0.0
     return value, stderr
 
 
-def _qmc_replicate(lift, p: float, points: int, ss: np.random.SeedSequence) -> float:
-    sob = qmc.Sobol(d=lift.dimension, scramble=True, seed=np.random.default_rng(ss))
-    u = sob.random(points)
-    return float(np.mean(np.abs(lift.evaluate(u)) ** p))
+def _qmc_moments(
+    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """QMC estimates of ||f_sigma||_{H^p}^p for each sigma, with their replicate
+    standard errors, where f_sigma = f(sigma + .) and `lift` is the Bohr lift of f.
+
+    Translating by sigma scales the coefficient of n^{-s} by n^{-sigma} and
+    leaves the monomials alone, so each replicate draws its scrambled Sobol
+    points and builds the terms x points character matrix exp(2 pi i alpha.u)
+    once for every sigma.
+    """
+    if p < 1:
+        raise InvalidInputError("p must be >= 1")
+    coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
+    if lift.dimension == 0:
+        return np.full(sigmas.size, abs(coeffs.sum()) ** p), np.zeros(sigmas.size)
+    ns = np.array([index_of_monomial(m) for m in lift.terms], dtype=np.float64)
+    scaled = coeffs * ns ** -sigmas[:, None]
+    alphas = np.array(list(lift.terms), dtype=np.float64)
+    means = np.empty((sigmas.size, QMC_REPLICATES))
+    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(QMC_REPLICATES)):
+        sob = qmc.Sobol(d=lift.dimension, scramble=True, seed=np.random.default_rng(ss))
+        chars = np.exp(2j * np.pi * (alphas @ sob.random(QMC_POINTS).T))
+        for j, c in enumerate(scaled):
+            # Summed term by term rather than by a BLAS product: the replicate
+            # spread cancels about six digits of the means, so the standard
+            # error would otherwise move with the summation order.
+            values = sum(row * ck for row, ck in zip(chars, c))
+            means[j, r] = np.mean(np.abs(values) ** p)
+    integral = np.mean(means, axis=1)
+    se = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
+    # At large sigma every coefficient can underflow to 0: that translate is
+    # the zero polynomial, whose integral is exactly 0.
+    for nonzero, i, s in zip(scaled.any(axis=1), integral.tolist(), se.tolist()):
+        if nonzero and i <= 0:
+            raise NumericError("QMC integral estimate is nonpositive")
+        if s > QMC_MAX_REL_SPREAD * i:
+            raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
+    return integral, se
 
 
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:
@@ -196,14 +200,8 @@ def norm_ap(
 
         return mu.integrate(g) ** (1.0 / p)
 
-    def g_qmc(sig):
-        sig = np.atleast_1d(np.asarray(sig, dtype=np.float64))
-        out = np.empty(sig.shape)
-        for i, s in enumerate(sig):
-            out[i] = norm_hp(translate(f, float(s)), p, method="qmc", seed=seed) ** p
-        return out
-
-    return mu.integrate(g_qmc) ** (1.0 / p)
+    lift = bohr_lift(f)
+    return mu.integrate(lambda sig: _qmc_moments(lift, p, sig, seed)[0]) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -229,10 +227,6 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
     return complex(np.sum(f.coeffs[:N] * np.conjugate(g.coeffs[:N]) * w))
 
 
-def _weight_real(mu: Measure, x: float) -> float:
-    return mu.weight(x)
-
-
 def _kernel_tail(mu: Measure, a: float, N: int) -> float:
     """Integral-comparison bound on sum over n > N of n^{-a}/w_h(n).
 
@@ -240,8 +234,8 @@ def _kernel_tail(mu: Measure, a: float, N: int) -> float:
     convergence abscissa, so the tail is bounded by term(N) plus the
     integral from N upward.
     """
-    term_N = N**-a / _weight_real(mu, N)
-    val, _ = quad(lambda x: x**-a / _weight_real(mu, x), N, np.inf, limit=200)
+    term_N = N**-a / mu.weight(N)
+    val, _ = quad(lambda x: x**-a / mu.weight(x), N, np.inf, limit=200)
     if not math.isfinite(val):
         raise DivergenceError(f"kernel tail diverges at abscissa {a!r}")
     return term_N + val

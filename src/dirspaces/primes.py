@@ -34,12 +34,11 @@ def spf_table(n_max: int) -> np.ndarray:
         return spf
 
 
-def factorize(n: int, spf: np.ndarray | None = None) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n as [(p, exponent), ...] with p increasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spf is None:
-        spf = spf_table(n)
+    spf = spf_table(n)
     out: list[tuple[int, int]] = []
     while n > 1:
         p = int(spf[n])

@@ -69,16 +69,6 @@ class PolytorusPolynomial:
     terms: dict[BohrMonomial, complex] = field(default_factory=dict)
     dimension: int = 0
 
-    def evaluate(self, angles: np.ndarray) -> np.ndarray:
-        """Evaluate at z_j = exp(2 pi i u_j) for rows u of `angles` (shape (m, d))."""
-        angles = np.atleast_2d(angles)
-        out = np.zeros(angles.shape[0], dtype=np.complex128)
-        for mono, c in self.terms.items():
-            alpha = np.zeros(angles.shape[1])
-            alpha[: len(mono)] = mono
-            out += c * np.exp(2j * np.pi * (angles @ alpha))
-        return out
-
 
 def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
     """Exact polynomial with the given index -> coefficient map, truncated at N."""

@@ -109,6 +109,25 @@ def test_numeric_error_exit_3(capsys):
     assert code == 3 and "numeric" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--s-re", "1", "--w-re", "1", "--N", "0"],
+        ["classify", "--c0", "1", "--phi", "[[1,1,0]]", "--N", "0"],
+        ["lemma2", "--N", "0"],
+        ["norm", "--terms", "[[1,1,0],[2,1,0]]", "--p", "nan"],
+        ["weights", "--nmax", "-1"],
+    ],
+)
+def test_bad_flag_values_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "usage:" in err and "Traceback" not in err
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -2,6 +2,7 @@
 that were folded into one implementation stay folded."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -57,12 +58,21 @@ def test_folded_helpers_stay_gone():
     gone = {
         "compose.py": {"_defect_at"},
         "measures.py": {"integrate", "weight"},
-        "norms.py": {"_worker_count"},
+        "norms.py": {"_worker_count", "_qmc_replicate", "_weight_real"},
         "series.py": {"_mono_with_table"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
     assert "integrate" not in class_methods(_tree(PACKAGE / "measures.py"), "AlphaMeasure")
+
+
+def test_dead_knobs_stay_gone():
+    from dirspaces.norms import norm_hp, qmc_norm_hp
+    from dirspaces.primes import factorize
+
+    dead = {"method", "points", "replicates", "max_rel_spread", "spf"}
+    for fn in (norm_hp, qmc_norm_hp, factorize):
+        assert not dead & set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_no_qmc_thread_knob():

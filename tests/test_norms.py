@@ -70,8 +70,6 @@ def test_norm_hp_qmc_cross_check():
 def test_norm_hp_validation():
     with pytest.raises(InvalidInputError):
         d.norm_hp(d.from_terms({1: 1.0}, 4), 0.5)
-    with pytest.raises(InvalidInputError):
-        d.norm_hp(d.from_terms({1: 1.0}, 4), 3.0, method="exact")
 
 
 # ---------- A^p ----------
@@ -109,6 +107,41 @@ def test_contractive_inclusion(alpha0, alpha1, custom_density):
             for _ in range(5):
                 f = random_polynomial(rng, 16)
                 assert d.norm_ap(f, p, mu) <= d.norm_hp(f, p) + 1e-9
+
+
+SMALL_RULE = d.AlphaMeasure(1.0, spec=d.QuadratureSpec(nodes=12, tol=1e-6))
+
+
+def test_norm_ap_noneven_matches_per_node_route():
+    # Reference: one H^p estimate of the translate f(sigma + .) per node.
+    f = d.from_terms({1: 1.0, 2: 0.3 - 0.1j, 6: 0.2j, 11: 0.15}, 11)
+    p = 3.0
+    ref = SMALL_RULE.integrate(
+        lambda sig: np.array([d.norm_hp(d.translate(f, s), p) ** p for s in sig])
+    ) ** (1.0 / p)
+    assert d.norm_ap(f, p, SMALL_RULE) == pytest.approx(ref, rel=1e-12)
+
+
+def test_norm_ap_noneven_lifts_once(monkeypatch):
+    from dirspaces import norms
+
+    calls = []
+
+    def counting_lift(f):
+        calls.append(f)
+        return d.bohr_lift(f)
+
+    monkeypatch.setattr(norms, "bohr_lift", counting_lift)
+    d.norm_ap(d.from_terms({1: 1.0, 6: 0.4j}, 6), 2.5, SMALL_RULE)
+    assert len(calls) == 1
+
+
+def test_norm_ap_noneven_monomial_closed_form(alpha0):
+    # ||13^{-sigma}||_{H^1} = 13^{-sigma}, so the A^1 norm is the weight at
+    # sqrt(13).  The top nodes of the default rule lie where 13^{-sigma}
+    # underflows to 0: those translates are the zero polynomial.
+    f = d.from_terms({13: 1.0}, 13)
+    assert d.norm_ap(f, 1.0, alpha0) == pytest.approx(d.alpha_weight(0.0, 13**0.5), rel=1e-9)
 
 
 # ---------- kernels ----------

@@ -23,7 +23,11 @@ from .symbols import Symbol, check_theorem2, is_vertical_translation, symbol_fro
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericError(f"result is not finite: {e}") from e
+    print(text)
 
 
 def _parse_measure(args) -> Measure:
@@ -37,9 +41,7 @@ def _parse_symbol(args) -> Symbol:
         return symbol_from_json(json.loads(args.symbol_json))
     if args.phi is None:
         raise InvalidInputError("provide --phi (JSON terms) or --symbol-json")
-    terms = json.loads(args.phi)
-    phi = series.from_json({"terms": terms, "N": max((t[0] for t in terms), default=1)})
-    return Symbol(c0=args.c0, phi=phi)
+    return Symbol(c0=args.c0, phi=series.from_json({"terms": json.loads(args.phi)}))
 
 
 def _parse_series(args) -> series.DirichletSeries:
@@ -47,9 +49,7 @@ def _parse_series(args) -> series.DirichletSeries:
         return series.from_json(json.loads(args.series_json))
     if args.terms is None:
         raise InvalidInputError("provide --terms (JSON [[n,re,im],...]) or --series-json")
-    terms = json.loads(args.terms)
-    N = args.N or max((t[0] for t in terms), default=1)
-    return series.from_json({"terms": terms, "N": N})
+    return series.from_json({"terms": json.loads(args.terms), "N": args.N})
 
 
 def _positive_int(raw: str) -> int:
@@ -103,7 +103,7 @@ def cmd_norm(args) -> None:
 
 def cmd_weights(args) -> None:
     mu = _parse_measure(args)
-    ns = [args.n] if args.n else list(range(1, args.nmax + 1))
+    ns = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
     _emit({"measure": measure_tag(mu), "weights": [[n, mu.weight(n)] for n in ns]})
 
 
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("weights", help="weights w_h(n) of a measure")
-    p.add_argument("--n", type=int, help="single index")
+    p.add_argument("--n", type=_positive_int, help="single index")
     p.add_argument("--nmax", type=_positive_int, default=8, help="list weights for n = 1..nmax")
     _add_measure_flags(p)
     p.set_defaults(func=cmd_weights)
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compose", help="coefficients of n^{-Phi} or f o Phi")
     _add_symbol_flags(p)
-    p.add_argument("--n", type=int, default=2, help="basis index to compose")
+    p.add_argument("--n", type=_positive_int, default=2, help="basis index to compose")
     p.add_argument("--terms", help="JSON terms of a polynomial to compose instead")
     p.add_argument("--series-json")
     p.add_argument("--N", type=_positive_int, default=64)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, TruncationError
 from .measures import Measure, measure_tag
+from .primes import factorize
 from .series import DirichletSeries, from_terms
 from . import series as ds
 from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2
@@ -138,7 +139,7 @@ def operator_matrix(
     w = np.ones(N) if mu is None else mu.weights(N)
     sqw = np.sqrt(w)
     ns = _section_columns(sym, N)
-    entries = np.empty((N, len(ns)), dtype=np.complex128)
+    entries = np.empty((N, len(ns)), dtype=np.complex128, order="F")  # filled by column
     for j, n in enumerate(ns):
         g = compose_basis(sym, n, N).coeffs
         entries[:, j] = g * sqw / sqw[n - 1]
@@ -172,8 +173,60 @@ class DefectReport:
 
 
 def _gram_defect(s: np.ndarray) -> float:
-    # G = M* M has eigenvalues s_i^2, and M has no more columns than rows
+    # G = M* M has eigenvalues s_i^2, one per column
     return float(np.max(np.abs(s * s - 1.0)))
+
+
+def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
+    """r(i) for i = 1..N: i with every prime dividing an index k >= 2 of
+    supp(phi) divided out."""
+    r = np.arange(1, N + 1)
+    ks = np.nonzero(sym.phi.coeffs[1:])[0] + 2
+    for p in sorted({p for k in ks.tolist() for p, _ in factorize(k)}):
+        hit = r % p == 0
+        while hit.any():
+            r[hit] //= p
+            hit = r % p == 0
+    return r
+
+
+def _section_spectrum(m: OperatorMatrix, sym: Symbol, rows: int, cols: int) -> np.ndarray:
+    """Every singular value of the leading block m.entries[:rows, :cols].
+
+    n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
+    times the semigroup generated by supp(psi), so column n only meets rows
+    m with r(m) = r(n)^{c0} (r from _coprime_part) and the section is block
+    diagonal under that grouping.  Rows that meet no column are zero and are
+    dropped; a block with more columns than rows adds one zero singular
+    value per missing row, as the SVD of the whole section would.  Blocks of
+    equal shape share one batched SVD.
+    """
+    r = _coprime_part(sym, m.N)
+    col_keys = r[np.asarray(m.ns[:cols]) - 1] ** sym.c0
+    keys, col_block = np.unique(col_keys, return_inverse=True)
+    row_keys = r[:rows]
+    row_block = np.minimum(np.searchsorted(keys, row_keys), keys.size - 1)
+    live = np.flatnonzero(keys[row_block] == row_keys)  # the other rows are zero
+    col_order, col_start, col_count = _grouped(np.arange(cols), col_block, keys.size)
+    row_order, row_start, row_count = _grouped(live, row_block[live], keys.size)
+    spectra = []
+    for n_rows, n_cols in set(zip(row_count.tolist(), col_count.tolist())):
+        b = np.flatnonzero((row_count == n_rows) & (col_count == n_cols))
+        R = row_order[row_start[b, None] + np.arange(n_rows)]
+        C = col_order[col_start[b, None] + np.arange(n_cols)]
+        blocks = m.entries[R[:, :, None], C[:, None, :]]
+        spectra.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+        spectra.append(np.zeros(max(n_cols - n_rows, 0) * b.size))
+    return np.concatenate(spectra)
+
+
+def _grouped(
+    positions: np.ndarray, labels: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`positions` sorted by label, with the offset and size of each label's run."""
+    order = positions[np.argsort(labels, kind="stable")]
+    sizes = np.bincount(labels, minlength=count)
+    return order, np.cumsum(sizes) - sizes, sizes
 
 
 def isometry_defect(
@@ -184,17 +237,16 @@ def isometry_defect(
     One section build serves both truncations: the N/2 section is the
     leading block of the N section (rows up to N/2, columns n with
     n^{c0} <= N/2), since coefficients and weights up to N/2 do not depend
-    on N.
+    on N.  Both spectra are taken block by block (_section_spectrum).
     """
     if N < 4:
         raise InvalidInputError("need N >= 4 to compare against the N/2 section")
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    s = np.linalg.svd(m.entries, compute_uv=False)
+    s = _section_spectrum(m, sym, N, len(m.ns))
     half = N // 2
-    k = len(_section_columns(sym, half))
-    s_half = np.linalg.svd(m.entries[:half, :k], compute_uv=False)
+    s_half = _section_spectrum(m, sym, half, len(_section_columns(sym, half)))
     return DefectReport(
-        value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(s[0])
+        value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(np.max(s))
     )
 
 
@@ -203,4 +255,4 @@ def contraction_lower_bound(
 ) -> float:
     """Largest singular value of the finite section: a lower bound for ||C_Phi||."""
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    return float(np.linalg.norm(m.entries, ord=2))
+    return float(np.max(_section_spectrum(m, sym, N, len(m.ns))))

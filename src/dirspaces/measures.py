@@ -233,20 +233,25 @@ def measure_from_json(obj: dict) -> Measure:
         kind = obj["type"]
     except (TypeError, KeyError) as e:
         raise InvalidInputError("measure JSON needs a 'type' field") from e
+    if kind not in ("alpha", "density"):
+        raise InvalidInputError(f"unknown measure type {kind!r}")
+    try:
+        if kind == "alpha":
+            alpha = float(obj.get("alpha", 0.0))
+        else:
+            samples = np.asarray(obj["samples"], dtype=np.float64)
+            q = obj.get("quadrature", {})
+            nodes, tol = int(q.get("nodes", 128)), float(q.get("tol", 1e-8))
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+        raise InvalidInputError(f"malformed measure JSON: {e!r}") from e
     if kind == "alpha":
-        return AlphaMeasure(alpha=float(obj.get("alpha", 0.0)))
-    if kind == "density":
-        samples = np.asarray(obj["samples"], dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
-            raise InvalidInputError("density samples must be [[sigma, h], ...] with >= 2 rows")
-        sig, val = samples[:, 0], samples[:, 1]
-        q = obj.get("quadrature", {})
-        spec = QuadratureSpec(
-            nodes=int(q.get("nodes", 128)), scheme="adaptive", tol=float(q.get("tol", 1e-8))
-        )
-        h = lambda s: np.interp(np.asarray(s, dtype=np.float64), sig, val, left=0.0, right=0.0)
-        return DensityMeasure(h=h, spec=spec, interval_support=True, name="sampled-density")
-    raise InvalidInputError(f"unknown measure type {kind!r}")
+        return AlphaMeasure(alpha=alpha)
+    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
+        raise InvalidInputError("density samples must be [[sigma, h], ...] with >= 2 rows")
+    sig, val = samples[:, 0], samples[:, 1]
+    spec = QuadratureSpec(nodes=nodes, scheme="adaptive", tol=tol)
+    h = lambda s: np.interp(np.asarray(s, dtype=np.float64), sig, val, left=0.0, right=0.0)
+    return DensityMeasure(h=h, spec=spec, interval_support=True, name="sampled-density")
 
 
 def measure_tag(mu: Measure) -> str:

@@ -140,7 +140,13 @@ def _qmc_moments(
     if lift.dimension == 0:
         return np.full(sigmas.size, abs(coeffs.sum()) ** p), np.zeros(sigmas.size)
     ns = np.array([index_of_monomial(m) for m in lift.terms], dtype=np.float64)
-    scaled = coeffs * ns ** -sigmas[:, None]
+    # Each translate is integrated with its coefficients a_n n^{-sigma}
+    # divided by their largest modulus, and scaled back at the end, all in
+    # log scale: at sigma in the hundreds the moduli, and their p-th powers
+    # sooner, underflow.
+    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(ns)
+    log_peak = np.max(log_mods, axis=1)
+    scaled = coeffs / np.abs(coeffs) * np.exp(log_mods - log_peak[:, None])
     alphas = np.array(list(lift.terms), dtype=np.float64)
     means = np.empty((sigmas.size, QMC_REPLICATES))
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(QMC_REPLICATES)):
@@ -154,14 +160,13 @@ def _qmc_moments(
             means[j, r] = np.mean(np.abs(values) ** p)
     integral = np.mean(means, axis=1)
     se = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
-    # At large sigma every coefficient can underflow to 0: that translate is
-    # the zero polynomial, whose integral is exactly 0.
-    for nonzero, i, s in zip(scaled.any(axis=1), integral.tolist(), se.tolist()):
-        if nonzero and i <= 0:
+    for i, s in zip(integral.tolist(), se.tolist()):
+        if i <= 0:
             raise NumericError("QMC integral estimate is nonpositive")
         if s > QMC_MAX_REL_SPREAD * i:
             raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
-    return integral, se
+    scale = np.exp(p * log_peak)
+    return integral * scale, se * scale
 
 
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:

@@ -8,6 +8,7 @@ polynomial.  All operations are pure; results are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -137,12 +138,31 @@ def _padded(f: DirichletSeries, N: int) -> np.ndarray:
     return out
 
 
-def _divisor_lists(N: int) -> list[list[int]]:
-    div: list[list[int]] = [[] for _ in range(N + 1)]
-    for d in range(2, N + 1):
+@functools.lru_cache(maxsize=128)
+def _exp_plan(support: tuple[int, ...], N: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Indices 2..N that the multiplicative semigroup generated by `support`
+    (sorted, all >= 2) reaches, ascending, each with the elements of
+    `support` that divide it, ascending.
+
+    Every other coefficient of exp(f) with supp(f) = support is exactly 0.
+    """
+    reach = [False] * (N + 1)
+    reach[1] = True
+    found = [1]
+    for r in found:  # grows while it is walked: breadth-first over products
+        for d in support:
+            m = r * d
+            if m > N:
+                break
+            if not reach[m]:
+                reach[m] = True
+                found.append(m)
+    divisors: dict[int, list[int]] = {n: [] for n in sorted(found[1:])}
+    for d in support:
         for m in range(d, N + 1, d):
-            div[m].append(d)
-    return div
+            if reach[m]:
+                divisors[m].append(d)
+    return tuple((n, tuple(ds)) for n, ds in divisors.items())
 
 
 def exp(f: DirichletSeries, N: int | None = None) -> DirichletSeries:
@@ -152,7 +172,9 @@ def exp(f: DirichletSeries, N: int | None = None) -> DirichletSeries:
     the exponential series is finite up to any truncation.  Computed by the
     logarithmic-derivative recurrence
         g_n log n = sum over d|n, d>1 of f_d log d g_{n/d},  g_1 = 1,
-    which is exact up to N for exact f.
+    which is exact up to N for exact f.  Only indices in the multiplicative
+    semigroup generated by supp(f) can be nonzero, so the recurrence visits
+    only those, and each sums only over the d in supp(f) dividing it.
     """
     if N is None:
         N = f.truncation
@@ -162,13 +184,11 @@ def exp(f: DirichletSeries, N: int | None = None) -> DirichletSeries:
     g = np.zeros(N, dtype=np.complex128)
     g[0] = 1.0
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
-    div = _divisor_lists(N)
-    for n in range(2, N + 1):
+    support = tuple(int(i) + 1 for i in np.nonzero(fa)[0])
+    for n, ds in _exp_plan(support, N):
         acc = 0.0 + 0.0j
-        for d in div[n]:
-            fd = fa[d - 1]
-            if fd != 0:
-                acc += fd * logs[d - 1] * g[n // d - 1]
+        for d in ds:
+            acc += fa[d - 1] * logs[d - 1] * g[n // d - 1]
         g[n - 1] = acc / logs[n - 1]
     return DirichletSeries(g, exact=f.exact)
 
@@ -260,7 +280,7 @@ def from_json(obj: dict) -> DirichletSeries:
         terms = {int(n): complex(re, im) for n, re, im in obj["terms"]}
         N = int(obj.get("N") or max(terms, default=1))
         exact = bool(obj.get("exact", True))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed series JSON: {e}") from e
     f = from_terms(terms, N)
     return f if exact else DirichletSeries(f.coeffs, exact=False)

@@ -84,11 +84,8 @@ def symbol_from_json(obj: dict) -> Symbol:
     try:
         c0 = int(obj["c0"])
         phi = obj["phi"]
-    except (TypeError, KeyError, ValueError) as e:
+    except (TypeError, KeyError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed symbol JSON: {e}") from e
-    if "N" not in phi:
-        phi = dict(phi)
-        phi["N"] = max((t[0] for t in phi.get("terms", [])), default=1)
     return Symbol(c0=c0, phi=from_json(phi))
 
 

@@ -117,6 +117,8 @@ def test_numeric_error_exit_3(capsys):
         ["lemma2", "--N", "0"],
         ["norm", "--terms", "[[1,1,0],[2,1,0]]", "--p", "nan"],
         ["weights", "--nmax", "-1"],
+        ["weights", "--n", "0"],
+        ["compose", "--n", "0"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -126,6 +128,27 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     assert out == ""
     assert "usage:" in err and "Traceback" not in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["compose", "--c0", "1", "--phi", "5"], 2),
+        (["classify", "--symbol-json", '{"c0":1,"phi":5}'], 2),
+        (["weights", "--measure-json", '{"type":"density"}'], 2),
+        (["profile", "--c0", "1", "--phi", "[[1,1e308,0],[2,1e308,0]]"], 3),
+    ],
+)
+def test_bad_inputs_exit_cleanly(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if out:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_unknown_command_exit_2(capsys):

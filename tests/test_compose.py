@@ -195,6 +195,65 @@ def test_defect_matches_gram_route(sym, N, alpha0, alpha1):
         assert rep.s_max == d.contraction_lower_bound(sym, mu, N, require_admissible=False)
 
 
+def random_symbol(rng, c0, kmax=12):
+    """c0 s + c1 + sum of 1-4 terms c_k k^{-s} with distinct k in [2, kmax]."""
+    terms = {1: complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))}
+    for k in rng.choice(np.arange(2, kmax + 1), size=rng.integers(1, 5), replace=False):
+        terms[int(k)] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+    return symbol(c0, terms)
+
+
+def _close(value, ref):
+    return abs(value - ref) <= (1e-14 if ref < 1e-2 else 1e-12 * ref)
+
+
+@pytest.mark.parametrize("c0", [0, 1, 2, 3])
+@pytest.mark.parametrize("N", [16, 33, 64, 128])
+def test_block_spectrum_matches_dense_svd(c0, N, alpha0, alpha1):
+    rng = np.random.default_rng(100 * c0 + N)
+    for _ in range(3):
+        sym = random_symbol(rng, c0)
+        for mu in (alpha0, alpha1):
+            m = d.operator_matrix(sym, mu, N, require_admissible=False)
+            k = len(compose._section_columns(sym, N // 2))
+            s = np.linalg.svd(m.entries, compute_uv=False)
+            s_half = np.linalg.svd(m.entries[: N // 2, :k], compute_uv=False)
+            rep = d.isometry_defect(sym, mu, N, require_admissible=False)
+            assert _close(rep.value, np.max(np.abs(s * s - 1.0)))
+            assert _close(rep.value_half, np.max(np.abs(s_half * s_half - 1.0)))
+            assert _close(rep.s_max, s[0])
+            assert rep.s_max == d.contraction_lower_bound(sym, mu, N, require_admissible=False)
+
+
+@pytest.mark.parametrize("c0", [0, 1, 2, 3])
+def test_section_is_block_diagonal(c0, alpha1):
+    # Column n only meets rows m with r(m) = r(n)^{c0}.
+    rng = np.random.default_rng(c0)
+    N = 96
+    for _ in range(4):
+        sym = random_symbol(rng, c0)
+        m = d.operator_matrix(sym, alpha1, N, require_admissible=False)
+        r = compose._coprime_part(sym, N)
+        rows, cols = np.nonzero(m.entries)
+        assert rows.size
+        assert np.array_equal(r[rows], r[np.asarray(m.ns)[cols] - 1] ** c0)
+
+
+def test_spectrum_takes_small_blocks(monkeypatch, alpha0):
+    # phi = 1 + 0.2 3^{-s}: the blocks are the chains u 3^j (3 not dividing
+    # u), the longest being 1, 3, ..., 243; no SVD sees the whole section.
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    d.isometry_defect(symbol(1, {1: 1.0, 3: 0.2}), alpha0, 256)
+    assert shapes and max(shape[-1] for shape in shapes) <= 6
+
+
 def test_classify_builds_one_section(monkeypatch, alpha0):
     sizes = []
     build = compose.operator_matrix

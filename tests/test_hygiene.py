@@ -59,7 +59,7 @@ def test_folded_helpers_stay_gone():
         "compose.py": {"_defect_at"},
         "measures.py": {"integrate", "weight"},
         "norms.py": {"_worker_count", "_qmc_replicate", "_weight_real"},
-        "series.py": {"_mono_with_table"},
+        "series.py": {"_mono_with_table", "_divisor_lists"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name

@@ -144,6 +144,15 @@ def test_norm_ap_noneven_monomial_closed_form(alpha0):
     assert d.norm_ap(f, 1.0, alpha0) == pytest.approx(d.alpha_weight(0.0, 13**0.5), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_norm_ap_noneven_without_constant_term(alpha):
+    # ||2^{-sigma-s}||_{H^3}^3 = 2^{-3 sigma}, so ||2^{-s}||_{A^3}^3 is the
+    # weight at 2^{3/2}.  The top nodes lie where |2^{-sigma}|^3 underflows.
+    f = d.from_terms({2: 1.0}, 2)
+    ref = (1.0 + 1.5 * math.log(2.0)) ** (-(alpha + 1.0) / 3.0)
+    assert d.norm_ap(f, 3.0, d.AlphaMeasure(alpha)) == pytest.approx(ref, rel=1e-12)
+
+
 # ---------- kernels ----------
 
 

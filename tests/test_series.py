@@ -195,6 +195,44 @@ def test_exp_additivity(seed):
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
 
 
+def divisor_list_exp(f, N):
+    """The logarithmic-derivative recurrence over every index 2..N, each
+    summing over all of its divisors d > 1 with f_d != 0."""
+    fa = np.zeros(N, dtype=np.complex128)
+    fa[: min(N, f.truncation)] = f.coeffs[:N]
+    div = [[] for _ in range(N + 1)]
+    for dd in range(2, N + 1):
+        for m in range(dd, N + 1, dd):
+            div[m].append(dd)
+    g = np.zeros(N, dtype=np.complex128)
+    g[0] = 1.0
+    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
+    for n in range(2, N + 1):
+        acc = 0.0 + 0.0j
+        for dd in div[n]:
+            fd = fa[dd - 1]
+            if fd != 0:
+                acc += fd * logs[dd - 1] * g[n // dd - 1]
+        g[n - 1] = acc / logs[n - 1]
+    return g
+
+
+@pytest.mark.parametrize("N", [1, 2, 17, 64, 200])
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("kmax", [3, 12, None])
+def test_exp_equals_divisor_list_recurrence(N, density, kmax):
+    # Only the indices that supp(f) reaches are visited; the skipped terms
+    # are exact zeros, so the result is bitwise the full recurrence's.
+    rng = np.random.default_rng(N * 1000 + int(100 * density) + (kmax or 0))
+    f = random_polynomial(rng, N, max_degree=min(kmax or N, N), density=density)
+    f = DirichletSeries(np.concatenate([[0], f.coeffs[1:]]), exact=True)
+    for M in (N, N + 7):
+        e = d.exp_series(f, M)
+        ref = divisor_list_exp(f, M)
+        assert np.array_equal(e.coeffs, ref)
+        assert e.coeffs.tobytes() == ref.tobytes()  # signed zeros too
+
+
 # ---------- translate / evaluate ----------
 
 

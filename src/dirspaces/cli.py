@@ -19,7 +19,14 @@ from .compose import apply as apply_symbol
 from .compose import compose_basis
 from .errors import InvalidInputError, NumericError
 from .measures import AlphaMeasure, Measure, measure_from_json, measure_tag
-from .symbols import Symbol, check_theorem2, is_vertical_translation, symbol_from_json
+from .symbols import (
+    Symbol,
+    check_theorem1,
+    check_theorem2,
+    is_vertical_translation,
+    lemma1_region,
+    symbol_from_json,
+)
 
 
 def _emit(obj) -> None:
@@ -67,7 +74,9 @@ def _finite_float(raw: str) -> float:
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.0, help="alpha of the Gamma-type measure")
+    p.add_argument(
+        "--alpha", type=_finite_float, default=0.0, help="alpha of the Gamma-type measure"
+    )
     p.add_argument("--measure-json", help="measure config JSON (overrides --alpha)")
 
 
@@ -134,8 +143,6 @@ def cmd_check_symbol(args) -> None:
     tau = is_vertical_translation(sym)
     out = {"symbol": sym.to_json(), "vertical_translation": tau}
     if sym.c0 >= 1:
-        from .symbols import check_theorem1, lemma1_region
-
         out["theorem1"] = check_theorem1(sym).to_json()
         out["lemma1"] = lemma1_region(sym).to_json()
     else:
@@ -202,10 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("kernel", help="reproducing kernel K(s, w) with tail bound")
-    p.add_argument("--s-re", type=float, required=True)
-    p.add_argument("--s-im", type=float, default=0.0)
-    p.add_argument("--w-re", type=float, required=True)
-    p.add_argument("--w-im", type=float, default=0.0)
+    p.add_argument("--s-re", type=_finite_float, required=True)
+    p.add_argument("--s-im", type=_finite_float, default=0.0)
+    p.add_argument("--w-re", type=_finite_float, required=True)
+    p.add_argument("--w-im", type=_finite_float, default=0.0)
     p.add_argument("--N", type=_positive_int, default=256)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_kernel)
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-symbol", help="admissibility certificates for a symbol")
     _add_symbol_flags(p)
-    p.add_argument("--eta", type=float, default=1e-6, help="margin for the c0=0 check")
+    p.add_argument("--eta", type=_finite_float, default=1e-6, help="margin for the c0=0 check")
     p.set_defaults(func=cmd_check_symbol)
 
     p = sub.add_parser("classify", help="full isometry/invertibility diagnostic report")

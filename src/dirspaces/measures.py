@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.special import roots_genlaguerre, roots_laguerre
 
 from .errors import InvalidInputError, NumericError
@@ -47,29 +48,29 @@ class Measure:
     def density(self, sigma):
         raise NotImplementedError
 
-    def integrate(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integral of g against the measure; g must accept ndarray input.
+    def integrate(self, g: Callable[[np.ndarray], np.ndarray]):
+        """Integral of g against the measure, componentwise.
 
-        Evaluates the fixed rule at spec.nodes and 2 spec.nodes nodes and
-        returns the finer value once the two agree to spec.tol.
+        g maps the nodes, shape (m,), to values of shape (..., m); the result
+        has shape (...), a float for a scalar integrand.  Evaluates the fixed
+        rule at spec.nodes and 2 spec.nodes nodes and returns the finer value
+        once every component of the two agrees to spec.tol.
         """
-        x1, w1 = self._gl_nodes(self.spec.nodes)
-        est = float(np.sum(w1 * g(x1)))
-        x2, w2 = self._gl_nodes(2 * self.spec.nodes)
-        ref = float(np.sum(w2 * g(x2)))
-        if not math.isfinite(ref):
+        (x1, w1), (x2, w2) = self._rules
+        est = np.sum(w1 * g(x1), axis=-1)
+        ref = np.sum(w2 * g(x2), axis=-1)
+        if not np.all(np.isfinite(ref)):
             raise NumericError("integrand produced non-finite values")
-        if abs(ref - est) > self.spec.tol * max(1.0, abs(ref)):
-            raise NumericError(
-                f"quadrature did not converge: {est!r} vs {ref!r} on node doubling"
-            )
-        return ref
+        bad = np.abs(ref - est) > self.spec.tol * np.maximum(1.0, np.abs(ref))
+        if np.any(bad):
+            i = np.argmax(bad)  # flat index of the first failing component
+            e, r = float(np.ravel(est)[i]), float(np.ravel(ref)[i])
+            raise NumericError(f"quadrature did not converge: {e!r} vs {r!r} on node doubling")
+        return float(ref) if np.ndim(ref) == 0 else ref
 
     def weight(self, n) -> float:
         """w_h(n) = integral of n^{-2 sigma} d mu(sigma); n real >= 1 allowed."""
-        if np.any(np.asarray(n) < 1):
-            raise InvalidInputError("weight requires n >= 1")
-        return self.integrate(lambda s: np.power(float(n), -2.0 * s))
+        return self.weights_by_quadrature(n)
 
     def weights(self, N: int) -> np.ndarray:
         """Memoized vector (w_h(1), ..., w_h(N))."""
@@ -77,21 +78,25 @@ class Measure:
             cached = self._weight_cache
             if cached is not None and cached.size >= N:
                 return cached[:N]
-            w = np.array([self.weight(n) for n in range(1, N + 1)])
+            w = self._weight_vector(N)
             object.__setattr__(self, "_weight_cache", w)
             return w
 
-    def weights_by_quadrature(self, ns: np.ndarray) -> np.ndarray:
-        """Quadrature-route weights for many n at once (cross-check path)."""
-        ns = np.asarray(ns, dtype=np.float64)
-        x, w = self._rule()
-        # n^{-2 sigma} at the nodes, all n at once
-        vals = np.exp(-2.0 * np.outer(np.log(ns), x))
-        return vals @ w
+    def _weight_vector(self, N: int) -> np.ndarray:
+        """(w_h(1), ..., w_h(N)) computed afresh, for weights() to memoize."""
+        return self.weights_by_quadrature(np.arange(1, N + 1))
 
-    def _rule(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sigma nodes, weights) such that integral g d mu ~ sum w_i g(x_i)."""
-        return self._gl_nodes(self.spec.nodes)
+    def weights_by_quadrature(self, ns) -> np.ndarray:
+        """Quadrature weights w_h(n) for every n in ns by one integrate call."""
+        ns = np.asarray(ns, dtype=np.float64)
+        if np.any(ns < 1):
+            raise InvalidInputError("weight requires n >= 1")
+        return self.integrate(lambda s: np.power(ns[..., None], -2.0 * s))
+
+    @cached_property
+    def _rules(self):
+        """The spec.nodes and 2 spec.nodes rules that integrate compares."""
+        return self._gl_nodes(self.spec.nodes), self._gl_nodes(2 * self.spec.nodes)
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m-node Gauss-Laguerre rule for this measure."""
@@ -110,8 +115,8 @@ class AlphaMeasure(Measure):
     spec: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
-        if self.alpha <= -1:
-            raise InvalidInputError("alpha must exceed -1")
+        if not -1 < self.alpha < math.inf:
+            raise InvalidInputError("alpha must be finite and exceed -1")
         Measure.__post_init__(self)
 
     def density(self, sigma):
@@ -128,11 +133,15 @@ class AlphaMeasure(Measure):
         # closed form 1/(log n + 1)^{alpha+1}
         return alpha_weight(self.alpha, n)
 
+    def _weight_vector(self, N: int) -> np.ndarray:
+        # the scalar closed form, so weights(N)[n-1] == weight(n) bitwise
+        return np.array([self.weight(n) for n in range(1, N + 1)])
+
 
 def alpha_weight(alpha: float, n) -> float:
     """Exact weight 1/(log n + 1)^{alpha+1} of the Gamma-type measure."""
-    if alpha <= -1:
-        raise InvalidInputError("alpha must exceed -1")
+    if not -1 < alpha < math.inf:
+        raise InvalidInputError("alpha must be finite and exceed -1")
     n = float(n)
     if n < 1:
         raise InvalidInputError("weight requires n >= 1")
@@ -203,27 +212,23 @@ class DensityMeasure(Measure):
         factors[pos] = np.exp(np.log(w[pos]) + x[pos] + np.log(hv[pos]) + math.log(0.5))
         return sig, factors
 
-    def _rule(self):
-        if self.spec.scheme == "adaptive":
-            raise NotImplementedError("no fixed rule for the adaptive scheme")
-        return super()._rule()
-
     def integrate(self, g):
         if self.spec.scheme != "adaptive":
             return super().integrate(g)
-        val, err = quad(
-            lambda s: float(np.asarray(g(np.array([s])))[0] * self.h(np.array([s]))[0]),
+        val, err = quad_vec(
+            lambda s: np.asarray(g(np.array([s])))[..., 0] * self.h(np.array([s]))[0],
             0.0,
             self._sigma_max,
             limit=400,
             epsabs=1e-13,
             epsrel=self.spec.tol / 10,
+            norm="max",
         )
-        if not math.isfinite(val):
+        if not np.all(np.isfinite(val)):
             raise NumericError("adaptive quadrature produced non-finite values")
-        if err > self.spec.tol * max(1.0, abs(val)):
+        if err > self.spec.tol * max(1.0, float(np.max(np.abs(val)))):
             raise NumericError(f"adaptive quadrature error estimate {err!r} above tolerance")
-        return val
+        return float(val) if np.ndim(val) == 0 else val
 
 
 def measure_from_json(obj: dict) -> Measure:

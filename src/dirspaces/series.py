@@ -82,6 +82,8 @@ def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
         if n > N:
             raise InvalidInputError(f"index {n} exceeds truncation {N}")
         coeffs[n - 1] = c
+    if not np.all(np.isfinite(coeffs)):
+        raise InvalidInputError("coefficients must be finite")
     return DirichletSeries(coeffs, exact=True)
 
 

@@ -18,6 +18,10 @@ from .errors import InvalidInputError
 from . import series as ds
 from .series import DirichletSeries, evaluate, from_json, from_terms, to_json
 
+# The refutation grid samples t in [-GRID_T_MAX, GRID_T_MAX] at GRID_T_STEPS points.
+GRID_T_MAX = 40.0
+GRID_T_STEPS = 401
+
 
 class Verdict(Enum):
     CERTIFIED_YES = "CertifiedYes"
@@ -114,21 +118,21 @@ def halfplane_lower_bound(sym: Symbol, eps: float = 0.0) -> float:
     return sym.c0 * eps + sym.c1.real - tail
 
 
-def _refutation_grid(sym: Symbol, t_max: float, t_steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _refutation_grid(sym: Symbol) -> tuple[np.ndarray, np.ndarray]:
     """Candidate (sigma, t) grid: dyadic sigmas plus phase-targeted t values.
 
     For each nonzero coefficient c_k the value t = (arg c_k - pi)/log k turns
     c_k k^{-it} real negative, which is where Re phi dips lowest.
     """
     sigmas = 2.0 * 2.0 ** -np.arange(0, 40, dtype=np.float64)  # (0, 2]
-    ts = list(np.linspace(-t_max, t_max, t_steps))
+    ts = list(np.linspace(-GRID_T_MAX, GRID_T_MAX, GRID_T_STEPS))
     coeffs = sym.phi.coeffs
     for k0 in np.nonzero(coeffs[1:])[0]:
         k = int(k0) + 2
         base = (np.angle(coeffs[k - 1]) - math.pi) / math.log(k)
         period = 2.0 * math.pi / math.log(k)
         j = 0.0
-        while abs(base + j * period) <= t_max or j == 0.0:
+        while abs(base + j * period) <= GRID_T_MAX or j == 0.0:
             ts.append(base + j * period)
             ts.append(base - j * period)
             j += 1.0
@@ -146,7 +150,7 @@ def _min_re_phi(sym: Symbol, sigmas: np.ndarray, ts: np.ndarray) -> tuple[float,
     return float(vals[i, j]), complex(sigmas[i], ts[j])
 
 
-def check_theorem1(sym: Symbol, *, t_max: float = 40.0, t_steps: int = 401) -> Certificate:
+def check_theorem1(sym: Symbol) -> Certificate:
     """Certificate for phi(C_+) inside C_+ (boundedness with c0 >= 1).
 
     CertifiedYes when phi is a purely imaginary constant or when
@@ -163,7 +167,7 @@ def check_theorem1(sym: Symbol, *, t_max: float = 40.0, t_steps: int = 401) -> C
         return Certificate(
             Verdict.CERTIFIED_YES, margin=c1.real - tail, method="coefficient-domination"
         )
-    sigmas, ts = _refutation_grid(sym, t_max, t_steps)
+    sigmas, ts = _refutation_grid(sym)
     low, witness = _min_re_phi(sym, sigmas, ts)
     if low < -1e-12:
         return Certificate(
@@ -172,7 +176,7 @@ def check_theorem1(sym: Symbol, *, t_max: float = 40.0, t_steps: int = 401) -> C
     return Certificate(Verdict.UNKNOWN, margin=low, method="grid-inconclusive")
 
 
-def check_theorem2(sym: Symbol, eta: float, *, t_max: float = 40.0, t_steps: int = 401) -> Certificate:
+def check_theorem2(sym: Symbol, eta: float) -> Certificate:
     """Certificate for Phi(C_+) inside C_{1/2+eta} when c0 = 0.
 
     CertifiedYes when Re c1 - sum |c_k| >= 1/2 + eta; CertifiedNo with a
@@ -180,13 +184,13 @@ def check_theorem2(sym: Symbol, eta: float, *, t_max: float = 40.0, t_steps: int
     """
     if sym.c0 != 0:
         raise InvalidInputError("theorem-2 check applies to c0 = 0")
-    if eta <= 0:
-        raise InvalidInputError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise InvalidInputError("eta must be positive and finite")
     tail = float(np.sum(sym.tail_coeffs()))
     slack = sym.c1.real - tail - (0.5 + eta)
     if slack >= 0:
         return Certificate(Verdict.CERTIFIED_YES, margin=slack, method="coefficient-domination")
-    sigmas, ts = _refutation_grid(sym, t_max, t_steps)
+    sigmas, ts = _refutation_grid(sym)
     low, witness = _min_re_phi(sym, sigmas, ts)
     if low <= 0.5 - 1e-12:
         return Certificate(

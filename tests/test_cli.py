@@ -119,6 +119,11 @@ def test_numeric_error_exit_3(capsys):
         ["weights", "--nmax", "-1"],
         ["weights", "--n", "0"],
         ["compose", "--n", "0"],
+        ["weights", "--alpha", "nan"],
+        ["kernel", "--s-re", "nan", "--w-re", "1"],
+        ["kernel", "--s-re", "1", "--w-re", "1", "--w-im", "inf"],
+        ["lemma2", "--alpha", "nan", "--csv", "--sigmas", "4", "--N", "10"],
+        ["check-symbol", "--c0", "0", "--phi", "[[1,1,0]]", "--eta", "nan"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -141,12 +146,16 @@ def _reject_constant(name):
         (["classify", "--symbol-json", '{"c0":1,"phi":5}'], 2),
         (["weights", "--measure-json", '{"type":"density"}'], 2),
         (["profile", "--c0", "1", "--phi", "[[1,1e308,0],[2,1e308,0]]"], 3),
+        (["weights", "--measure-json", '{"type":"alpha","alpha":Infinity}'], 2),
+        (["classify", "--c0", "1", "--phi", "[[1,1,0],[2,1e309,0]]", "--N", "16"], 2),
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, argv, expected):
     code, out, err = run_cli(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
     if out:
         json.loads(out, parse_constant=_reject_constant)
 

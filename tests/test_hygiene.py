@@ -63,15 +63,19 @@ def test_folded_helpers_stay_gone():
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
-    assert "integrate" not in class_methods(_tree(PACKAGE / "measures.py"), "AlphaMeasure")
+    measures = _tree(PACKAGE / "measures.py")
+    assert "integrate" not in class_methods(measures, "AlphaMeasure")
+    for cls in ("Measure", "DensityMeasure"):
+        assert "_rule" not in class_methods(measures, cls), cls
 
 
 def test_dead_knobs_stay_gone():
     from dirspaces.norms import norm_hp, qmc_norm_hp
     from dirspaces.primes import factorize
+    from dirspaces.symbols import check_theorem1, check_theorem2
 
-    dead = {"method", "points", "replicates", "max_rel_spread", "spf"}
-    for fn in (norm_hp, qmc_norm_hp, factorize):
+    dead = {"method", "points", "replicates", "max_rel_spread", "spf", "t_max", "t_steps"}
+    for fn in (norm_hp, qmc_norm_hp, factorize, check_theorem1, check_theorem2):
         assert not dead & set(inspect.signature(fn).parameters), fn.__name__
 
 

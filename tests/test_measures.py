@@ -40,11 +40,15 @@ def test_alpha_weight_invalid():
         d.alpha_weight(-1.0, 2)
     with pytest.raises(InvalidInputError):
         d.alpha_weight(0.0, 0.5)
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            d.alpha_weight(alpha, 2)
 
 
 def test_alpha_measure_invalid():
-    with pytest.raises(InvalidInputError):
-        AlphaMeasure(-1.5)
+    for alpha in (-1.5, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            AlphaMeasure(alpha)
 
 
 def test_integrate_constant_is_one(alpha0, alpha1, custom_density):
@@ -66,6 +70,61 @@ def test_integrate_gamma_mean(alpha0):
 def test_integrate_nan_propagates(alpha0):
     with pytest.raises(NumericError):
         alpha0.integrate(lambda s: np.where(s > 0.5, np.nan, 1.0))
+
+
+def test_rules_are_built_once(monkeypatch):
+    calls = []
+    build = DensityMeasure._gl_nodes
+
+    def counting(self, m):
+        calls.append(m)
+        return build(self, m)
+
+    monkeypatch.setattr(DensityMeasure, "_gl_nodes", counting)
+    mu = DensityMeasure(h=exp3_density)
+    mu.weights(64)
+    for _ in range(3):
+        mu.integrate(lambda s: s)
+        mu.weight(7)
+        mu.weights_by_quadrature([2.0, 3.5])
+    assert calls == [128, 256]
+
+
+def test_gauss_laguerre_weights_match_per_n_integrate():
+    mu = DensityMeasure(h=exp3_density)
+    N = 300
+    ref = np.array([mu.integrate(lambda s: np.power(float(n), -2.0 * s)) for n in range(1, N + 1)])
+    assert np.array_equal(mu.weights(N), ref)
+    assert np.array_equal(mu.weights_by_quadrature(np.arange(1, N + 1)), ref)
+    assert mu.weight(17) == ref[16]
+
+
+def test_integrate_vector_integrand(alpha0, custom_density):
+    parts = (lambda s: np.ones_like(s), lambda s: s, lambda s: np.exp(-s))
+    for mu in (alpha0, custom_density):
+        vec = mu.integrate(lambda s: np.stack([g(s) for g in parts]))
+        assert vec.shape == (3,)
+        assert np.array_equal(vec, [mu.integrate(g) for g in parts])
+    # a jump at sigma = 0.3 does not converge under node doubling
+    with pytest.raises(NumericError):
+        alpha0.integrate(lambda s: np.stack([np.ones_like(s), (s < 0.3).astype(float)]))
+    with pytest.raises(NumericError):
+        alpha0.integrate(lambda s: np.stack([np.ones_like(s), np.where(s > 0.5, np.nan, 1.0)]))
+
+
+def test_adaptive_weights_match_per_n_quad():
+    mu = DensityMeasure(h=exp3_density, spec=QuadratureSpec(scheme="adaptive"))
+    N = 40
+    ref = np.array(
+        [
+            quad(lambda s: n ** (-2.0 * s) * 3.0 * math.exp(-3.0 * s), 0, np.inf, limit=200)[0]
+            for n in range(1, N + 1)
+        ]
+    )
+    w = mu.weights(N)
+    assert w.shape == (N,)
+    assert np.max(np.abs(w - ref) / ref) < 1e-12
+    assert isinstance(mu.weight(5), float)
 
 
 def test_weight_monotone_decreasing(alpha0, custom_density):
@@ -143,3 +202,5 @@ def test_measure_from_json_invalid():
         measure_from_json({"type": "atomic"})
     with pytest.raises(InvalidInputError):
         measure_from_json({})
+    with pytest.raises(InvalidInputError):
+        measure_from_json({"type": "alpha", "alpha": math.inf})

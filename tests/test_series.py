@@ -69,6 +69,12 @@ def test_from_terms_bad_index():
         d.from_terms({9: 1.0}, 4)
 
 
+@pytest.mark.parametrize("c", [math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+def test_from_terms_rejects_nonfinite_coefficient(c):
+    with pytest.raises(InvalidInputError):
+        d.from_terms({1: 1.0, 2: c}, 4)
+
+
 def test_linear():
     two = d.from_terms({2: 1.0}, 8)
     three = d.from_terms({3: 1.0}, 8)

@@ -130,6 +130,9 @@ def test_check_theorem2_with_tail():
     assert cert.verdict is Verdict.CERTIFIED_YES
     with pytest.raises(InvalidInputError):
         d.check_theorem2(symbol(1, 1.0), eta=0.1)
+    for eta in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidInputError):
+            d.check_theorem2(symbol(0, {1: 1.0}), eta=eta)
 
 
 # ---------- translate ----------

@@ -4,6 +4,8 @@ Two variants: the closed-form Gamma-type family with density
 (2^{a+1}/Gamma(a+1)) sigma^a e^{-2 sigma}, and user densities integrated by
 quadrature.  The weight w_h(n) = integral of n^{-2 sigma} d mu(sigma) drives
 every A^2 norm and kernel evaluation, so weights are memoized per measure.
+The Gauss-Laguerre rules are built here in numpy and cached per (nodes,
+alpha); scipy.integrate is imported only by density measures.
 """
 
 from __future__ import annotations
@@ -11,16 +13,70 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.special import roots_genlaguerre, roots_laguerre
 
 from .errors import InvalidInputError, NumericError
 
 _NORMALIZATION_TOL = 1e-8
+# Mantissa bound for the Laguerre recurrence: past it a node's values move
+# into its log scale, so rules stay finite at thousands of nodes.
+_RESCALE_AT = 2.0**500
+
+
+def _laguerre_ratio(n: int, a: float, x: np.ndarray):
+    """p_k(x) = L_k^{(a)}(x)/binom(k+a, k) at k = n and n - 1, n >= 1, and
+    d_n = p_n - p_{n-1}, as mantissas sharing the factor e^{scale}.
+
+    The difference form of the recurrence, as scipy.special's
+    eval_genlaguerre runs it: d_{k+1} = (k d_k - x p_k)/(k+a+1) and
+    p_{k+1} = p_k + d_{k+1}, from p_0 = 1.  A node's three mantissas are
+    divided by |p_k| once it passes _RESCALE_AT.
+    """
+    d = -x / (a + 1)
+    p_prev, p = np.ones_like(x), d + 1.0
+    scale = np.zeros_like(x)
+    for k in range(1, n):
+        d = -x / (k + a + 1) * p + (k / (k + a + 1)) * d
+        p_prev, p = p, d + p
+        big = np.abs(p) > _RESCALE_AT
+        if big.any():
+            r = np.where(big, np.abs(p), 1.0)
+            p_prev, d, p = p_prev / r, d / r, p / r
+            scale += np.log(r)
+    return p, p_prev, d, scale
+
+
+@lru_cache(maxsize=32)
+def _gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """m-node Gauss rule for the probability density x^a e^{-x}/Gamma(a+1), a > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix,
+    refined by one Newton step on the recurrence.  The weights come from the
+    derivative formula w_i ~ 1/(L_{m-1}(x_i) L_m'(x_i)), normalized in log
+    scale to sum to 1, as scipy.special's roots_genlaguerre computes them;
+    eigenvector weights would lose relative accuracy where w_i is tiny, and
+    density rules multiply w_i by e^{x_i}.  Both arrays are shared, so they
+    are read-only.
+    """
+    k = np.arange(1, m)
+    jacobi = np.diag(2.0 * np.arange(m) + a + 1.0)
+    jacobi[k, k - 1] = np.sqrt(k * (k + a))
+    x0 = np.linalg.eigvalsh(jacobi)  # reads the lower triangle
+    # With L_k = binom(k+a, k) p_k, L_m' = binom(m+a, m) m d_m / x; the
+    # binomials are common to every node and cancel in the normalization.
+    p, _, d, dscale = _laguerre_ratio(m, a, x0)
+    dl = m * d / x0
+    x = x0 - p / dl
+    _, fm, _, fscale = _laguerre_ratio(m, a, x)
+    logw = -(np.log(np.abs(fm)) + fscale + np.log(np.abs(dl)) + dscale)
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -125,9 +181,9 @@ class AlphaMeasure(Measure):
         return c * sigma**self.alpha * np.exp(-2.0 * sigma)
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        # substitute u = 2 sigma: integral g d mu = (1/Gamma(a+1)) sum w_i g(x_i / 2)
-        x, w = roots_genlaguerre(m, self.alpha)
-        return x / 2.0, w / math.gamma(self.alpha + 1)
+        # substitute u = 2 sigma: integral g d mu = sum w_i g(x_i / 2)
+        x, w = _gauss_laguerre(m, self.alpha)
+        return x / 2.0, w
 
     def weight(self, n) -> float:
         # closed form 1/(log n + 1)^{alpha+1}
@@ -175,6 +231,8 @@ class DensityMeasure(Measure):
         return self.h(np.asarray(sigma, dtype=np.float64))
 
     def _find_sigma_max(self) -> float:
+        from scipy.integrate import quad
+
         hi = 1.0
         while hi < 1e6:
             tail, _ = quad(lambda s: float(self.h(np.array([s]))[0]), hi, np.inf, limit=200)
@@ -204,7 +262,7 @@ class DensityMeasure(Measure):
         # integral g h d sigma = (1/2) sum w_i e^{x_i} g(x_i/2) h(x_i/2) with u = 2 sigma.
         # Assembled in log space: w_i underflows and e^{x_i} overflows separately at
         # large nodes, while their product stays moderate for h decaying like e^{-2s}.
-        x, w = roots_laguerre(m)
+        x, w = _gauss_laguerre(m, 0.0)
         sig = x / 2.0
         hv = np.asarray(self.h(sig), dtype=np.float64)
         factors = np.zeros_like(x)
@@ -215,6 +273,8 @@ class DensityMeasure(Measure):
     def integrate(self, g):
         if self.spec.scheme != "adaptive":
             return super().integrate(g)
+        from scipy.integrate import quad_vec
+
         val, err = quad_vec(
             lambda s: np.asarray(g(np.array([s])))[..., 0] * self.h(np.array([s]))[0],
             0.0,

@@ -5,24 +5,29 @@ H^2 and A^2 norms are exact coefficient sums.  Even-integer H^p norms reduce
 exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}); other p are
 estimated by randomized quasi-Monte Carlo on the polytorus through the Bohr
 lift.  A^p norms integrate the translated H^p norms against the measure.
+Kernel tails of the Gamma family are in closed form, and the scrambled Sobol
+points are built in numpy; scipy is imported only by density-measure tails.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import qmc
 
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import Measure
+from .measures import AlphaMeasure, Measure
 from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_monomial, power
 
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
 QMC_MAX_REL_SPREAD = 0.2
+# Bits of a Sobol coordinate, as scipy.stats.qmc.Sobol draws them by default.
+_SOBOL_BITS = 30
 
 # Bernoulli numbers B_2, B_4, ..., B_18 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -150,8 +155,11 @@ def _qmc_moments(
     alphas = np.array(list(lift.terms), dtype=np.float64)
     means = np.empty((sigmas.size, QMC_REPLICATES))
     for r, ss in enumerate(np.random.SeedSequence(seed).spawn(QMC_REPLICATES)):
-        sob = qmc.Sobol(d=lift.dimension, scramble=True, seed=np.random.default_rng(ss))
-        chars = np.exp(2j * np.pi * (alphas @ sob.random(QMC_POINTS).T))
+        # The child that scipy.stats.qmc.Sobol spawns from the generator it
+        # is given, so the points are the ones Sobol(seed=default_rng(ss)) draws.
+        rng = np.random.default_rng(ss.spawn(1)[0])
+        points = _scrambled_sobol(lift.dimension, QMC_POINTS, rng)
+        chars = np.exp(2j * np.pi * (alphas @ points.T))
         for j, c in enumerate(scaled):
             # Summed term by term rather than by a BLAS product: the replicate
             # spread cancels about six digits of the means, so the standard
@@ -167,6 +175,67 @@ def _qmc_moments(
             raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
     scale = np.exp(p * log_peak)
     return integral * scale, se * scale
+
+
+@lru_cache(maxsize=16)
+def _sobol_directions(d: int) -> np.ndarray:
+    """Direction numbers v[j, b] of the first d Sobol coordinates, b < _SOBOL_BITS,
+    each as an integer of _SOBOL_BITS bits (Bratley and Fox, ACM TOMS 14, 1988).
+
+    The primitive polynomials and initial numbers are the Joe-Kuo table that
+    scipy ships with scipy.stats, read with numpy so that scipy.stats, a
+    second-long import, is not loaded.
+    """
+    scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
+    with np.load(scipy_dir / "stats" / "_sobol_direction_numbers.npz") as table:
+        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
+    if len(poly) < d:
+        raise InvalidInputError(f"Sobol points in {d} dimensions: at most {len(poly)} are tabulated")
+    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
+    for j in range(1, d):
+        # v_b = v_{b-m} xor sum over the polynomial's inner coefficients a_k
+        # of 2^k a_k v_{b-k}, with m = deg p, from the m initial numbers.
+        p = poly[j]
+        m = p.bit_length() - 1
+        row = vinit[j][:m]
+        for b in range(m, _SOBOL_BITS):
+            new = row[b - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[b - k - 1] << (k + 1)
+            row.append(new)
+        v[j] = row
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
+    v.flags.writeable = False
+    return v
+
+
+def _scrambled_sobol(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first n points of a d-dimensional Sobol sequence with linear matrix
+    scrambling and a digital shift, as an (n, d) array in [0, 1).
+
+    Bit for bit the points of scipy.stats.qmc.Sobol(d, scramble=True) drawing
+    from `rng`: the same direction numbers, the same draws from `rng` (the
+    shift bits, then the lower-triangular scrambling matrices), and the same
+    Gray-code order.
+    """
+    bits = np.arange(_SOBOL_BITS)
+    v = _sobol_directions(d)
+    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32).astype(np.int64) @ (1 << bits)
+    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)).astype(np.int64)
+    ltm[:, bits, bits] = 1
+    # Bit i of a scrambled direction number is the GF(2) product of row
+    # (_SOBOL_BITS - 1 - i) of its matrix, read most significant bit first,
+    # with the bits of the direction number.
+    v_bits = (v[:, :, None] >> bits) & 1
+    scrambled = ((v_bits @ ltm[:, ::-1, ::-1].transpose(0, 2, 1)) & 1) @ (1 << bits)
+    # Gray-code order: point i is the shift xor the scrambled directions at
+    # the set bits of i xor (i >> 1), so the points 2^k..2^{k+1}-1 are the
+    # first 2^k in reverse, each xor direction k.
+    x = shift[None, :]
+    while x.shape[0] < n:
+        x = np.concatenate([x, x[::-1] ^ scrambled[:, x.shape[0].bit_length() - 1]])
+    return x[:n] * (1.0 / 2**_SOBOL_BITS)
 
 
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:
@@ -233,17 +302,82 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
 
 
 def _kernel_tail(mu: Measure, a: float, N: int) -> float:
-    """Integral-comparison bound on sum over n > N of n^{-a}/w_h(n).
+    """Bound on the tail sum over n > N of f(n) = n^{-a}/w_h(n).
 
-    The summand n^{-a}/w_h(n) is eventually decreasing for a past the
-    convergence abscissa, so the tail is bounded by term(N) plus the
-    integral from N upward.
+    log f(e^t) = -a t - log w_h(e^t) is concave in t, since w_h(e^t) is a
+    Laplace transform in t, so f is unimodal and the tail is at most the
+    integral of f from N upward plus max over x >= N of f(x).  Since
+    w_h(n) <= 1, the sum diverges for a <= 1.
+
+    For the Gamma family 1/w_h(x) = (1 + log x)^{alpha+1}: the integral is
+    e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)) and the peak
+    sits at log x* = (alpha+1)/a - 1.  Other measures integrate by quad and
+    take f(N) for the maximum, which assumes N is past the peak.
     """
-    term_N = N**-a / mu.weight(N)
-    val, _ = quad(lambda x: x**-a / mu.weight(x), N, np.inf, limit=200)
-    if not math.isfinite(val):
+    if a <= 1.0:
         raise DivergenceError(f"kernel tail diverges at abscissa {a!r}")
-    return term_N + val
+    if isinstance(mu, AlphaMeasure):
+        b = mu.alpha + 1.0
+        log_integral = (
+            (a - 1.0)
+            - (b + 1.0) * math.log(a - 1.0)
+            + _log_upper_gamma(b + 1.0, (a - 1.0) * (1.0 + math.log(N)))
+        )
+        u = max(math.log(N), b / a - 1.0)
+        log_peak = -a * u + b * math.log1p(u)
+        try:
+            val = math.exp(log_integral) + math.exp(log_peak)
+        except OverflowError:
+            val = math.inf
+    else:
+        from scipy.integrate import quad
+
+        integral, _ = quad(
+            lambda x: x**-a / mu.weight(x), N, np.inf, limit=200, epsabs=0.0, epsrel=1e-10
+        )
+        val = N**-a / mu.weight(N) + integral
+    if not math.isfinite(val):
+        raise DivergenceError(f"kernel tail overflows at abscissa {a!r}")
+    return val
+
+
+def _log_upper_gamma(s: float, x: float) -> float:
+    """log Gamma(s, x), the upper incomplete gamma function, for s >= 1, x > 0.
+
+    Below x = s + 1, Gamma(s) minus the series of the lower function: there
+    Gamma(s, x) >= Gamma(s, s + 1) >= e^{-2} Gamma(s), so the difference
+    keeps its digits.  Above it, the continued fraction by the modified
+    Lentz method (Numerical Recipes, gser and gcf).
+    """
+    eps, tiny = 1e-16, 1e-300
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        for k in range(1, 100_000):
+            term *= x / (s + k)
+            total += term
+            if term < total * eps:
+                break
+        else:
+            raise NumericError(f"incomplete gamma series did not converge at s={s!r}, x={x!r}")
+        lower = math.exp(s * math.log(x) - x - math.lgamma(s) + math.log(total))
+        return math.lgamma(s) + math.log1p(-lower)
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = d if abs(d) > tiny else tiny
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        d = 1.0 / d
+        h *= d * c
+        if abs(d * c - 1.0) < eps:
+            break
+    else:
+        raise NumericError(f"incomplete gamma fraction did not converge at s={s!r}, x={x!r}")
+    return s * math.log(x) - x + math.log(h)
 
 
 def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:

@@ -51,5 +51,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def primes_upto(n_max: int) -> list[int]:
-    spf = spf_table(max(n_max, 2))
-    return [p for p in range(2, n_max + 1) if spf[p] == p]
+    """The primes up to n_max, increasing, as Python ints."""
+    if n_max < 2:
+        return []
+    spf = spf_table(n_max)
+    return (np.flatnonzero(spf[2 : n_max + 1] == np.arange(2, n_max + 1)) + 2).tolist()

@@ -1,8 +1,13 @@
-"""Source hygiene: no unused imports in the package modules, and helpers
-that were folded into one implementation stay folded."""
+"""Source hygiene: no unused imports in the package modules, helpers that
+were folded into one implementation stay folded, and scipy stays out of the
+paths that do not need it."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +89,65 @@ def test_no_qmc_thread_knob():
         text = path.read_text()
         assert "DIRSPACES_THREADS" not in text, path.name
         assert "ThreadPoolExecutor" not in text, path.name
+
+
+# Every subcommand on an alpha measure, norms at even and non-even p: none of
+# these may load scipy, which only the density paths import.
+SCIPY_FREE_ARGV = [
+    ["classify", "--c0", "0", "--phi", "[[1,1,0],[2,0.25,0]]", "--alpha", "0", "--N", "16"],
+    ["classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--alpha", "1", "--N", "32"],
+    ["compose", "--c0", "2", "--phi", "[]", "--n", "2", "--N", "16"],
+    ["check-symbol", "--c0", "1", "--phi", "[[1,2,0],[2,1,0]]"],
+    ["check-symbol", "--c0", "0", "--phi", "[[1,1,0],[2,0.25,0]]"],
+    ["weights", "--alpha", "1", "--nmax", "8"],
+    ["kernel", "--alpha", "0", "--s-re", "1", "--w-re", "1", "--N", "64"],
+    ["lemma2", "--alpha", "1", "--sigmas", "1.5,4,8", "--N", "1000"],
+    ["profile", "--c0", "2", "--phi", "[]", "--sigmas", "0.5,1", "--N", "64"],
+    ["norm", "--space", "a", "--p", "2", "--alpha", "1", "--terms", "[[1,1,0],[2,1,0]]"],
+    ["norm", "--space", "a", "--p", "4", "--alpha", "0", "--terms", "[[1,1,0],[3,0.5,1]]"],
+    ["norm", "--space", "h", "--p", "3", "--terms", "[[1,1,0],[2,0.5,0],[3,0.2,0]]"],
+    ["norm", "--space", "a", "--p", "1.5", "--alpha", "1", "--terms", "[[1,1,0],[6,0.4,0]]"],
+    ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--sigmas", "0.5", "--p", "3", "--N", "16"],
+]
+# A density measure integrates with scipy.integrate: the control that the
+# probe sees a scipy import when there is one.
+DENSITY_ARGV = [
+    "weights", "--measure-json", json.dumps({"type": "density", "samples": [[0, 2], [1, 0]]})
+]
+
+PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import dirspaces
+from dirspaces import cli
+
+rows = [["import dirspaces", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    rows.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(rows))
+"""
+
+
+def test_scipy_is_not_imported_off_the_density_paths():
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(SCIPY_FREE_ARGV + [DENSITY_ARGV])],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+        check=True,
+    )
+    rows = json.loads(run.stdout)
+    *clean, density = rows
+    assert len(clean) == len(SCIPY_FREE_ARGV) + 1
+    for what, code, modules in clean:
+        assert code == 0, what
+        assert modules == [], what
+    assert density[1] == 0
+    assert "scipy.integrate" in density[2]

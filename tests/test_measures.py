@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import dirspaces as d
 from dirspaces import AlphaMeasure, DensityMeasure, InvalidInputError, NumericError, QuadratureSpec
-from dirspaces.measures import measure_from_json
+from dirspaces.measures import _gauss_laguerre, measure_from_json
 
 from conftest import exp3_density
 
@@ -88,6 +88,42 @@ def test_rules_are_built_once(monkeypatch):
         mu.weight(7)
         mu.weights_by_quadrature([2.0, 3.5])
     assert calls == [128, 256]
+
+
+@pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 10.0])
+def test_gauss_laguerre_matches_scipy(a):
+    from scipy.special import roots_genlaguerre
+
+    for m in (2, 3, 16, 64, 128, 199, 256, 300):
+        x, w = _gauss_laguerre(m, a)
+        xs, ws = roots_genlaguerre(m, a)
+        ws = ws / math.gamma(a + 1)
+        assert np.max(np.abs(x - xs) / xs) < 1e-11
+        assert math.fsum(w) == pytest.approx(1.0, abs=1e-14)
+        for n in (2.0, 100.0):
+            ref = np.sum(ws * n**-xs)
+            assert abs(np.sum(w * n**-x) - ref) < 1e-11 * ref
+
+
+def test_gauss_laguerre_rules_are_cached_and_read_only():
+    x, w = _gauss_laguerre(64, 1.0)
+    assert _gauss_laguerre(64, 1.0)[0] is x
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # two measures of one family share the rule through the cache
+    (xa, wa), _ = AlphaMeasure(1.0)._rules
+    (xb, wb), _ = AlphaMeasure(1.0)._rules
+    assert np.array_equal(xa, xb) and wa is wb
+
+
+def test_gauss_laguerre_large_rules_are_finite():
+    # the unscaled recurrence overflows past about 390 nodes
+    for m, a in ((398, -0.5), (1024, 1.0), (2048, 0.0)):
+        x, w = _gauss_laguerre(m, a)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+        assert np.all(np.diff(x) > 0) and np.all(w >= 0)
+        assert np.sum(w * x) == pytest.approx(a + 1.0, rel=1e-11)
 
 
 def test_gauss_laguerre_weights_match_per_n_integrate():

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 import dirspaces as d
-from dirspaces import DivergenceError, InvalidInputError, PoleError
+from dirspaces import (
+    AlphaMeasure,
+    DensityMeasure,
+    DivergenceError,
+    InvalidInputError,
+    PoleError,
+    QuadratureSpec,
+)
+from dirspaces.measures import _gauss_laguerre
+from dirspaces.norms import _kernel_tail, _log_upper_gamma, _scrambled_sobol
 
 from conftest import random_polynomial
 
@@ -65,6 +74,18 @@ def test_norm_hp_qmc_cross_check():
     for p, exact in ((2.0, math.sqrt(2)), (4.0, 6.0**0.25)):
         value, stderr = d.qmc_norm_hp(f, p, seed=3)
         assert abs(value - exact) <= 3 * stderr + 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 12, 40])
+def test_scrambled_sobol_matches_scipy(dim):
+    from scipy.stats import qmc
+
+    # Sobol spawns its generator from the seed sequence it is given, as
+    # _qmc_moments does, so each side gets sequences of its own.
+    for ours, theirs in zip(*(np.random.SeedSequence(dim).spawn(3) for _ in range(2))):
+        want = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(theirs)).random(1024)
+        got = _scrambled_sobol(dim, 1024, np.random.default_rng(ours.spawn(1)[0]))
+        assert np.array_equal(got, want)
 
 
 def test_norm_hp_validation():
@@ -173,6 +194,98 @@ def test_kernel_limit_large_re(alpha0):
 def test_kernel_divergence(alpha0):
     with pytest.raises(DivergenceError):
         d.kernel(alpha0, 0.4, 0.6, 16)
+
+
+def _alpha_summand(alpha, a, x):
+    """f(x) = x^{-a}/w(x) = x^{-a}(1 + log x)^{alpha+1} in mpmath."""
+    return mpmath.mpf(x) ** -a * (1 + mpmath.log(x)) ** (alpha + 1)
+
+
+def _alpha_tail_integral(alpha, a, N):
+    """Integral of f over (N, inf), from mpmath.gammainc."""
+    b, am1 = mpmath.mpf(alpha) + 1, mpmath.mpf(a) - 1
+    return mpmath.e**am1 * am1 ** -(b + 1) * mpmath.gammainc(b + 1, am1 * (1 + mpmath.log(N)))
+
+
+def test_log_upper_gamma_matches_mpmath():
+    # both branches: the series below x = s + 1, the continued fraction above
+    for s in (1.05, 1.5, 2.0, 3.0, 7.5, 22.0, 42.0):
+        for x in (1e-3, 0.5, 1.0, 2.0, 5.0, 8.0, 20.0, 41.0, 43.0, 100.0, 200.0):
+            ref = mpmath.log(mpmath.gammainc(s, x))
+            assert abs(math.expm1(_log_upper_gamma(s, x) - float(ref))) < 1e-13
+
+
+def test_alpha_kernel_tail_closed_form():
+    # the integral plus max_{x >= N} f, at x = max(N, x*), log x* = (alpha+1)/a - 1
+    with mpmath.workdps(30):
+        for alpha in (-0.5, 0.0, 1.0, 5.0, 20.0, 40.0):
+            mu = AlphaMeasure(alpha)
+            for a in (1.05, 1.5, 2.0, 3.0, 6.0, 20.0):
+                for N in (1, 2, 4, 100, 10_000):
+                    peak_at = max(N, math.exp((alpha + 1) / a - 1))
+                    ref = _alpha_tail_integral(alpha, a, N) + _alpha_summand(alpha, a, peak_at)
+                    assert _kernel_tail(mu, a, N) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 10.0, 20.0])
+@pytest.mark.parametrize("a", [2.0, 3.0])
+@pytest.mark.parametrize("N", [2, 4])
+def test_alpha_kernel_tail_bounds_the_sum(alpha, a, N):
+    with mpmath.workdps(20):
+        f = lambda n: _alpha_summand(alpha, a, n)
+        true = float(mpmath.nsum(f, [N + 1, mpmath.inf], method="euler-maclaurin"))
+    tail = _kernel_tail(AlphaMeasure(alpha), a, N)
+    assert true <= tail
+    # alpha >= 10 puts the peak x* of f past N, where f(N) is not the largest
+    # term of the tail; there the terms near the peak dominate and the bound
+    # is tight
+    assert (math.exp((alpha + 1) / a - 1) > N) == (alpha > 0)
+    if alpha > 0:
+        assert tail <= 1.01 * true
+
+
+def test_alpha_kernel_tail_bounds_a_narrow_peak():
+    # alpha = 100, a = 60: f peaks at x* = e^{101/60 - 1} ~ 1.98, narrower
+    # than the unit step, so n = 2 carries the sum and the integral plus
+    # f(N) falls short of it; the peak term restores the bound
+    alpha, a, N = 100.0, 60.0, 1
+    with mpmath.workdps(30):
+        true = mpmath.fsum(_alpha_summand(alpha, a, n) for n in range(N + 1, 400))
+        assert _alpha_tail_integral(alpha, a, N) + _alpha_summand(alpha, a, N) < 0.9 * true
+    assert float(true) <= _kernel_tail(AlphaMeasure(alpha), a, N)
+
+
+def test_kernel_tail_diverges_at_abscissa_one(alpha0, custom_density):
+    for mu in (alpha0, custom_density):
+        for a in (0.9, 1.0):
+            with pytest.raises(DivergenceError):
+                _kernel_tail(mu, a, 10)
+    # N = 4 is too short for the dyadic test; the tail itself now refuses
+    with pytest.raises(DivergenceError):
+        d.norms.point_eval_sum(alpha0, 0.9, 4)
+
+
+@pytest.mark.parametrize("c", [2.5, 3.0, 4.0])
+def test_density_kernel_tail_closed_form(c):
+    # h = c e^{-c sigma} has w(x) = c/(c + 2 log x), so f(x) = x^{-a}(1 + (2/c) log x)
+    mu = DensityMeasure(h=lambda s: c * np.exp(-c * np.asarray(s, dtype=np.float64)))
+    for a in (2.0, 6.0):
+        for N in (10, 1000):
+            L, e = math.log(N), N ** (1.0 - a)
+            integral = e / (a - 1) + (2 / c) * (e * L / (a - 1) + e / (a - 1) ** 2)
+            ref = integral + N**-a * (1 + (2 / c) * L)
+            assert _kernel_tail(mu, a, N) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("nodes", [199, 256, 512])
+def test_large_node_counts(nodes):
+    mu = AlphaMeasure(1.0, spec=QuadratureSpec(nodes=nodes))
+    f = d.from_terms({1: 1.0, 2: 0.5 - 0.25j, 3: 0.3j, 6: -0.2}, 6)
+    assert d.norm_ap(f, 2.0, mu) == pytest.approx(d.norm_a2(f, mu), rel=1e-12)
+    for m in (nodes, 2 * nodes):
+        x, w = _gauss_laguerre(m, 1.0)
+        for k in range(9):
+            assert np.sum(w * x**k) == pytest.approx(math.gamma(2 + k) / math.gamma(2), rel=1e-12)
 
 
 def test_reproducing_property(alpha0, alpha1, custom_density):

@@ -110,6 +110,19 @@ def test_multiply_square():
     assert np.count_nonzero(sq.coeffs) == 3
 
 
+def test_primes_upto_matches_trial_division():
+    from dirspaces.primes import primes_upto, spf_table
+
+    def is_prime(n):
+        return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
+
+    spf_table(5000)  # a larger cached table must not leak past n_max
+    for n in (-3, 0, 1, 2, 3, 4, 10, 97, 100, 1000):
+        got = primes_upto(n)
+        assert got == [k for k in range(2, n + 1) if is_prime(k)]
+        assert all(type(p) is int for p in got)
+
+
 def test_multiply_zeta_times_moebius():
     # zeta-partial times Moebius-partial: identity up to N/2, tail above.
     N = 64

@@ -153,7 +153,7 @@ def cmd_check_symbol(args) -> None:
 def cmd_classify(args) -> None:
     sym = _parse_symbol(args)
     mu = _parse_measure(args)
-    report = lab.classify(sym, mu, args.N, p=args.p)
+    report = lab.classify(sym, mu, args.N, p=args.p, seed=args.seed)
     _emit(report.to_json())
 
 

@@ -155,8 +155,13 @@ class ClassificationReport:
         }
 
 
-def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> ClassificationReport:
+def classify(
+    sym: Symbol, mu: Measure, N: int, p: float = 2.0, *, seed: int = 0
+) -> ClassificationReport:
     """Full diagnostic run for one symbol on one measure.
+
+    `seed` seeds the QMC of the norm profile, which only non-even p past the
+    trapezoid budget reach.
 
     Verdict logic: vertical translation -> Isometry/Invertible/Fredholm
     (structural); certified-admissible non-translation with a stabilized
@@ -195,7 +200,7 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
     # admissibility was already screened above; Unknown proceeds with that caveat attached
     defect = isometry_defect(sym, mu, N, require_admissible=False)
     region = lemma1_region(sym)
-    profile = two_norm_profile(sym, mu, p, (0.25, 0.5, 1.0, 2.0), N)
+    profile = two_norm_profile(sym, mu, p, (0.25, 0.5, 1.0, 2.0), N, seed=seed)
 
     if tau is not None:
         verdict = "Isometry/Invertible/Fredholm"

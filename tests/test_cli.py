@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dirspaces import lab
 from dirspaces.cli import main
 
 
@@ -183,3 +188,48 @@ def test_determinism(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_classify_seed_reaches_the_profile(capsys, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("seed"))
+        return []
+
+    monkeypatch.setattr(lab, "two_norm_profile", spy)
+    code, _, _ = run_cli(
+        capsys, "classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--N", "16",
+        "--p", "3", "--seed", "5",
+    )
+    assert code == 0
+    assert seen == [5]
+
+
+# Zero, subnormal, tiny, moderate and huge moduli, either sign.
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, -1e-300, 1e-12, 1e300, -1e300]),
+    st.floats(-2.0, 2.0),
+)
+_TERMS = st.lists(
+    st.tuples(st.integers(1, 64), _COEFFICIENTS, _COEFFICIENTS), min_size=1, max_size=4
+)
+_P = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0]), st.floats(1.0, 6.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["h", "a"]), _TERMS, _P)
+def test_norm_cli_fuzz(space, terms, p):
+    argv = ["norm", "--space", space, "--terms", json.dumps(terms), "--p", repr(p)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -14,7 +15,7 @@ from dirspaces import (
     QuadratureSpec,
 )
 from dirspaces.measures import _gauss_laguerre
-from dirspaces.norms import _kernel_tail, _log_upper_gamma, _scrambled_sobol
+from dirspaces.norms import _kernel_tail, _log_upper_gamma, _scrambled_sobol, _torus_moments
 
 from conftest import random_polynomial
 
@@ -172,6 +173,134 @@ def test_norm_ap_noneven_without_constant_term(alpha):
     f = d.from_terms({2: 1.0}, 2)
     ref = (1.0 + 1.5 * math.log(2.0)) ** (-(alpha + 1.0) / 3.0)
     assert d.norm_ap(f, 3.0, d.AlphaMeasure(alpha)) == pytest.approx(ref, rel=1e-12)
+
+
+# ---------- torus route ----------
+
+
+def _torus_integral(f, p):
+    (integral,), (err,) = _torus_moments(d.bohr_lift(f), p, np.zeros(1), 0)
+    return integral, err
+
+
+def test_torus_route_matches_convolution_at_even_p():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        primes = rng.choice([2, 3, 5, 7], size=rng.integers(1, 4), replace=False)
+        terms = {1: complex(*rng.uniform(-1, 1, 2))}
+        for _ in range(rng.integers(1, 5)):
+            exponents = rng.integers(0, 3, primes.size)
+            n = int(np.prod([int(q) ** int(e) for q, e in zip(primes, exponents)]))
+            terms[n] = complex(*rng.uniform(-1, 1, 2))
+        f = d.from_terms(terms, max(terms))
+        assert np.count_nonzero(np.any(list(d.bohr_lift(f).terms), axis=0)) <= 3
+        for q in (1, 2):
+            exact = d.norm_h2(d.power(f, q, f.degree**q)) ** 2
+            integral, err = _torus_integral(f, 2.0 * q)
+            assert integral == pytest.approx(exact, rel=1e-13, abs=0.0)
+            assert err <= 1e-12 * integral
+
+
+def test_torus_route_integrates_only_active_coordinates():
+    # 11^{-s} lifts to z_5 of a 5-dimensional torus, 2^{-s} to z_1 of a 1-dimensional one
+    eleven = d.from_terms({1: 1.0, 11: 0.3}, 11)
+    two = d.from_terms({1: 1.0, 2: 0.3}, 2)
+    assert d.bohr_lift(eleven).dimension == 5
+    assert d.qmc_norm_hp(eleven, 3.0) == d.qmc_norm_hp(two, 3.0)
+    # a term below rounding is left out, and with it the coordinate only it uses
+    tiny = d.from_terms({1: 1.0, 2: 0.3, 11: 1e-300}, 11)
+    assert d.qmc_norm_hp(tiny, 3.0) == d.qmc_norm_hp(two, 3.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 7.3])
+def test_torus_route_monomial(p):
+    c = 0.7 - 1.9j
+    integral, err = _torus_integral(d.from_terms({12: c}, 12), p)
+    assert integral == pytest.approx(abs(c) ** p, rel=1e-14, abs=0.0)
+    assert err <= 1e-12 * integral
+
+
+@pytest.mark.parametrize(
+    "terms, reference",
+    [
+        # z^8 is 1 on the grids of 8 and 16 points
+        ({1: 1.0, 256: 0.5}, {1: 1.0, 2: 0.5}),
+        # |1 + 0.5i z^4| is sqrt(1.25) on the grid of 8 points
+        ({1: 1.0, 16: 0.5j}, {1: 1.0, 2: 0.5j}),
+        # the phase pi/8 cancels the leading alias of the 8-versus-4 gap
+        ({1: 1.0, 2: 0.5 * cmath.exp(1j * math.pi / 8)}, {1: 1.0, 2: 0.5}),
+    ],
+)
+def test_torus_route_is_not_fooled_by_aliasing(terms, reference):
+    # |g(z^m)| and |g(e^{i theta} z)| have the distribution of |g(z)| on the circle
+    value, stderr = d.qmc_norm_hp(d.from_terms(terms, max(terms)), 3.0)
+    ref, _ = d.qmc_norm_hp(d.from_terms(reference, max(reference)), 3.0)
+    assert value == pytest.approx(ref, rel=1e-12)
+    assert stderr <= 1e-12 * value
+
+
+def test_torus_route_polynomial_vanishing_on_a_coarse_grid():
+    # 1 - z^8 vanishes on the grid of 8 points; |1 - e^{i theta}|^3 has mean 32 / (3 pi)
+    value, _ = d.qmc_norm_hp(d.from_terms({1: 1.0, 256: -1.0}, 256), 3.0)
+    assert value == pytest.approx((32.0 / (3.0 * math.pi)) ** (1.0 / 3.0), rel=1e-12)
+
+
+def _no_sobol(*args):
+    raise AssertionError("the QMC route was taken")
+
+
+def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
+    monkeypatch.setattr(d.norms, "_scrambled_sobol", _no_sobol)
+    f = d.from_terms({1: 1.0, 6: 0.4j}, 6)
+    mu = AlphaMeasure(0.0)
+    assert d.norm_a2(f, mu) < d.norm_ap(f, 2.5, mu) < d.norm_ap(f, 4.0, mu)
+    # the shape of the benchmark's requests: three terms over the primes 2, 3, 5
+    g = d.from_terms({1: 1.1 - 0.2j, 6: 0.3j, 10: 0.2 - 0.1j}, 10)
+    value, stderr = d.qmc_norm_hp(g, 3.0)
+    assert d.norm_hp(g, 2.0) < value < d.norm_hp(g, 4.0)
+    assert 0.0 <= stderr <= 1e-12 * value
+
+
+def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
+    # |0.949 + 0.346 w| on a 4-dimensional lift converges like 0.365^M; the
+    # gap on the first grid, squared for the one doubling that fits in 2^17
+    # points, is still far above the tolerance
+    grids = []
+    rules = d.norms._trapezoid_rules
+
+    def spy(alphas, coeffs, p, grid):
+        grids.append(tuple(int(m) for m in grid))
+        return rules(alphas, coeffs, p, grid)
+
+    monkeypatch.setattr(d.norms, "_trapezoid_rules", spy)
+    value, stderr = d.qmc_norm_hp(d.from_terms({60: -0.949j, 61: 0.346}, 61), 1.0)
+    assert grids == [(16, 8, 8, 8)]
+    assert stderr > 0
+
+
+def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
+    # |1 + z| vanishes at z = -1, so the trapezoid rule converges only
+    # algebraically there and the 2^17-point budget runs out
+    draws = []
+
+    def counting_sobol(*args):
+        draws.append(args[:2])
+        return _scrambled_sobol(*args)
+
+    monkeypatch.setattr(d.norms, "_scrambled_sobol", counting_sobol)
+    value, stderr = d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 1.0}, 2), 1.0)
+    assert draws == [(1, d.norms.QMC_POINTS)] * d.norms.QMC_REPLICATES
+    assert stderr > 0
+    assert abs(value - 4.0 / math.pi) <= 5 * stderr
+    # the QMC route's estimate and standard error at seed 0, bit for bit
+    assert (value, stderr) == (1.2732395445114761, 2.3015554540258298e-10)
+
+
+def test_subnormal_coefficient_keeps_its_phase(alpha0):
+    f = d.from_terms({27: -1.9 + 5e-324j, 32: 5e-324}, 32)
+    ref = d.from_terms({27: -1.9}, 27)
+    assert d.norm_ap(f, 1.5, alpha0) == pytest.approx(d.norm_ap(ref, 1.5, alpha0), rel=1e-14)
+    assert d.qmc_norm_hp(f, 3.0)[0] == pytest.approx(d.norm_hp(ref, 3.0), rel=1e-14)
 
 
 # ---------- kernels ----------

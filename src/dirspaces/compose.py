@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, TruncationError
+from .errors import InvalidInputError, NumericError, TruncationError
 from .measures import Measure, measure_tag
 from .primes import factorize
 from .series import DirichletSeries, from_terms
@@ -215,7 +215,10 @@ def _section_spectrum(m: OperatorMatrix, sym: Symbol, rows: int, cols: int) -> n
         R = row_order[row_start[b, None] + np.arange(n_rows)]
         C = col_order[col_start[b, None] + np.arange(n_cols)]
         blocks = m.entries[R[:, :, None], C[:, None, :]]
-        spectra.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+        try:
+            spectra.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+        except np.linalg.LinAlgError as e:  # as on a section that overflowed
+            raise NumericError(f"section spectrum: {e}") from None
         spectra.append(np.zeros(max(n_cols - n_rows, 0) * b.size))
     return np.concatenate(spectra)
 

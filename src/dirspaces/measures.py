@@ -201,7 +201,10 @@ def alpha_weight(alpha: float, n) -> float:
     n = float(n)
     if n < 1:
         raise InvalidInputError("weight requires n >= 1")
-    return 1.0 / (math.log(n) + 1.0) ** (alpha + 1)
+    try:
+        return 1.0 / (math.log(n) + 1.0) ** (alpha + 1)
+    except OverflowError:
+        raise NumericError(f"weight of n={n:g} at alpha={alpha!r} underflows") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,21 +6,21 @@ exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}).  Other p
 integrate |f|^p over the polytorus through the Bohr lift: by a node-doubled
 tensor trapezoid rule over the coordinates the lift uses, while its grid fits
 QMC_REPLICATES * QMC_POINTS = 2^17 points, and where that rule does not
-converge within the budget by randomized quasi-Monte Carlo on scrambled
-Sobol points.  The error bar is the doubling residual on the first route and
-the replicate standard error on the second.  A^p norms integrate the
-translated H^p norms against the measure.  Kernel tails of the Gamma family
-are in closed form, and the scrambled Sobol points are built in numpy; scipy
-is imported only by density-measure tails.
+converge within the budget by randomized quasi-Monte Carlo on QMC_REPLICATES
+random shifts of a rank-1 lattice of up to QMC_POINTS points, whose points
+the same trapezoid kernel evaluates.  The error bar is the doubling residual
+on the first route and the replicate standard error on the second.  A^p
+norms integrate the translated H^p norms against the measure.  Every norm is
+computed on f scaled by a power of two, so that tiny and huge coefficients
+keep their norm.  Kernel tails of the Gamma family are in closed form, and
+those of density measures integrate by adaptive quadrature.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -34,8 +34,6 @@ QMC_MAX_REL_SPREAD = 0.2
 # A torus integral is done once the trapezoid rules on the grids of M and M/2
 # points per axis agree to this relative gap (see _torus_moments).
 _TORUS_REL_TOL = 1e-12
-# Bits of a Sobol coordinate, as scipy.stats.qmc.Sobol draws them by default.
-_SOBOL_BITS = 30
 
 # Bernoulli numbers B_2, B_4, ..., B_18 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -82,6 +80,32 @@ class FunctionalNormEstimate:
     stderr: float | None = None
 
 
+def _homogeneous(norm):
+    """Compute `norm` on f / 2^e, e = log2 of the largest modulus of f
+    truncated toward zero, and multiply the norm (and its error bar) by 2^e.
+
+    The quotient's largest modulus lies in (1/2, 2), so its p-th powers stay
+    in the float range: 1e-200 + 3e-201 2^{-s} has norm about 1.04e-200,
+    although its squares underflow.  A power of two scales every coefficient
+    exactly, and an f already in that range keeps every bit of its norm.
+    """
+
+    @wraps(norm)
+    def scaled(f: DirichletSeries, *args, **kwargs):
+        peak = float(np.abs(f.coeffs).max())
+        e = int(math.log2(peak)) if 0 < peak < math.inf else 0
+        if e == 0:
+            return norm(f, *args, **kwargs)
+        quotient = np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128)
+        out = norm(DirichletSeries(quotient, exact=f.exact), *args, **kwargs)
+        if isinstance(out, tuple):
+            return tuple(float(np.ldexp(x, e)) for x in out)
+        return float(np.ldexp(out, e))
+
+    return scaled
+
+
+@_homogeneous
 def norm_h2(f: DirichletSeries) -> float:
     """(sum |a_n|^2)^{1/2}; Parseval on the polytorus."""
     if not f.exact:
@@ -104,6 +128,7 @@ def _power_truncation(f: DirichletSeries, q: int) -> int:
     return N
 
 
+@_homogeneous
 def norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> float:
     """H^p norm of an exact polynomial.
 
@@ -123,42 +148,23 @@ def norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> float:
     return value
 
 
+@_homogeneous
 def qmc_norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> tuple[float, float]:
     """Estimate of the H^p norm with its error bar, for any p >= 1.
 
     Integrates |D(f)|^p over the polytorus (see _torus_moments): by a
     node-doubled tensor trapezoid rule where it converges within 2^17 points,
-    and then `stderr` is the gap between its last two grids; otherwise with
-    QMC_REPLICATES independently scrambled Sobol sequences, and then it is the
-    replicate standard error.  Either is propagated through the 1/p-th root.
+    and then `stderr` is the gap between its last two grids; otherwise on
+    QMC_REPLICATES random shifts of one rank-1 lattice, and then it is the
+    standard error of the mean of the shifted rules, whose spread is the
+    alias error of the lattice.  Either is propagated through the 1/p-th
+    root.
     """
     (integral,), (err,) = _torus_moments(bohr_lift(f), p, np.zeros(1), seed)
     value = float(integral) ** (1.0 / p)
     # The zero polynomial has integral 0 and no spread.
     stderr = float(err) * value / (p * float(integral)) if integral else 0.0
     return value, stderr
-
-
-def _scaled_translates(
-    lift: PolytorusPolynomial, sigmas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients of the lifts of f_sigma = f(sigma + .), one row per sigma,
-    each divided by its largest modulus, and the log of that modulus.
-
-    Translating by sigma scales the coefficient of n^{-s} by n^{-sigma} and
-    leaves the monomials alone.  The scaling is done in log scale: at sigma
-    in the hundreds the moduli, and their p-th powers sooner, underflow.
-    """
-    coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
-    ns = np.array([index_of_monomial(m) for m in lift.terms], dtype=np.float64)
-    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(ns)
-    log_peak = np.max(log_mods, axis=1)
-    # numpy divides by a modulus through its reciprocal, which overflows for
-    # a subnormal one; such a coefficient is scaled by a power of two first,
-    # which keeps its phase, and the others keep their bits.
-    phases = coeffs.copy()
-    phases[np.abs(coeffs) < np.finfo(np.float64).tiny] *= 2.0**64
-    return phases / np.abs(phases) * np.exp(log_mods - log_peak[:, None]), log_peak
 
 
 def _torus_moments(
@@ -175,15 +181,16 @@ def _torus_moments(
     j/M_a with M_a the least power of two above 4 d_a, d_a the largest
     exponent on it, so that the grids of M_a, M_a/2 and M_a/4 points, which
     one evaluation gives (see _trapezoid_rules), all integrate |f|^2 exactly.
-    Every M_a doubles while their product fits the QMC_REPLICATES *
-    QMC_POINTS points of the QMC route.  A sigma is done, with the gap
-    between the first two rules as its error bar, once that gap is below
-    _TORUS_REL_TOL and the gap between the last two below its square root,
-    as geometric convergence has them: a phase of f that cancels the leading
-    alias of one gap does not cancel it in the other.  A sigma still open at
-    the budget, or whose gap squared once per doubling left would be (f_sigma
-    vanishes on the torus, or k is too large), goes to _qmc_moments, with its
-    replicate standard error.
+    Every M_a doubles while their product fits QMC_REPLICATES * QMC_POINTS
+    points.  A sigma is done, with the gap between the first two rules as
+    its error bar, once that gap is below _TORUS_REL_TOL and the gap between
+    the last two below its square root, as geometric convergence has them:
+    a phase of f that cancels the leading alias of one gap does not cancel
+    it in the other.  A sigma still open at the budget, or whose gap squared
+    once per doubling left would be (f_sigma vanishes on the torus, or k is
+    too large), goes to _qmc_moments: shifted rank-1 lattices on the same k
+    coordinates and terms, with the replicate standard error as its error
+    bar.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -191,7 +198,19 @@ def _torus_moments(
         coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
         return np.full(sigmas.size, abs(coeffs.sum()) ** p), np.zeros(sigmas.size)
     alphas = np.array(list(lift.terms), dtype=np.int64)
-    scaled, log_peak = _scaled_translates(lift, sigmas)
+    # Translating by sigma scales the coefficient of n^{-s} by n^{-sigma}.
+    # Each row is divided by its largest modulus in log scale: at sigma in
+    # the hundreds the moduli, and their p-th powers sooner, underflow.
+    coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
+    ns = np.array([index_of_monomial(m) for m in lift.terms], dtype=np.float64)
+    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(ns)
+    log_peak = np.max(log_mods, axis=1)
+    # numpy divides by a modulus through its reciprocal, which overflows for
+    # a subnormal one; such a coefficient is scaled by a power of two first,
+    # which keeps its phase, and the others keep their bits.
+    phases = coeffs.copy()
+    phases[np.abs(coeffs) < np.finfo(np.float64).tiny] *= 2.0**64
+    scaled = phases / np.abs(phases) * np.exp(log_mods - log_peak[:, None])
     # Terms of modulus below eps / (p * terms) of the largest move each
     # integral by less than a rounding error.
     live = np.any(np.abs(scaled) >= np.finfo(np.float64).eps / (p * len(alphas)), axis=0)
@@ -222,11 +241,10 @@ def _torus_moments(
         todo = todo[~done & ~stuck]
         grid = 2 * grid
     qmc[todo] = True
-    scale = np.exp(p * log_peak)
-    integral, err = integral * scale, err * scale
     if qmc.any():
-        integral[qmc], err[qmc] = _qmc_moments(lift, p, sigmas[qmc], seed)
-    return integral, err
+        integral[qmc], err[qmc] = _qmc_moments(alphas, scaled[qmc], p, seed)
+    scale = np.exp(p * log_peak)
+    return integral * scale, err * scale
 
 
 def _trapezoid_rules(
@@ -240,8 +258,7 @@ def _trapezoid_rules(
     sum_a alpha_a j_a L/grid_a mod L, L the largest grid size, taken from one
     table, and the terms are added one by one in a fixed order, so every
     sigma gets the same bits whatever batch it is in.  Points and sigmas go
-    in chunks, so that no array outgrows the terms x QMC_POINTS character
-    matrix of the QMC route.
+    in chunks, so that no array outgrows terms x QMC_POINTS entries.
     """
     terms, k = alphas.shape
     size, L = int(grid.prod()), int(grid.max())
@@ -268,102 +285,70 @@ def _trapezoid_rules(
 
 
 def _qmc_moments(
-    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray, seed: int
+    alphas: np.ndarray, coeffs: np.ndarray, p: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """QMC estimates of ||f_sigma||_{H^p}^p for each sigma, with their replicate
-    standard errors, where f_sigma = f(sigma + .) and `lift` is the Bohr lift of
-    f, of dimension at least 1.
+    """Randomized QMC estimates of the means of |sum_t c_t z^{alpha_t}|^p
+    over the k-torus, for each row c of `coeffs`, with their replicate
+    standard errors.
 
-    Each replicate draws its scrambled Sobol points and builds the terms x
-    points character matrix exp(2 pi i alpha.u) once for every sigma.
+    The rule is the rank-1 lattice {i z / n : i < n} (Dick, Kuo and Sloan,
+    Acta Numer. 22, 2013), z from _lattice_vector, under QMC_REPLICATES
+    uniform random shifts drawn from `seed`.  At the point i z / n the
+    monomial z^alpha is the n-th root of unity of index (alpha.z mod n) i, so
+    the lattice rule is the 1-D trapezoid rule on those exponents, and a
+    shift by Delta multiplies c_t by e^{2 pi i alpha_t.Delta}: every point is
+    evaluated by _trapezoid_rules.  n doubles from 2^10 to QMC_POINTS, and a
+    row is done once its standard error is below _TORUS_REL_TOL of its mean,
+    or at QMC_POINTS.  The error of one shift is a sum of the integrand's
+    Fourier coefficients on the dual lattice with independent uniform
+    phases, so an alias the lattice misses shows as spread between shifts.
     """
-    scaled, log_peak = _scaled_translates(lift, sigmas)
-    alphas = np.array(list(lift.terms), dtype=np.float64)
-    means = np.empty((sigmas.size, QMC_REPLICATES))
-    for r, ss in enumerate(np.random.SeedSequence(seed).spawn(QMC_REPLICATES)):
-        # The child that scipy.stats.qmc.Sobol spawns from the generator it
-        # is given, so the points are the ones Sobol(seed=default_rng(ss)) draws.
-        rng = np.random.default_rng(ss.spawn(1)[0])
-        points = _scrambled_sobol(lift.dimension, QMC_POINTS, rng)
-        chars = np.exp(2j * np.pi * (alphas @ points.T))
-        for j, c in enumerate(scaled):
-            # Summed term by term rather than by a BLAS product: the replicate
-            # spread cancels about six digits of the means, so the standard
-            # error would otherwise move with the summation order.
-            values = sum(row * ck for row, ck in zip(chars, c))
-            means[j, r] = np.mean(np.abs(values) ** p)
-    integral = np.mean(means, axis=1)
-    se = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
+    terms, k = alphas.shape
+    z = _lattice_vector(k)
+    shifts = np.random.default_rng(seed).random((QMC_REPLICATES, k))
+    rotated = coeffs[:, None, :] * np.exp(2j * np.pi * (alphas @ shifts.T)).T
+    integral, se = np.zeros(len(coeffs)), np.zeros(len(coeffs))
+    todo, n = np.arange(len(coeffs)), 2**10
+    while todo.size:
+        g = (alphas @ z % n)[:, None]
+        rows = rotated[todo].reshape(-1, terms)
+        means = _trapezoid_rules(g, rows, p, np.array([n]))[0].reshape(todo.size, -1)
+        mean = np.mean(means, axis=1)
+        err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
+        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS)
+        integral[todo[done]], se[todo[done]] = mean[done], err[done]
+        todo, n = todo[~done], 2 * n
     for i, s in zip(integral.tolist(), se.tolist()):
         if i <= 0:
             raise NumericError("QMC integral estimate is nonpositive")
         if s > QMC_MAX_REL_SPREAD * i:
             raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
-    scale = np.exp(p * log_peak)
-    return integral * scale, se * scale
+    return integral, se
 
 
-@lru_cache(maxsize=16)
-def _sobol_directions(d: int) -> np.ndarray:
-    """Direction numbers v[j, b] of the first d Sobol coordinates, b < _SOBOL_BITS,
-    each as an integer of _SOBOL_BITS bits (Bratley and Fox, ACM TOMS 14, 1988).
+@lru_cache(maxsize=None)
+def _lattice_vector(k: int) -> np.ndarray:
+    """Generating vector of the QMC_POINTS-point rank-1 lattice in k
+    dimensions; the lattices of n < QMC_POINTS points take it mod n.
 
-    The primitive polynomials and initial numbers are the Joe-Kuo table that
-    scipy ships with scipy.stats, read with numpy so that scipy.stats, a
-    second-long import, is not loaded.
+    Of 64 odd vectors from a fixed-seed generator, the one of least P_2, the
+    worst-case error in the Korobov space of smoothness 1: the mean over the
+    points x of prod_a (1 + 2 pi^2 B_2(x_a)) minus 1, B_2(x) = x^2 - x + 1/6.
     """
-    scipy_dir = Path(importlib.util.find_spec("scipy").submodule_search_locations[0])
-    with np.load(scipy_dir / "stats" / "_sobol_direction_numbers.npz") as table:
-        poly, vinit = table["poly"][:d].tolist(), table["vinit"][:d].tolist()
-    if len(poly) < d:
-        raise InvalidInputError(f"Sobol points in {d} dimensions: at most {len(poly)} are tabulated")
-    v = np.ones((d, _SOBOL_BITS), dtype=np.int64)
-    for j in range(1, d):
-        # v_b = v_{b-m} xor sum over the polynomial's inner coefficients a_k
-        # of 2^k a_k v_{b-k}, with m = deg p, from the m initial numbers.
-        p = poly[j]
-        m = p.bit_length() - 1
-        row = vinit[j][:m]
-        for b in range(m, _SOBOL_BITS):
-            new = row[b - m]
-            for k in range(m):
-                if (p >> (m - 1 - k)) & 1:
-                    new ^= row[b - k - 1] << (k + 1)
-            row.append(new)
-        v[j] = row
-    v <<= np.arange(_SOBOL_BITS - 1, -1, -1)
-    v.flags.writeable = False
-    return v
+    n = QMC_POINTS
+    candidates = 2 * np.random.default_rng(0).integers(n // 2, size=(64, k)) + 1
+    i, x = np.arange(n), np.arange(n) / n
+    factor = 1.0 + 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
+
+    def p2(z):
+        return np.mean(math.prod(factor[i * za % n] for za in z.tolist()))
+
+    z = min(candidates, key=p2)
+    z.flags.writeable = False
+    return z
 
 
-def _scrambled_sobol(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The first n points of a d-dimensional Sobol sequence with linear matrix
-    scrambling and a digital shift, as an (n, d) array in [0, 1).
-
-    Bit for bit the points of scipy.stats.qmc.Sobol(d, scramble=True) drawing
-    from `rng`: the same direction numbers, the same draws from `rng` (the
-    shift bits, then the lower-triangular scrambling matrices), and the same
-    Gray-code order.
-    """
-    bits = np.arange(_SOBOL_BITS)
-    v = _sobol_directions(d)
-    shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32).astype(np.int64) @ (1 << bits)
-    ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)).astype(np.int64)
-    ltm[:, bits, bits] = 1
-    # Bit i of a scrambled direction number is the GF(2) product of row
-    # (_SOBOL_BITS - 1 - i) of its matrix, read most significant bit first,
-    # with the bits of the direction number.
-    v_bits = (v[:, :, None] >> bits) & 1
-    scrambled = ((v_bits @ ltm[:, ::-1, ::-1].transpose(0, 2, 1)) & 1) @ (1 << bits)
-    # Gray-code order: point i is the shift xor the scrambled directions at
-    # the set bits of i xor (i >> 1), so the points 2^k..2^{k+1}-1 are the
-    # first 2^k in reverse, each xor direction k.
-    x = shift[None, :]
-    while x.shape[0] < n:
-        x = np.concatenate([x, x[::-1] ^ scrambled[:, x.shape[0].bit_length() - 1]])
-    return x[:n] * (1.0 / 2**_SOBOL_BITS)
-
-
+@_homogeneous
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:
     """(sum |a_n|^2 w_h(n))^{1/2}."""
     if not f.exact:
@@ -372,6 +357,7 @@ def norm_a2(f: DirichletSeries, mu: Measure) -> float:
     return float(math.sqrt(np.sum(np.abs(f.coeffs) ** 2 * w)))
 
 
+@_homogeneous
 def norm_ap(
     f: DirichletSeries,
     p: float,

@@ -140,6 +140,18 @@ def test_bad_flag_values_are_usage_errors(capsys, argv):
     assert "usage:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("space", ["h", "a"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_norm_of_a_tiny_polynomial(capsys, space, p):
+    # |1e-200 + 3e-201 2^{-s}|^2 underflows; every norm lies between the
+    # constant term and the sum of the moduli
+    code, out, _ = run_cli(
+        capsys, "norm", "--space", space, "--p", p, "--terms", "[[1,1e-200,0],[2,3e-201,0]]"
+    )
+    assert code == 0
+    assert 1.0e-200 < json.loads(out)["value"] < 1.3e-200
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -153,6 +165,10 @@ def _reject_constant(name):
         (["profile", "--c0", "1", "--phi", "[[1,1e308,0],[2,1e308,0]]"], 3),
         (["weights", "--measure-json", '{"type":"alpha","alpha":Infinity}'], 2),
         (["classify", "--c0", "1", "--phi", "[[1,1,0],[2,1e309,0]]", "--N", "16"], 2),
+        # a weight underflows; the section of C_Phi overflows
+        (["weights", "--alpha", "1e308", "--nmax", "3"], 3),
+        (["kernel", "--s-re", "1", "--w-re", "1", "--alpha", "1e300"], 3),
+        (["classify", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]", "--N", "16"], 3),
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, argv, expected):
@@ -217,10 +233,9 @@ _TERMS = st.lists(
 _P = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0]), st.floats(1.0, 6.0))
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.sampled_from(["h", "a"]), _TERMS, _P)
-def test_norm_cli_fuzz(space, terms, p):
-    argv = ["norm", "--space", space, "--terms", json.dumps(terms), "--p", repr(p)]
+def _assert_clean_exit(argv):
+    """Exit 0 with strict JSON on stdout, or 2 or 3 with nothing on it, and
+    never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -233,3 +248,33 @@ def test_norm_cli_fuzz(space, terms, p):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["h", "a"]), _TERMS, _P)
+def test_norm_cli_fuzz(space, terms, p):
+    _assert_clean_exit(["norm", "--space", space, "--terms", json.dumps(terms), "--p", repr(p)])
+
+
+# Invalid, moderate and huge alpha: past about 1.3e3 the weight of 2 underflows.
+_ALPHA = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 1e3, 1e300, 1e308]), st.floats(-0.99, 50.0))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_ALPHA, st.integers(1, 16))
+def test_weights_cli_fuzz(alpha, nmax):
+    _assert_clean_exit(["weights", "--alpha", repr(alpha), "--nmax", str(nmax)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_ALPHA, st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.integers(1, 64))
+def test_kernel_cli_fuzz(alpha, s_re, w_re, N):
+    argv = ["kernel", "--alpha", repr(alpha), "--s-re", repr(s_re), "--w-re", repr(w_re)]
+    _assert_clean_exit(argv + ["--N", str(N)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2), _TERMS.map(lambda ts: [[n % 8 + 1, re, im] for n, re, im in ts]), _ALPHA)
+def test_classify_cli_fuzz(c0, phi, alpha):
+    argv = ["classify", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
+    _assert_clean_exit(argv + ["--N", "16"])

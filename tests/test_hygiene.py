@@ -63,7 +63,9 @@ def test_folded_helpers_stay_gone():
     gone = {
         "compose.py": {"_defect_at"},
         "measures.py": {"integrate", "weight"},
-        "norms.py": {"_worker_count", "_qmc_replicate", "_weight_real"},
+        "norms.py": {
+            "_worker_count", "_qmc_replicate", "_weight_real", "_scrambled_sobol", "_sobol_directions"
+        },
         "series.py": {"_mono_with_table", "_divisor_lists"},
     }
     for name, names in gone.items():
@@ -107,6 +109,8 @@ SCIPY_FREE_ARGV = [
     ["norm", "--space", "a", "--p", "4", "--alpha", "0", "--terms", "[[1,1,0],[3,0.5,1]]"],
     ["norm", "--space", "h", "--p", "3", "--terms", "[[1,1,0],[2,0.5,0],[3,0.2,0]]"],
     ["norm", "--space", "a", "--p", "1.5", "--alpha", "1", "--terms", "[[1,1,0],[6,0.4,0]]"],
+    # |1 + 2^{-s}| vanishes on the torus: the QMC fallback
+    ["norm", "--space", "h", "--p", "1", "--terms", "[[1,1,0],[2,1,0]]"],
     ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--sigmas", "0.5", "--p", "3", "--N", "16"],
 ]
 # A density measure integrates with scipy.integrate: the control that the
@@ -151,3 +155,31 @@ def test_scipy_is_not_imported_off_the_density_paths():
         assert modules == [], what
     assert density[1] == 0
     assert "scipy.integrate" in density[2]
+
+
+# The QMC fallback with scipy unimportable: a 5-dimensional lift whose
+# sigma-nodes mostly fail their only trapezoid grid, and |1 + 2^{-s}|.
+BLOCKED_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None
+import dirspaces as d
+
+f = d.from_terms({61: 0.346, 60: -0.949j, 38: 3.06e-84 - 1e-300j}, 61)
+print(d.norm_ap(f, 1.0, d.AlphaMeasure(0.0)))
+print(d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 1.0}, 2), 1.0)[0])
+"""
+
+
+def test_qmc_fallback_runs_without_scipy():
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    ap, hp = map(float, run.stdout.split())
+    assert ap == pytest.approx(0.3218, rel=1e-3)
+    assert hp == pytest.approx(4.0 / 3.141592653589793, rel=1e-8)

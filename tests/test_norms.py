@@ -15,7 +15,7 @@ from dirspaces import (
     QuadratureSpec,
 )
 from dirspaces.measures import _gauss_laguerre
-from dirspaces.norms import _kernel_tail, _log_upper_gamma, _scrambled_sobol, _torus_moments
+from dirspaces.norms import _kernel_tail, _log_upper_gamma, _torus_moments
 
 from conftest import random_polynomial
 
@@ -75,18 +75,6 @@ def test_norm_hp_qmc_cross_check():
     for p, exact in ((2.0, math.sqrt(2)), (4.0, 6.0**0.25)):
         value, stderr = d.qmc_norm_hp(f, p, seed=3)
         assert abs(value - exact) <= 3 * stderr + 1e-9
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 12, 40])
-def test_scrambled_sobol_matches_scipy(dim):
-    from scipy.stats import qmc
-
-    # Sobol spawns its generator from the seed sequence it is given, as
-    # _qmc_moments does, so each side gets sequences of its own.
-    for ours, theirs in zip(*(np.random.SeedSequence(dim).spawn(3) for _ in range(2))):
-        want = qmc.Sobol(d=dim, scramble=True, seed=np.random.default_rng(theirs)).random(1024)
-        got = _scrambled_sobol(dim, 1024, np.random.default_rng(ours.spawn(1)[0]))
-        assert np.array_equal(got, want)
 
 
 def test_norm_hp_validation():
@@ -245,12 +233,12 @@ def test_torus_route_polynomial_vanishing_on_a_coarse_grid():
     assert value == pytest.approx((32.0 / (3.0 * math.pi)) ** (1.0 / 3.0), rel=1e-12)
 
 
-def _no_sobol(*args):
+def _no_qmc(*args):
     raise AssertionError("the QMC route was taken")
 
 
 def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
-    monkeypatch.setattr(d.norms, "_scrambled_sobol", _no_sobol)
+    monkeypatch.setattr(d.norms, "_qmc_moments", _no_qmc)
     f = d.from_terms({1: 1.0, 6: 0.4j}, 6)
     mu = AlphaMeasure(0.0)
     assert d.norm_a2(f, mu) < d.norm_ap(f, 2.5, mu) < d.norm_ap(f, 4.0, mu)
@@ -261,10 +249,8 @@ def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
     assert 0.0 <= stderr <= 1e-12 * value
 
 
-def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
-    # |0.949 + 0.346 w| on a 4-dimensional lift converges like 0.365^M; the
-    # gap on the first grid, squared for the one doubling that fits in 2^17
-    # points, is still far above the tolerance
+def _spy_grids(monkeypatch):
+    """The grid of every _trapezoid_rules call, as a list that fills as they run."""
     grids = []
     rules = d.norms._trapezoid_rules
 
@@ -273,27 +259,70 @@ def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
         return rules(alphas, coeffs, p, grid)
 
     monkeypatch.setattr(d.norms, "_trapezoid_rules", spy)
+    return grids
+
+
+def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
+    # |0.949 + 0.346 w| on a 4-dimensional lift converges like 0.365^M; the
+    # gap on the first grid, squared for the one doubling that fits in 2^17
+    # points, is still far above the tolerance
+    grids = _spy_grids(monkeypatch)
     value, stderr = d.qmc_norm_hp(d.from_terms({60: -0.949j, 61: 0.346}, 61), 1.0)
-    assert grids == [(16, 8, 8, 8)]
+    assert grids[0] == (16, 8, 8, 8)
+    # then only lattice rules, each a 1-D trapezoid rule
+    assert len(grids) > 1 and all(len(grid) == 1 for grid in grids[1:])
     assert stderr > 0
 
 
 def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
     # |1 + z| vanishes at z = -1, so the trapezoid rule converges only
     # algebraically there and the 2^17-point budget runs out
-    draws = []
-
-    def counting_sobol(*args):
-        draws.append(args[:2])
-        return _scrambled_sobol(*args)
-
-    monkeypatch.setattr(d.norms, "_scrambled_sobol", counting_sobol)
+    grids = _spy_grids(monkeypatch)
     value, stderr = d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 1.0}, 2), 1.0)
-    assert draws == [(1, d.norms.QMC_POINTS)] * d.norms.QMC_REPLICATES
+    # the shifted lattices double up to QMC_POINTS without meeting the tolerance
+    assert grids[-1] == (d.norms.QMC_POINTS,)
     assert stderr > 0
     assert abs(value - 4.0 / math.pi) <= 5 * stderr
-    # the QMC route's estimate and standard error at seed 0, bit for bit
-    assert (value, stderr) == (1.2732395445114761, 2.3015554540258298e-10)
+    # the lattice route's estimate and standard error at seed 0, bit for bit
+    assert (value, stderr) == (1.2732395443497766, 6.724829076048367e-10)
+
+
+# Inputs that go to QMC, with the estimate and standard error of the
+# scrambled-Sobol route that the shifted lattices replaced.
+_SOBOL_PANEL = [
+    ({6: 1, 35: 1, 143: 0.7j, 323: -0.5}, 1.5, 1.580701994262521, 2.5060143174485654e-4),
+    (
+        {1: 0.3, 6: 1, 35: 1, 143: 0.7j, 323: -0.5, 23: 0.2},
+        2.5,
+        1.7635791248153534,
+        3.1245737784287925e-4,
+    ),
+    ({60: -0.949j, 61: 0.346}, 1.0, 0.9807946727186968, 1.333262100829733e-4),
+    ({1: 1, 2: 1, 3: 1}, 1.0, 1.57459735268306, 5.016993428484622e-7),
+]
+
+
+@pytest.mark.parametrize("terms, p, sobol, sobol_stderr", _SOBOL_PANEL)
+def test_lattice_fallback_is_no_looser_than_sobol(terms, p, sobol, sobol_stderr):
+    value, stderr = d.qmc_norm_hp(d.from_terms(terms, max(terms)), p)
+    assert 0 < stderr <= sobol_stderr
+    assert abs(value - sobol) <= 5 * math.hypot(stderr, sobol_stderr)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_norms_are_homogeneous_past_the_float_range_of_squares(p, scale, alpha0):
+    # the squares and p-th powers of f = scale * g under- or overflow
+    terms = {1: 1.0, 2: 0.3 - 0.1j}
+    g = d.from_terms(terms, 2)
+    f = d.from_terms({n: scale * c for n, c in terms.items()}, 2)
+    assert d.norm_h2(f) == pytest.approx(scale * d.norm_h2(g), rel=1e-14)
+    assert d.norm_a2(f, alpha0) == pytest.approx(scale * d.norm_a2(g, alpha0), rel=1e-14)
+    assert d.norm_hp(f, p) == pytest.approx(scale * d.norm_hp(g, p), rel=1e-14)
+    assert d.norm_ap(f, p, alpha0) == pytest.approx(scale * d.norm_ap(g, p, alpha0), rel=1e-14)
+    value, stderr = d.qmc_norm_hp(f, p)
+    assert value == pytest.approx(scale * d.qmc_norm_hp(g, p)[0], rel=1e-14)
+    assert 0.0 <= stderr <= 1e-12 * value
 
 
 def test_subnormal_coefficient_keeps_its_phase(alpha0):

@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import lab, norms, series
 from .compose import apply as apply_symbol
 from .compose import compose_basis
@@ -262,7 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        # overflow and invalid values reach the report, whose finiteness
+        # checks exit 3; numpy's warnings about them would only add noise
+        with np.errstate(all="ignore"):
+            args.func(args)
     except (InvalidInputError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

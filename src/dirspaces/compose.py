@@ -20,41 +20,63 @@ import numpy as np
 from .errors import InvalidInputError, NumericError, TruncationError
 from .measures import Measure, measure_tag
 from .primes import factorize
-from .series import DirichletSeries, from_terms
+from .series import DirichletSeries
 from . import series as ds
 from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2
 
 THEOREM2_ETA = 1e-6  # default margin when certifying c0 = 0 symbols
 
 
-def compose_basis(sym: Symbol, n: int, N: int) -> DirichletSeries:
-    """Exact coefficients up to N of n^{-Phi(s)}.
+def compose_basis(sym: Symbol, n, N: int):
+    """Exact coefficients up to N of n^{-Phi(s)}, for one index or a batch.
 
     n^{-Phi(s)} = n^{-c1} exp(-(log n) psi(s)) n^{-c0 s} with psi = phi - c1,
     so the result is the exponential series dilated by n^{c0}: coefficient j
-    of exp(-(log n) psi) lands at index j n^{c0}.
+    of exp(-(log n) psi) lands at index j n^{c0}.  For an int n the result
+    is a series.  For a sequence of indices n_i, one pass of the exp
+    recurrence serves every exp(-(log n_i) psi), and the result is the
+    nonzero coefficients of every n_i^{-Phi} as (rows, cols, values):
+    coefficient `values[j]` of n_{cols[j]}^{-Phi} sits at index `rows[j]`,
+    column by column, rows ascending within each.
     """
-    if n < 1:
-        raise InvalidInputError("basis index must be >= 1")
     if N < 1:
         raise InvalidInputError("truncation must be >= 1")
-    if n == 1:
-        return from_terms({1: 1.0}, N)
-    step = n**sym.c0
-    if step > N:
+    scalar = np.ndim(n) == 0
+    ns = [int(n)] if scalar else [int(i) for i in n]
+    if not ns:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0, dtype=np.complex128)
+    if min(ns) < 1:
+        raise InvalidInputError("basis index must be >= 1")
+    c0 = int(sym.c0)
+    top = max(ns)
+    if c0 and top > _column_count(c0, N):  # the largest index has the largest n^{c0}
         raise TruncationError(
-            f"image of {n}^(-s) has no support at truncation {N} (needs N >= {step})"
+            f"image of {top}^(-s) has no support at truncation {N} (needs N >= {top}^{c0})"
         )
-    M = N // step
-    logn = math.log(n)
+    steps = np.array([i**c0 for i in ns], dtype=np.int64)  # each <= N
+    M = N // int(steps.min())
     psi = np.zeros(M, dtype=np.complex128)
     K = min(M, sym.phi.truncation)
-    psi[:K] = -logn * sym.phi.coeffs[:K]
+    psi[:K] = sym.phi.coeffs[:K]
     psi[0] = 0.0
-    E = ds.exp(DirichletSeries(psi, exact=True), M)
-    scale = np.exp(-complex(sym.c1) * logn)
+    logn = np.array([math.log(i) for i in ns])
+    idx, G = ds.exp(DirichletSeries(psi, exact=True), M, t=-logn)
+    # column i keeps the exp coefficients whose dilated index fits in N
+    counts = np.searchsorted(idx, N // steps, side="right")
+    cols = np.repeat(np.arange(len(ns)), counts)
+    r = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    scale = np.exp(-complex(sym.c1) * logn)[cols]
+    g = G[r, cols]
+    values = np.empty(cols.size, dtype=np.complex128)
+    values.real = scale.real * g.real - scale.imag * g.imag
+    values.imag = scale.real * g.imag + scale.imag * g.real
+    keep = values != 0
+    rows, cols, values = idx[r[keep]] * steps[cols[keep]], cols[keep], values[keep]
+    if not scalar:
+        return rows, cols, values
     out = np.zeros(N, dtype=np.complex128)
-    out[step - 1 :: step][:M] = scale * E.coeffs
+    out[rows - 1] = values
     return DirichletSeries(out, exact=True)
 
 
@@ -62,10 +84,10 @@ def apply(sym: Symbol, f: DirichletSeries, N: int) -> DirichletSeries:
     """Exact coefficients up to N of f(Phi(s)) for an exact polynomial f."""
     if not f.exact:
         raise InvalidInputError("apply requires an exact polynomial")
+    ns = np.flatnonzero(f.coeffs) + 1
+    rows, cols, values = compose_basis(sym, ns, N)
     out = np.zeros(N, dtype=np.complex128)
-    for n0 in np.nonzero(f.coeffs)[0]:
-        n = int(n0) + 1
-        out += f.coeffs[n0] * compose_basis(sym, n, N).coeffs
+    np.add.at(out, rows - 1, f.coeffs[ns[cols] - 1] * values)
     return DirichletSeries(out, exact=True)
 
 
@@ -111,9 +133,24 @@ def admissibility_certificate(sym: Symbol) -> Certificate:
     return check_theorem2(sym, THEOREM2_ETA)
 
 
+def _column_count(c0: int, N: int) -> int:
+    """The largest n with n^{c0} <= N (N itself when c0 = 0), in exact integers."""
+    c0 = int(c0)
+    if c0 == 0:
+        return N
+    if c0 >= N.bit_length():  # 2^{c0} > N
+        return 1
+    k = int(round(N ** (1.0 / c0)))
+    while k**c0 > N:
+        k -= 1
+    while (k + 1) ** c0 <= N:
+        k += 1
+    return k
+
+
 def _section_columns(sym: Symbol, N: int) -> tuple[int, ...]:
     """Basis indices n whose image n^{-Phi} has support up to N, i.e. n^{c0} <= N."""
-    return tuple(n for n in range(1, N + 1) if n**sym.c0 <= N)
+    return tuple(range(1, _column_count(sym.c0, N) + 1))
 
 
 def operator_matrix(
@@ -139,10 +176,9 @@ def operator_matrix(
     w = np.ones(N) if mu is None else mu.weights(N)
     sqw = np.sqrt(w)
     ns = _section_columns(sym, N)
-    entries = np.empty((N, len(ns)), dtype=np.complex128, order="F")  # filled by column
-    for j, n in enumerate(ns):
-        g = compose_basis(sym, n, N).coeffs
-        entries[:, j] = g * sqw / sqw[n - 1]
+    rows, cols, values = compose_basis(sym, ns, N)
+    entries = np.zeros((N, len(ns)), dtype=np.complex128, order="F")
+    entries[rows - 1, cols] = values * sqw[rows - 1] / sqw[cols]  # column j is n = j + 1
     return OperatorMatrix(
         entries=entries, ns=ns, N=N, measure=measure_tag(mu), symbol=sym.to_json()
     )
@@ -190,7 +226,9 @@ def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
     return r
 
 
-def _section_spectrum(m: OperatorMatrix, sym: Symbol, rows: int, cols: int) -> np.ndarray:
+def _section_spectrum(
+    m: OperatorMatrix, sym: Symbol, r: np.ndarray, rows: int, cols: int
+) -> np.ndarray:
     """Every singular value of the leading block m.entries[:rows, :cols].
 
     n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
@@ -199,9 +237,8 @@ def _section_spectrum(m: OperatorMatrix, sym: Symbol, rows: int, cols: int) -> n
     diagonal under that grouping.  Rows that meet no column are zero and are
     dropped; a block with more columns than rows adds one zero singular
     value per missing row, as the SVD of the whole section would.  Blocks of
-    equal shape share one batched SVD.
+    equal shape share one batched SVD.  `r` is _coprime_part(sym, m.N).
     """
-    r = _coprime_part(sym, m.N)
     col_keys = r[np.asarray(m.ns[:cols]) - 1] ** sym.c0
     keys, col_block = np.unique(col_keys, return_inverse=True)
     row_keys = r[:rows]
@@ -245,9 +282,10 @@ def isometry_defect(
     if N < 4:
         raise InvalidInputError("need N >= 4 to compare against the N/2 section")
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    s = _section_spectrum(m, sym, N, len(m.ns))
+    r = _coprime_part(sym, N)
+    s = _section_spectrum(m, sym, r, N, len(m.ns))
     half = N // 2
-    s_half = _section_spectrum(m, sym, half, len(_section_columns(sym, half)))
+    s_half = _section_spectrum(m, sym, r, half, _column_count(sym.c0, half))
     return DefectReport(
         value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(np.max(s))
     )
@@ -258,4 +296,4 @@ def contraction_lower_bound(
 ) -> float:
     """Largest singular value of the finite section: a lower bound for ||C_Phi||."""
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    return float(np.max(_section_spectrum(m, sym, N, len(m.ns))))
+    return float(np.max(_section_spectrum(m, sym, _coprime_part(sym, N), N, len(m.ns))))

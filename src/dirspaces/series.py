@@ -141,12 +141,22 @@ def _padded(f: DirichletSeries, N: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _exp_plan(support: tuple[int, ...], N: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Indices 2..N that the multiplicative semigroup generated by `support`
-    (sorted, all >= 2) reaches, ascending, each with the elements of
-    `support` that divide it, ascending.
+def _exp_plan(support: tuple[int, ...], N: int):
+    """The schedule of the exp recurrence up to N for supp(f) = `support`
+    (sorted, all >= 2): (idx, log_d, waves).
 
-    Every other coefficient of exp(f) with supp(f) = support is exactly 0.
+    `idx` holds the indices 1..N that the multiplicative semigroup generated
+    by `support` reaches, 1 first and ascending; every other coefficient of
+    exp(f) is exactly 0.  `log_d` is log d for each d in `support`.  With
+    b = min(support), an index in (b^{j-1}, b^j] only divides down to
+    indices <= b^{j-1}, so one wave computes all of them from the earlier
+    waves.  A wave (lo, hi, ranks, inv_log) fills rows lo..hi-1 of idx,
+    where inv_log is 1 / log idx[row].  Rank r of its sums is a pair
+    (src, slot): row i reads row src[i] at support slot slot[i], for the
+    r-th smallest d in `support` dividing idx[lo + i].  A quotient that the
+    semigroup does not reach reads row len(idx), which stays zero, and a
+    row with fewer divisors pads with that row at slot len(support), whose
+    coefficient is zero.
     """
     reach = [False] * (N + 1)
     reach[1] = True
@@ -159,15 +169,36 @@ def _exp_plan(support: tuple[int, ...], N: int) -> tuple[tuple[int, tuple[int, .
             if not reach[m]:
                 reach[m] = True
                 found.append(m)
-    divisors: dict[int, list[int]] = {n: [] for n in sorted(found[1:])}
-    for d in support:
-        for m in range(d, N + 1, d):
-            if reach[m]:
-                divisors[m].append(d)
-    return tuple((n, tuple(ds)) for n, ds in divisors.items())
+    idx = np.array(sorted(found), dtype=np.int64)
+    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
+    zero_row = idx.size
+    row_of = np.full(N + 1, zero_row, dtype=np.int64)
+    row_of[idx] = np.arange(idx.size)
+    waves = []
+    lo, top = 1, support[0] if support else N
+    while lo < idx.size:
+        hi = int(np.searchsorted(idx, top, side="right"))
+        n = idx[lo:hi]
+        src = np.full((len(support), n.size), zero_row, dtype=np.int64)
+        slot = np.full((len(support), n.size), len(support), dtype=np.int64)
+        rank = np.zeros(n.size, dtype=np.int64)
+        for j, d in enumerate(support):
+            hit = np.flatnonzero(n % d == 0)
+            src[rank[hit], hit] = row_of[n[hit] // d]
+            slot[rank[hit], hit] = j
+            rank[hit] += 1
+        inv_log = 1.0 / logs[n - 1, None]
+        for arr in (src, slot, inv_log):
+            arr.setflags(write=False)  # the cache shares them with every call
+        waves.append((lo, hi, tuple(zip(src[: rank.max()], slot[: rank.max()])), inv_log))
+        lo, top = hi, top * support[0]
+    log_d = logs[np.asarray(support, dtype=np.int64) - 1, None]
+    idx.setflags(write=False)  # exp(..., t=...) returns it
+    log_d.setflags(write=False)
+    return idx, log_d, tuple(waves)
 
 
-def exp(f: DirichletSeries, N: int | None = None) -> DirichletSeries:
+def exp(f: DirichletSeries, N: int | None = None, t=None):
     """Exponential of a series with no constant term.
 
     Since supp(f) is contained in {2, 3, ...}, supp(f^m) lies above 2^m and
@@ -177,22 +208,49 @@ def exp(f: DirichletSeries, N: int | None = None) -> DirichletSeries:
     which is exact up to N for exact f.  Only indices in the multiplicative
     semigroup generated by supp(f) can be nonzero, so the recurrence visits
     only those, and each sums only over the d in supp(f) dividing it.
+
+    With `t`, a 1-d array of reals, one pass of the recurrence computes the
+    whole family exp(t_i f) and returns (idx, G): the reached indices (1
+    first, ascending) and G[r, i], the coefficient of exp(t_i f) at idx[r].
+    Without it the result is exp(f) as a series, from the same loop with
+    t = (1,).  The complex products are written out in real arithmetic, in
+    the order numpy's scalar complex arithmetic takes, so each column is
+    bitwise the scalar recurrence of t_i f, whatever the length of `t`.
     """
     if N is None:
         N = f.truncation
     if f.coeff(1) != 0:
         raise InvalidInputError("exp requires a zero constant term; factor it out first")
+    ts = np.ones(1) if t is None else np.asarray(t, dtype=np.float64)
+    if ts.ndim != 1:
+        raise InvalidInputError("t must be a 1-d array of reals")
     fa = _padded(f, N)
-    g = np.zeros(N, dtype=np.complex128)
-    g[0] = 1.0
-    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
     support = tuple(int(i) + 1 for i in np.nonzero(fa)[0])
-    for n, ds in _exp_plan(support, N):
-        acc = 0.0 + 0.0j
-        for d in ds:
-            acc += fa[d - 1] * logs[d - 1] * g[n // d - 1]
-        g[n - 1] = acc / logs[n - 1]
-    return DirichletSeries(g, exact=f.exact)
+    idx, log_d, waves = _exp_plan(support, N)
+    # (t f_d) log d for each support slot, then a zero slot for padding
+    fd = fa[np.asarray(support, dtype=np.int64) - 1, None]
+    tr, ti = ts * fd.real, ts * fd.imag
+    ar, ai = np.zeros((len(support) + 1, ts.size)), np.zeros((len(support) + 1, ts.size))
+    ar[:-1] = tr * log_d - ti * 0.0
+    ai[:-1] = tr * 0.0 + ti * log_d
+    gr, gi = np.zeros((idx.size + 1, ts.size)), np.zeros((idx.size + 1, ts.size))
+    gr[0] = 1.0  # g_1 = 1; the last row stays 0
+    for lo, hi, ranks, inv_log in waves:
+        acc_r, acc_i = np.zeros((hi - lo, ts.size)), np.zeros((hi - lo, ts.size))
+        for q, s in ranks:  # the divisors of each index, ascending
+            cr, ci, qr, qi = ar[s], ai[s], gr[q], gi[q]
+            acc_r += cr * qr - ci * qi
+            acc_i += cr * qi + ci * qr
+        # numpy's complex division by a real multiplies by its reciprocal
+        gr[lo:hi] = (acc_r + acc_i * 0.0) * inv_log
+        gi[lo:hi] = (acc_i - acc_r * 0.0) * inv_log
+    G = np.empty((idx.size, ts.size), dtype=np.complex128)
+    G.real, G.imag = gr[:-1], gi[:-1]
+    if t is not None:
+        return idx, G
+    out = np.zeros(N, dtype=np.complex128)
+    out[idx - 1] = G[:, 0]
+    return DirichletSeries(out, exact=f.exact)
 
 
 def translate(f: DirichletSeries, sigma: float) -> DirichletSeries:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +74,13 @@ def test_compose_basis(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["result"]["terms"] == [[4, 1.0, 0.0]]
+
+
+def test_compose_basis_past_n_at_c0_zero(capsys):
+    argv = ["compose", "--c0", "0", "--phi", "[[1,1,0],[2,0.5,0]]", "--n", "100", "--N", "64"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert [t[0] for t in json.loads(out)["result"]["terms"]] == [1, 2, 4, 8, 16, 32, 64]
 
 
 def test_check_symbol(capsys):
@@ -235,15 +245,21 @@ _P = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0]), st.floats(1.0, 6.0))
 
 def _assert_clean_exit(argv):
     """Exit 0 with strict JSON on stdout, or 2 or 3 with nothing on it, and
-    never a traceback."""
+    never a traceback or a warning.  Past argument parsing, stderr holds at
+    most one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse has printed its usage
+                code = exc.code
+            else:
+                assert len(err.getvalue().splitlines()) <= 1
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
@@ -278,3 +294,71 @@ def test_kernel_cli_fuzz(alpha, s_re, w_re, N):
 def test_classify_cli_fuzz(c0, phi, alpha):
     argv = ["classify", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
     _assert_clean_exit(argv + ["--N", "16"])
+
+
+# Symbol tails with huge coefficients, up to the largest finite doubles.
+_PHI = st.lists(
+    st.tuples(
+        st.integers(1, 8),
+        st.one_of(st.sampled_from([1e300, -1e300, 1e308]), st.floats(-1.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, -1e308]), st.floats(-1.0, 1.0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_SIGMAS = st.lists(st.floats(-1.0, 12.0), min_size=1, max_size=3).map(
+    lambda xs: ",".join(repr(x) for x in xs)
+)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 3), _PHI, st.integers(1, 80), st.integers(1, 128))
+def test_compose_n_cli_fuzz(c0, phi, n, N):
+    argv = ["compose", "--c0", str(c0), "--phi", json.dumps(phi), "--n", str(n)]
+    _assert_clean_exit(argv + ["--N", str(N)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 3), _PHI, _TERMS, st.integers(1, 128))
+def test_compose_terms_cli_fuzz(c0, phi, terms, N):
+    argv = ["compose", "--c0", str(c0), "--phi", json.dumps(phi), "--terms", json.dumps(terms)]
+    _assert_clean_exit(argv + ["--N", str(N)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 3), _PHI, st.floats(1e-9, 1.0))
+def test_check_symbol_cli_fuzz(c0, phi, eta):
+    argv = ["check-symbol", "--c0", str(c0), "--phi", json.dumps(phi), "--eta", repr(eta)]
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_ALPHA, _SIGMAS, st.integers(1, 200))
+def test_lemma2_cli_fuzz(alpha, sigmas, N):
+    _assert_clean_exit(["lemma2", "--alpha", repr(alpha), "--sigmas", sigmas, "--N", str(N)])
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2), _PHI, _ALPHA, _SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+def test_profile_cli_fuzz(c0, phi, alpha, sigmas, p):
+    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
+    _assert_clean_exit(argv + ["--sigmas", sigmas, "--p", repr(p), "--N", "32"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]", "--N", "16"],
+        ["compose", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]"],
+        ["compose", "--c0", "0", "--phi", "[[1,1e300,0],[3,1e300,0]]", "--n", "5", "--N", "64"],
+        ["profile", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]"],
+    ],
+)
+def test_overflow_prints_one_error_line(argv):
+    # numpy's overflow warnings stay off stderr; the finiteness checks decide exit 3
+    run = subprocess.run(
+        [sys.executable, "-m", "dirspaces.cli", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 3 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("numeric error:") and "Warning" not in run.stderr

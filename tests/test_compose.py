@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirspaces as d
-from dirspaces import InvalidInputError, TruncationError, compose, symbol
+from dirspaces import InvalidInputError, TruncationError, compose, series, symbol
 from dirspaces.compose import admissibility_certificate
 
 from conftest import GALLERY, random_polynomial
@@ -65,7 +67,108 @@ def test_compose_basis_truncation_error():
     d.compose_basis(symbol(2, {}), 8, 64)  # 64 <= 64 is fine
 
 
+def test_compose_basis_batch_truncation_error():
+    with pytest.raises(TruncationError):
+        d.compose_basis(symbol(2, {}), [1, 2, 9, 3], 64)  # 81 > 64
+    rows, cols, _ = d.compose_basis(symbol(2, {}), [1, 8], 64)
+    assert rows.tolist() == [1, 64] and cols.tolist() == [0, 1]
+
+
+def test_compose_basis_at_c0_zero_takes_any_index():
+    # n^{0} = 1 <= N for every n, so indices past N still have an image
+    sym = symbol(0, {1: 1 + 0.5j, 2: 0.2})
+    logn = math.log(100)
+    psi = d.from_terms({2: -logn * 0.2}, 64)
+    ref = np.exp(-(1 + 0.5j) * logn) * d.exp_series(psi, 64).coeffs
+    got = d.compose_basis(sym, 100, 64).coeffs
+    assert np.count_nonzero(ref) == 7
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+    rows, cols, _ = d.compose_basis(sym, [3, 100, 65], 64)
+    assert set(cols.tolist()) == {0, 1, 2} and rows.max() <= 64
+
+
+def test_compose_basis_huge_c0_is_quick():
+    # 2^{c0} is never formed: the column count compares bit lengths first
+    sym = symbol(10**9, {1: 1.0})
+    assert compose._section_columns(sym, 1024) == (1,)
+    with pytest.raises(TruncationError):
+        d.compose_basis(sym, 2, 1024)
+
+
+def test_column_count_is_exact():
+    for c0 in range(6):
+        for N in list(range(1, 300)) + [2**40, 3**25 - 1, 3**25, 10**18]:
+            k = compose._column_count(c0, N)
+            assert k**c0 <= N if c0 else k == N
+            if c0:
+                assert (k + 1) ** c0 > N
+
+
+_TAIL = st.dictionaries(
+    st.integers(2, 12),
+    st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+    max_size=3,
+)
+
+
+@pytest.mark.parametrize("c0", [0, 1, 2, 3])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    c1=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+    tail=_TAIL,
+    N=st.integers(2, 512),
+)
+def test_batched_columns_equal_scalar_calls(c0, c1, tail, N):
+    # One exp pass for every column gives, bit for bit, the scalar call.
+    sym = symbol(c0, {1: c1, **tail})
+    ns = compose._section_columns(sym, N)
+    if c0 == 0:  # every index has an image, those past N too
+        ns += (N + 1, 3 * N + 2)
+    rows, cols, values = d.compose_basis(sym, ns, N)
+    assert np.all(np.diff(cols) >= 0)
+    for j, n in enumerate(ns):
+        column = np.zeros(N, dtype=np.complex128)
+        column[rows[cols == j] - 1] = values[cols == j]
+        assert column.tobytes() == d.compose_basis(sym, n, N).coeffs.tobytes()
+
+
+def test_operator_matrix_runs_one_exp_pass(monkeypatch, alpha1):
+    calls = {"compose_basis": 0, "exp": 0}
+    compose_basis, exp = compose.compose_basis, series.exp
+
+    def counted_compose(*args, **kwargs):
+        calls["compose_basis"] += 1
+        return compose_basis(*args, **kwargs)
+
+    def counted_exp(*args, **kwargs):
+        calls["exp"] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(compose, "compose_basis", counted_compose)
+    monkeypatch.setattr(series, "exp", counted_exp)
+    m = d.operator_matrix(symbol(1, {1: 1.0, 2: 0.2, 3: 0.1}), alpha1, 256)
+    assert len(m.ns) == 256
+    assert calls == {"compose_basis": 1, "exp": 1}
+
+
 # ---------- apply ----------
+
+
+def test_apply_is_the_sum_of_basis_images():
+    sym = symbol(1, {1: 0.5 + 1j, 2: 0.25, 6: -0.1j})
+    f = d.from_terms({1: 2.0, 2: -1j, 5: 0.5, 12: 0.3 + 0.2j}, 12)
+    N = 200
+    ref = np.zeros(N, dtype=np.complex128)
+    for n in (1, 2, 5, 12):
+        ref += f.coeff(n) * d.compose_basis(sym, n, N).coeffs
+    assert np.allclose(d.apply(sym, f, N).coeffs, ref, rtol=0, atol=1e-15)
+
+
+def test_apply_at_c0_zero_takes_terms_past_the_truncation():
+    sym = symbol(0, {1: 1 + 0.5j, 2: 0.2})
+    f = d.from_terms({1: 1.0, 70: 0.5, 100: -0.2j}, 100)
+    ref = sum(f.coeff(n) * d.compose_basis(sym, n, 64).coeffs for n in (1, 70, 100))
+    assert np.allclose(d.apply(sym, f, 64).coeffs, ref, rtol=0, atol=1e-15)
 
 
 def test_apply_constant_fixed():

@@ -252,6 +252,45 @@ def test_exp_equals_divisor_list_recurrence(N, density, kmax):
         assert e.coeffs.tobytes() == ref.tobytes()  # signed zeros too
 
 
+def _batch_column(idx, G, i, N):
+    out = np.zeros(N, dtype=np.complex128)
+    out[idx - 1] = G[:, i]
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 17, 200])
+@pytest.mark.parametrize("kmax", [3, 12, None])
+def test_exp_batch_is_the_family_of_scaled_exps(N, kmax):
+    # Column i of the batch is exp(t_i f), whatever the other t_j are.
+    rng = np.random.default_rng(N + (kmax or 0))
+    f = random_polynomial(rng, N, max_degree=min(kmax or N, N), density=0.4)
+    f = DirichletSeries(np.concatenate([[0], f.coeffs[1:]]), exact=True)
+    t = np.array([1.0, 0.0, -0.0, -math.log(7), 2.5, -40.0])
+    idx, G = d.exp_series(f, N, t=t)
+    assert idx[0] == 1 and np.all(np.diff(idx) > 0) and G.shape == (idx.size, t.size)
+    assert _batch_column(idx, G, 0, N).tobytes() == d.exp_series(f, N).coeffs.tobytes()
+    for i, ti in enumerate(t):
+        scaled = DirichletSeries(ti * f.coeffs, exact=True)
+        assert np.array_equal(_batch_column(idx, G, i, N), d.exp_series(scaled, N).coeffs)
+        _, alone = d.exp_series(f, N, t=t[i : i + 1])
+        assert alone.tobytes() == G[:, i : i + 1].tobytes()
+
+
+def test_exp_batch_reads_unreached_quotients_as_zero():
+    # supp f = {4, 6}: 36 = 6 * 6 is reached, but its quotient 36 / 4 = 9 is not.
+    f = d.from_terms({4: 0.7 - 0.2j, 6: -0.3 + 0.5j}, 6)
+    idx, G = d.exp_series(f, 200, t=[1.0, -2.0])
+    assert 36 in idx and 9 not in idx
+    ref = divisor_list_exp(f, 200)
+    assert _batch_column(idx, G, 0, 200).tobytes() == ref.tobytes()
+
+
+def test_exp_batch_takes_a_1d_t():
+    f = d.from_terms({2: 1.0}, 8)
+    with pytest.raises(InvalidInputError):
+        d.exp_series(f, 8, t=[[1.0]])
+
+
 # ---------- translate / evaluate ----------
 
 

@@ -31,12 +31,21 @@ from .symbols import (
 )
 
 
-def _emit(obj) -> None:
+def _strict_json(obj) -> str:
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as e:
         raise NumericError(f"result is not finite: {e}") from e
-    print(text)
+
+
+def _emit(obj) -> None:
+    print(_strict_json(obj))
+
+
+def _emit_csv(text: str, points) -> None:
+    """Write a CSV profile only where its JSON form would be finite."""
+    _strict_json([pt.to_json() for pt in points])
+    sys.stdout.write(text)
 
 
 def _parse_measure(args) -> Measure:
@@ -90,9 +99,12 @@ def _add_symbol_flags(p: argparse.ArgumentParser) -> None:
 
 def _sigma_list(raw: str) -> list[float]:
     try:
-        return [float(x) for x in raw.split(",") if x.strip()]
+        sigmas = [float(x) for x in raw.split(",") if x.strip()]
     except ValueError as e:
         raise InvalidInputError(f"bad sigma list {raw!r}") from e
+    if not all(math.isfinite(x) for x in sigmas):
+        raise InvalidInputError(f"sigmas must be finite, got {raw!r}")
+    return sigmas
 
 
 def cmd_norm(args) -> None:
@@ -163,7 +175,7 @@ def cmd_lemma2(args) -> None:
     mu = _parse_measure(args)
     points = lab.lemma2_profile(mu, _sigma_list(args.sigmas), args.N)
     if args.csv:
-        sys.stdout.write(lab.lemma2_to_csv(points))
+        _emit_csv(lab.lemma2_to_csv(points), points)
     else:
         _emit({"measure": measure_tag(mu), "profile": [pt.to_json() for pt in points]})
 
@@ -175,7 +187,7 @@ def cmd_profile(args) -> None:
         sym, mu, args.p, _sigma_list(args.sigmas), args.N, seed=args.seed
     )
     if args.csv:
-        sys.stdout.write(lab.profile_to_csv(points))
+        _emit_csv(lab.profile_to_csv(points), points)
     else:
         _emit(
             {

@@ -218,55 +218,93 @@ def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
     supp(phi) divided out."""
     r = np.arange(1, N + 1)
     ks = np.nonzero(sym.phi.coeffs[1:])[0] + 2
-    for p in sorted({p for k in ks.tolist() for p, _ in factorize(k)}):
-        hit = r % p == 0
-        while hit.any():
-            r[hit] //= p
-            hit = r % p == 0
+    for p in {p for k in ks.tolist() for p, _ in factorize(k)}:
+        top = p  # the largest power of p up to N; gcd(r, top) is the p-part of r <= N
+        while top * p <= N:
+            top *= p
+        r //= np.gcd(r, top)
     return r
 
 
-def _section_spectrum(
-    m: OperatorMatrix, sym: Symbol, r: np.ndarray, rows: int, cols: int
-) -> np.ndarray:
-    """Every singular value of the leading block m.entries[:rows, :cols].
+def _section_spectra(
+    m: OperatorMatrix, sym: Symbol, sizes: list[tuple[int, int]]
+) -> list[np.ndarray]:
+    """Every singular value of each leading block m.entries[:rows, :cols],
+    for (rows, cols) in `sizes`, from one grouping of the section.
 
     n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
     times the semigroup generated by supp(psi), so column n only meets rows
     m with r(m) = r(n)^{c0} (r from _coprime_part) and the section is block
-    diagonal under that grouping.  Rows that meet no column are zero and are
+    diagonal under that grouping.  Rows and columns run ascending within a
+    block, so a block of a leading section is the leading sub-block of a
+    block of the whole one.  Rows that meet no column are zero and are
     dropped; a block with more columns than rows adds one zero singular
-    value per missing row, as the SVD of the whole section would.  Blocks of
-    equal shape share one batched SVD.  `r` is _coprime_part(sym, m.N).
+    value per missing row, as the SVD of the whole section would.  A block
+    with one row or one column has one singular value, the norm of that
+    vector, and one vectorized norm takes all of them; the blocks of each
+    other shape, from every size, share one batched SVD.
     """
-    col_keys = r[np.asarray(m.ns[:cols]) - 1] ** sym.c0
-    keys, col_block = np.unique(col_keys, return_inverse=True)
-    row_keys = r[:rows]
-    row_block = np.minimum(np.searchsorted(keys, row_keys), keys.size - 1)
-    live = np.flatnonzero(keys[row_block] == row_keys)  # the other rows are zero
-    col_order, col_start, col_count = _grouped(np.arange(cols), col_block, keys.size)
-    row_order, row_start, row_count = _grouped(live, row_block[live], keys.size)
-    spectra = []
-    for n_rows, n_cols in set(zip(row_count.tolist(), col_count.tolist())):
-        b = np.flatnonzero((row_count == n_rows) & (col_count == n_cols))
-        R = row_order[row_start[b, None] + np.arange(n_rows)]
-        C = col_order[col_start[b, None] + np.arange(n_cols)]
-        blocks = m.entries[R[:, :, None], C[:, None, :]]
+    r = _coprime_part(sym, m.N)
+    col_key = r[np.asarray(m.ns) - 1] ** sym.c0  # <= N, as r(n) <= n
+    is_key = np.zeros(m.N + 1, dtype=bool)
+    is_key[col_key] = True
+    block_of = np.cumsum(is_key) - 1  # the block of each key that a column has
+    n_blocks = int(block_of[-1]) + 1
+    col_block = block_of[col_key]
+    live = np.flatnonzero(is_key[r])  # the other rows meet no column and are zero
+    row_block = block_of[r[live]]
+    col_order, col_start = _grouped(np.arange(len(m.ns)), col_block, n_blocks)
+    row_order, row_start = _grouped(live, row_block, n_blocks)
+    # (size, block, rows, columns) for each block with a column in each size
+    parts = []
+    for i, (rows, cols) in enumerate(sizes):
+        n_rows = np.bincount(row_block[: np.searchsorted(live, rows)], minlength=n_blocks)
+        n_cols = np.bincount(col_block[:cols], minlength=n_blocks)
+        b = np.flatnonzero(n_cols)  # a block with no column here holds only zero rows
+        parts.append(np.stack([np.full(b.size, i), b, n_rows[b], n_cols[b]]))
+    size_of, block, n_rows, n_cols = np.concatenate(parts, axis=1)
+    rank = np.minimum(n_rows, n_cols)  # >= 1: column n meets row n^{c0}
+    order = np.lexsort((n_cols, n_rows, rank > 1))  # the vectors, then the rest by shape
+    size_of, block, n_rows, n_cols, rank = (
+        a[order] for a in (size_of, block, n_rows, n_cols, rank)
+    )
+    hi = int(np.count_nonzero(rank == 1))
+    s = np.empty(int(rank.sum()))  # the singular values of each block in turn
+    if hi:  # the entries of the vector blocks, one run per block
+        n = np.maximum(n_rows, n_cols)[:hi]
+        first = np.cumsum(n) - n
+        step = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
+        at_row = np.repeat(row_start[block[:hi]], n) + step * np.repeat(n_rows[:hi] > 1, n)
+        at_col = np.repeat(col_start[block[:hi]], n) + step * np.repeat(n_cols[:hi] > 1, n)
+        v = m.entries[row_order[at_row], col_order[at_col]]
+        s[:hi] = np.hypot.reduceat(np.abs(v), first)
+        if np.isnan(s[:hi]).any():  # where an SVD would not converge
+            raise NumericError("section spectrum: the section is not finite")
+    start = np.cumsum(rank) - rank
+    cuts = np.flatnonzero((np.diff(n_rows[hi:]) != 0) | (np.diff(n_cols[hi:]) != 0)) + hi + 1
+    for j0, j1 in zip([hi, *cuts.tolist()], [*cuts.tolist(), rank.size]):
+        if j0 == j1:
+            continue
+        b = block[j0:j1]
+        R = row_order[row_start[b, None] + np.arange(n_rows[j0])]
+        C = col_order[col_start[b, None] + np.arange(n_cols[j0])]
         try:
-            spectra.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+            sv = np.linalg.svd(m.entries[R[:, :, None], C[:, None, :]], compute_uv=False)
         except np.linalg.LinAlgError as e:  # as on a section that overflowed
             raise NumericError(f"section spectrum: {e}") from None
-        spectra.append(np.zeros(max(n_cols - n_rows, 0) * b.size))
-    return np.concatenate(spectra)
+        s[start[j0] : start[j0] + sv.size] = sv.ravel()
+    zeros = np.bincount(size_of, weights=n_cols - rank, minlength=len(sizes))
+    keep = np.repeat(size_of, rank)
+    return [np.concatenate([s[keep == i], np.zeros(int(z))]) for i, z in enumerate(zeros)]
 
 
 def _grouped(
     positions: np.ndarray, labels: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`positions` sorted by label, with the offset and size of each label's run."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """`positions` sorted by label, with the offset of each label's run."""
     order = positions[np.argsort(labels, kind="stable")]
     sizes = np.bincount(labels, minlength=count)
-    return order, np.cumsum(sizes) - sizes, sizes
+    return order, np.cumsum(sizes) - sizes
 
 
 def isometry_defect(
@@ -274,18 +312,16 @@ def isometry_defect(
 ) -> DefectReport:
     """||G - I||_2 restricted to the columns present; 0 exactly for vertical translations.
 
-    One section build serves both truncations: the N/2 section is the
-    leading block of the N section (rows up to N/2, columns n with
-    n^{c0} <= N/2), since coefficients and weights up to N/2 do not depend
-    on N.  Both spectra are taken block by block (_section_spectrum).
+    One section build and one spectrum pass serve both truncations: the N/2
+    section is the leading block of the N section (rows up to N/2, columns
+    n with n^{c0} <= N/2), since coefficients and weights up to N/2 do not
+    depend on N, and _section_spectra takes both block by block.
     """
     if N < 4:
         raise InvalidInputError("need N >= 4 to compare against the N/2 section")
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    r = _coprime_part(sym, N)
-    s = _section_spectrum(m, sym, r, N, len(m.ns))
     half = N // 2
-    s_half = _section_spectrum(m, sym, r, half, _column_count(sym.c0, half))
+    s, s_half = _section_spectra(m, sym, [(N, len(m.ns)), (half, _column_count(sym.c0, half))])
     return DefectReport(
         value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(np.max(s))
     )
@@ -294,6 +330,10 @@ def isometry_defect(
 def contraction_lower_bound(
     sym: Symbol, mu: Measure | None, N: int, *, require_admissible: bool = True
 ) -> float:
-    """Largest singular value of the finite section: a lower bound for ||C_Phi||."""
+    """Largest singular value of the finite section: a lower bound for ||C_Phi||.
+
+    The same spectrum pass as isometry_defect, on the N section only.
+    """
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    return float(np.max(_section_spectrum(m, sym, _coprime_part(sym, N), N, len(m.ns))))
+    (s,) = _section_spectra(m, sym, [(N, len(m.ns))])
+    return float(np.max(s))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import DivergenceError, InvalidInputError, PoleError
 from .measures import Measure, measure_tag
 from .norms import norm_hp, point_eval_sum, zeta
+from .series import translate
 from .symbols import (
     Certificate,
     Lemma1Result,
@@ -90,21 +91,31 @@ def two_norm_profile(
 ) -> list[ProfilePoint]:
     """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}.
 
-    2^{-Phi(sigma+s)} = 2^{-sigma} 2^{-Psi_sigma(s)} with Psi_sigma the
-    normalized translate, so each row is 2^{-sigma} times the H^p norm of the
-    composed basis element.  The value never exceeds 2^{-sigma} (within
-    truncation) and matches it exactly iff Phi is a vertical translation.
+    One exp pass serves the whole grid: with sigma0 the smallest sigma,
+    g = 2^{-Phi(sigma0+s)} is the composed basis element of the translate
+    Phi_{sigma0}, and 2^{-Phi(sigma+s)} is its vertical translate by
+    sigma - sigma0 >= 0 (coefficient a_m -> a_m m^{-(sigma - sigma0)}), so
+    each row is the H^p norm of that translate.  Translating only shrinks
+    coefficients, so no row overflows where its own exp pass would not.
+    The value never exceeds 2^{-sigma} (within truncation) and matches it
+    exactly iff Phi is a vertical translation.
     """
     if sym.c0 < 1:
         raise InvalidInputError("the norm profile applies to c0 >= 1 symbols")
-    out = []
-    for sigma in sigma_grid:
-        sigma = float(sigma)
-        _, psi = translate_symbol(sym, sigma)
-        g = compose_basis(psi, 2, N)
-        value = 2.0**-sigma * norm_hp(g, p, seed=seed)
-        out.append(ProfilePoint(sigma=sigma, reference=2.0**-sigma, value=value))
-    return out
+    sigmas = [float(sigma) for sigma in sigma_grid]
+    if not sigmas:
+        return []
+    sigma0 = min(sigmas)
+    phi0, _ = translate_symbol(sym, sigma0)  # raises unless every sigma > 0
+    g = compose_basis(phi0, 2, N)
+    return [
+        ProfilePoint(
+            sigma=sigma,
+            reference=2.0**-sigma,
+            value=norm_hp(translate(g, sigma - sigma0), p, seed=seed),
+        )
+        for sigma in sigmas
+    ]
 
 
 def hinf_bound_2pow(sym: Symbol, sigma: float) -> float:

@@ -118,14 +118,17 @@ def multiply(f: DirichletSeries, g: DirichletSeries, N: int | None = None) -> Di
 
 
 def power(f: DirichletSeries, q: int, N: int | None = None) -> DirichletSeries:
-    """f convolved with itself q times (q >= 0)."""
+    """f convolved with itself q times (q >= 0): f padded to N, then q - 1
+    convolutions with it."""
     if q < 0:
         raise InvalidInputError("exponent must be nonnegative")
     if N is None:
         N = f.truncation
-    out = one(N)
-    for _ in range(q):
-        base = DirichletSeries(_padded(f, N), exact=f.exact)
+    if q == 0:
+        return one(N)
+    base = DirichletSeries(_padded(f, N), exact=f.exact)
+    out = base
+    for _ in range(q - 1):
         out = multiply(out, base, N)
     return out
 

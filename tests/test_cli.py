@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -243,10 +245,14 @@ _TERMS = st.lists(
 _P = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0]), st.floats(1.0, 6.0))
 
 
-def _assert_clean_exit(argv):
-    """Exit 0 with strict JSON on stdout, or 2 or 3 with nothing on it, and
-    never a traceback or a warning.  Past argument parsing, stderr holds at
-    most one line."""
+def _strict_json(text):
+    json.loads(text, parse_constant=_reject_constant)
+
+
+def _assert_clean_exit(argv, check_output=_strict_json):
+    """Exit 0 with strict JSON (or what `check_output` accepts) on stdout,
+    or 2 or 3 with nothing on it, and never a traceback or a warning.  Past
+    argument parsing, stderr holds at most one line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:
@@ -261,7 +267,7 @@ def _assert_clean_exit(argv):
     assert "Traceback" not in err.getvalue()
     assert [str(w.message) for w in caught] == []
     if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        check_output(out.getvalue())
     else:
         assert out.getvalue() == ""
 
@@ -343,6 +349,52 @@ def test_lemma2_cli_fuzz(alpha, sigmas, N):
 def test_profile_cli_fuzz(c0, phi, alpha, sigmas, p):
     argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
     _assert_clean_exit(argv + ["--sigmas", sigmas, "--p", repr(p), "--N", "32"])
+
+
+def _finite_cells(cells):
+    assert all(math.isfinite(float(cell)) for cell in cells)
+
+
+def _profile_csv(text):
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["sigma", "two_pow", "composed"]
+    for row in rows:
+        _finite_cells(row)
+
+
+def _lemma2_csv(text):
+    # a divergent row has empty S and tail cells and says why in its last cell
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["sigma", "S", "tail", "error"]
+    for sigma, value, tail, error in rows:
+        _finite_cells([sigma])
+        if error:
+            assert value == tail == ""
+        else:
+            _finite_cells([value, tail])
+
+
+# As _SIGMAS, with non-finite entries too.
+_CSV_SIGMAS = st.lists(
+    st.one_of(st.floats(-1.0, 12.0), st.sampled_from([math.nan, math.inf, -math.inf])),
+    min_size=1,
+    max_size=3,
+).map(lambda xs: ",".join(repr(x) for x in xs))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_ALPHA, _CSV_SIGMAS, st.integers(1, 200))
+def test_lemma2_csv_cli_fuzz(alpha, sigmas, N):
+    argv = ["lemma2", "--alpha", repr(alpha), "--sigmas", sigmas, "--N", str(N), "--csv"]
+    _assert_clean_exit(argv, _lemma2_csv)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(st.integers(0, 2), _PHI, _ALPHA, _CSV_SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+def test_profile_csv_cli_fuzz(c0, phi, alpha, sigmas, p):
+    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
+    argv += ["--sigmas", sigmas, "--p", repr(p), "--N", "32", "--csv"]
+    _assert_clean_exit(argv, _profile_csv)
 
 
 @pytest.mark.parametrize(

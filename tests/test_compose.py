@@ -310,14 +310,27 @@ def _close(value, ref):
     return abs(value - ref) <= (1e-14 if ref < 1e-2 else 1e-12 * ref)
 
 
+def _spectrum_symbols(c0, N):
+    """Random symbols, plus the sections whose blocks are all vectors: a
+    vertical translation (every block 1 x 1) and, at c0 = 0, a constant
+    (one block of one row and N columns)."""
+    rng = np.random.default_rng(100 * c0 + N)
+    syms = [random_symbol(rng, c0) for _ in range(3)]
+    if c0 == 1:
+        syms.append(symbol(1, complex(0.0, rng.uniform(-4.0, 4.0))))
+    if c0 == 0:
+        syms.append(symbol(0, complex(rng.uniform(0.5, 2.0), rng.uniform(-2.0, 2.0))))
+    return syms
+
+
 @pytest.mark.parametrize("c0", [0, 1, 2, 3])
 @pytest.mark.parametrize("N", [16, 33, 64, 128])
 def test_block_spectrum_matches_dense_svd(c0, N, alpha0, alpha1):
-    rng = np.random.default_rng(100 * c0 + N)
-    for _ in range(3):
-        sym = random_symbol(rng, c0)
+    for sym in _spectrum_symbols(c0, N):
         for mu in (alpha0, alpha1):
             m = d.operator_matrix(sym, mu, N, require_admissible=False)
+            if c0 == 0:  # one block, wider than it is tall
+                assert np.count_nonzero(np.abs(m.entries).sum(axis=1)) < len(m.ns) == N
             k = len(compose._section_columns(sym, N // 2))
             s = np.linalg.svd(m.entries, compute_uv=False)
             s_half = np.linalg.svd(m.entries[: N // 2, :k], compute_uv=False)
@@ -326,6 +339,28 @@ def test_block_spectrum_matches_dense_svd(c0, N, alpha0, alpha1):
             assert _close(rep.value_half, np.max(np.abs(s_half * s_half - 1.0)))
             assert _close(rep.s_max, s[0])
             assert rep.s_max == d.contraction_lower_bound(sym, mu, N, require_admissible=False)
+
+
+@pytest.mark.parametrize("c0", [0, 1, 2, 3])
+@pytest.mark.parametrize("N", [16, 33, 64, 128])
+def test_spectrum_runs_one_svd_per_block_shape(monkeypatch, c0, N, alpha1):
+    # Over both truncations, one LAPACK call for each shape with both sides
+    # >= 2; blocks of one row or one column never reach it.
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for sym in _spectrum_symbols(c0, N):
+        shapes.clear()
+        d.isometry_defect(sym, alpha1, N, require_admissible=False)
+        assert len(set(shapes)) == len(shapes)
+        assert all(min(shape) >= 2 for shape in shapes)
+        if sym.phi.degree == 1:  # a translation or a c0 = 0 constant: vectors only
+            assert shapes == []
 
 
 @pytest.mark.parametrize("c0", [0, 1, 2, 3])

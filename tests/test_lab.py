@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirspaces as d
-from dirspaces import InvalidInputError, PoleError, symbol
+from dirspaces import InvalidInputError, PoleError, lab, series, symbol
+from dirspaces.cli import main
 from dirspaces.lab import lemma2_to_csv, profile_to_csv
+from dirspaces.symbols import translate_symbol
 
 from conftest import GALLERY
 
@@ -84,6 +88,96 @@ def test_two_norm_profile_inequality_gallery(alpha0):
 def test_two_norm_profile_requires_linear_part(alpha0):
     with pytest.raises(InvalidInputError):
         d.two_norm_profile(symbol(0, 1.0), alpha0, 2.0, [1.0])
+
+
+def _per_sigma_profile(sym, p, sigmas, N):
+    """The profile one exp pass per sigma: 2^{-sigma} times the norm of the
+    composed basis element of the normalized translate Psi_sigma, with the
+    error bar of the route at non-even p."""
+    rows = []
+    for sigma in sigmas:
+        _, psi = translate_symbol(sym, sigma)
+        g = d.compose_basis(psi, 2, N)
+        err = 0.0 if p % 2 == 0 else d.qmc_norm_hp(g, p)[1]
+        rows.append((2.0**-sigma * d.norm_hp(g, p), 2.0**-sigma * err))
+    return rows
+
+
+# Admissible by coefficient domination: Re c1 > sum |c_k|.
+_ADMISSIBLE = st.builds(
+    lambda c0, tail, margin, im: symbol(
+        c0, {1: complex(sum(abs(c) for c in tail.values()) + margin, im), **tail}
+    ),
+    st.integers(1, 2),
+    st.dictionaries(
+        st.integers(2, 12),
+        st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        max_size=3,
+    ),
+    st.floats(0.05, 1.5),
+    st.floats(-3.0, 3.0),
+)
+# Unsorted, with the first sigma repeated at the end.
+_GRID = st.lists(
+    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.05, 4.0)),
+    min_size=2,
+    max_size=4,
+).map(lambda xs: xs + xs[:1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    sym=_ADMISSIBLE,
+    grid=_GRID,
+    p=st.sampled_from([2.0, 3.0, 4.0]),
+    N=st.sampled_from([16, 32, 64]),
+)
+def test_two_norm_profile_matches_per_sigma_builds(alpha0, sym, grid, p, N):
+    got = d.two_norm_profile(sym, alpha0, p, grid, N)
+    assert [pt.sigma for pt in got] == grid
+    for pt, (ref, err) in zip(got, _per_sigma_profile(sym, p, grid, N)):
+        assert pt.reference == 2.0**-pt.sigma
+        assert abs(pt.value - ref) <= err + 1e-13 * ref
+
+
+def test_two_norm_profile_edge_grids(alpha0):
+    sym = symbol(1, {1: 1.0, 2: 0.3})
+    assert d.two_norm_profile(sym, alpha0, 2.0, [], 32) == []
+    for grid in ([0.0], [1.0, 0.0, 0.5], [2.0, -1.0]):
+        with pytest.raises(InvalidInputError):
+            d.two_norm_profile(sym, alpha0, 2.0, grid, 32)
+        argv = ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.3,0]]"]
+        assert main(argv + ["--sigmas", ",".join(map(str, grid)), "--N", "32"]) == 2
+
+
+def _counted(monkeypatch, owner, name, calls):
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_two_norm_profile_runs_one_exp_pass(monkeypatch, alpha0):
+    calls = {}
+    _counted(monkeypatch, lab, "compose_basis", calls)
+    _counted(monkeypatch, series, "exp", calls)
+    sym = symbol(1, {1: 1.0, 2: 0.2, 3: 0.1})
+    pts = d.two_norm_profile(sym, alpha0, 2.0, [2.0, 0.25, 1.0, 0.5], 256)
+    assert len(pts) == 4
+    assert calls == {"compose_basis": 1, "exp": 1}
+
+
+def test_classify_runs_two_exp_passes(monkeypatch, alpha0):
+    # one for the section, one for the whole norm profile
+    calls = {}
+    _counted(monkeypatch, series, "exp", calls)
+    for sym in [s for s in GALLERY if s.c0 == 1] + [symbol(1, 2j)]:
+        calls.clear()
+        d.classify(sym, alpha0, 64)
+        assert calls == {"exp": 2}
 
 
 # ---------- H^inf bound ----------

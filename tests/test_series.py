@@ -150,6 +150,25 @@ def test_multiply_matches_brute_force(nterms, data):
     assert np.allclose(d.multiply(f, g).coeffs, brute_multiply(f, g, 24))
 
 
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_power_is_repeated_multiply(q):
+    # power starts from f padded to N and makes q - 1 convolutions; the
+    # repeated multiply starts from one(N) and makes q
+    rng = np.random.default_rng(q)
+    for N, exact in [(24, True), (40, True), (24, False)]:
+        f = random_polynomial(rng, 24, max_degree=8, density=0.6)
+        f = DirichletSeries(f.coeffs, exact=exact)
+        base = DirichletSeries(np.concatenate([f.coeffs, np.zeros(N - 24)]), exact=exact)
+        ref = d.from_terms({1: 1.0}, N)
+        for _ in range(q):
+            ref = d.multiply(ref, base, N)
+        got = d.power(f, q, N)
+        nz = np.flatnonzero(ref.coeffs)
+        assert np.array_equal(np.flatnonzero(got.coeffs), nz)
+        assert got.coeffs[nz].tobytes() == ref.coeffs[nz].tobytes()
+        assert (got.truncation, got.exact) == (N, ref.exact)
+
+
 def test_multiply_commutative_associative_distributive():
     rng = np.random.default_rng(7)
     for _ in range(10):

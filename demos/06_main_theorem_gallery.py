@@ -35,6 +35,6 @@ for label, sym in gallery:
 
 print("\nnorm profile of 2^{-Phi(sigma+.)} vs the translation reference 2^{-sigma}:")
 for label, sym in [("s + 5i", symbol(1, 5j)), ("2s", symbol(2, {}))]:
-    pts = d.two_norm_profile(sym, mu, 2.0, [0.25, 0.5, 1.0, 2.0])
+    pts = d.two_norm_profile(sym, 2.0, [0.25, 0.5, 1.0, 2.0])
     rows = "  ".join(f"{pt.value:.4f}/{pt.reference:.4f}" for pt in pts)
     print(f"  {label:8s} {rows}")

@@ -30,7 +30,14 @@ from .series import (
     translate,
 )
 from .series import exp as exp_series
-from .measures import AlphaMeasure, DensityMeasure, Measure, QuadratureSpec, alpha_weight
+from .measures import (
+    AlphaMeasure,
+    DensityMeasure,
+    Measure,
+    QuadratureSpec,
+    SampledDensityMeasure,
+    alpha_weight,
+)
 from .norms import (
     FunctionalNormEstimate,
     KernelValue,

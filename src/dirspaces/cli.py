@@ -126,8 +126,11 @@ def cmd_norm(args) -> None:
 
 def cmd_weights(args) -> None:
     mu = _parse_measure(args)
-    ns = [args.n] if args.n is not None else list(range(1, args.nmax + 1))
-    _emit({"measure": measure_tag(mu), "weights": [[n, mu.weight(n)] for n in ns]})
+    if args.n is not None:
+        weights = [[args.n, mu.weight(args.n)]]
+    else:
+        weights = [[n, w] for n, w in enumerate(mu.weights(args.nmax).tolist(), 1)]
+    _emit({"measure": measure_tag(mu), "weights": weights})
 
 
 def cmd_kernel(args) -> None:
@@ -182,10 +185,7 @@ def cmd_lemma2(args) -> None:
 
 def cmd_profile(args) -> None:
     sym = _parse_symbol(args)
-    mu = _parse_measure(args)
-    points = lab.two_norm_profile(
-        sym, mu, args.p, _sigma_list(args.sigmas), args.N, seed=args.seed
-    )
+    points = lab.two_norm_profile(sym, args.p, _sigma_list(args.sigmas), args.N, seed=args.seed)
     if args.csv:
         _emit_csv(lab.profile_to_csv(points), points)
     else:
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="norm profile of 2^{-Phi(sigma+.)} vs 2^{-sigma}")
     _add_symbol_flags(p)
-    _add_measure_flags(p)
     p.add_argument("--sigmas", default="0.25,0.5,1,2")
     p.add_argument("--p", type=_finite_float, default=2.0)
     p.add_argument("--N", type=_positive_int, default=128)

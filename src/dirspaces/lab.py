@@ -87,7 +87,7 @@ class ProfilePoint:
 
 
 def two_norm_profile(
-    sym: Symbol, mu: Measure | None, p: float, sigma_grid, N: int = 128, *, seed: int = 0
+    sym: Symbol, p: float, sigma_grid, N: int = 128, *, seed: int = 0
 ) -> list[ProfilePoint]:
     """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}.
 
@@ -211,7 +211,7 @@ def classify(
     # admissibility was already screened above; Unknown proceeds with that caveat attached
     defect = isometry_defect(sym, mu, N, require_admissible=False)
     region = lemma1_region(sym)
-    profile = two_norm_profile(sym, mu, p, (0.25, 0.5, 1.0, 2.0), N, seed=seed)
+    profile = two_norm_profile(sym, p, (0.25, 0.5, 1.0, 2.0), N, seed=seed)
 
     if tau is not None:
         verdict = "Isometry/Invertible/Fredholm"

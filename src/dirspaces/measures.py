@@ -1,11 +1,15 @@
 """Probability measures d mu = h(sigma) d sigma on (0, inf) and the weights w_h(n).
 
-Two variants: the closed-form Gamma-type family with density
-(2^{a+1}/Gamma(a+1)) sigma^a e^{-2 sigma}, and user densities integrated by
-quadrature.  The weight w_h(n) = integral of n^{-2 sigma} d mu(sigma) drives
-every A^2 norm and kernel evaluation, so weights are memoized per measure.
-The Gauss-Laguerre rules are built here in numpy and cached per (nodes,
-alpha); scipy.integrate is imported only by density measures.
+Three variants: the closed-form Gamma-type family with density
+(2^{a+1}/Gamma(a+1)) sigma^a e^{-2 sigma}; user densities given by a
+callable, integrated by Gauss-Laguerre rules; and sampled densities, the
+linear interpolant of samples (sigma_i, h_i), integrated by composite
+Gauss-Legendre rules over the sample segments.  The weight w_h(n) = integral
+of n^{-2 sigma} d mu(sigma) drives every A^2 norm and kernel evaluation, so
+weights are memoized per measure.  Each measure builds a coarse and a fine
+rule, the fine one with twice the nodes, and every quadrature goes through
+one node-doubled integrate.  The Gauss rules are built here in numpy and
+cached per node count (and alpha); this module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 
 _NORMALIZATION_TOL = 1e-8
+# weights(N) integrates blocks of n whose (n, node) integrand arrays hold
+# about this many entries.
+_BLOCK = 2**20
+# Largest quadrature node count that a measure JSON may ask for.
+_MAX_JSON_NODES = 1024
 # Mantissa bound for the Laguerre recurrence: past it a node's values move
 # into its log scale, so rules stay finite at thousands of nodes.
 _RESCALE_AT = 2.0**500
@@ -79,25 +88,33 @@ def _gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@lru_cache(maxsize=32)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-node Gauss-Legendre rule on [0, 1], weights summing to 1; read-only."""
+    t, w = np.polynomial.legendre.leggauss(m)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Fixed-rule parameters: node count, scheme tag, and a convergence tolerance."""
+    """Fixed-rule parameters: node count and a convergence tolerance."""
 
     nodes: int = 128
-    scheme: str = "gauss-laguerre"  # or "adaptive"
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.nodes < 2:
             raise InvalidInputError("quadrature needs at least 2 nodes")
-        if self.tol <= 0:
-            raise InvalidInputError("quadrature tolerance must be positive")
-        if self.scheme not in ("gauss-laguerre", "adaptive"):
-            raise InvalidInputError(f"unknown quadrature scheme {self.scheme!r}")
+        if not 0 < self.tol < math.inf:
+            raise InvalidInputError("quadrature tolerance must be positive and finite")
 
 
 class Measure:
-    """Base class; concrete measures implement density() and _gl_nodes()."""
+    """Base class; concrete measures implement density() and _gl_nodes(), or
+    build their own pair of rules in _rules."""
 
     spec: QuadratureSpec
 
@@ -139,8 +156,12 @@ class Measure:
             return w
 
     def _weight_vector(self, N: int) -> np.ndarray:
-        """(w_h(1), ..., w_h(N)) computed afresh, for weights() to memoize."""
-        return self.weights_by_quadrature(np.arange(1, N + 1))
+        """(w_h(1), ..., w_h(N)) computed afresh, for weights() to memoize, in
+        blocks of n that bound the size of the integrand arrays."""
+        ns = np.arange(1, N + 1)
+        step = max(1, _BLOCK // self._rules[1][0].size)
+        blocks = range(0, max(N, 1), step)
+        return np.concatenate([self.weights_by_quadrature(ns[lo : lo + step]) for lo in blocks])
 
     def weights_by_quadrature(self, ns) -> np.ndarray:
         """Quadrature weights w_h(n) for every n in ns by one integrate call."""
@@ -209,54 +230,41 @@ def alpha_weight(alpha: float, n) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityMeasure(Measure):
-    """Probability measure given by a positive density h on (0, inf).
+    """Probability measure given by a density callable h, positive on (0, inf).
 
-    With the default gauss-laguerre scheme the density must decay at least
-    like e^{-2 sigma}; otherwise pass scheme="adaptive", which truncates the
-    domain where the residual mass drops below 1e-12 and integrates
-    adaptively.  Set interval_support=True to relax strict positivity to
-    positivity on some sampled subinterval.
+    Its rules are Gauss-Laguerre rules in u = 2 sigma, so h must decay at
+    least like e^{-2 sigma}.  A density known by samples, or supported on an
+    interval, is a SampledDensityMeasure.
     """
 
     h: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
     spec: QuadratureSpec = field(default_factory=QuadratureSpec)
-    interval_support: bool = False
     name: str = "density"
 
     def __post_init__(self):
         if self.h is None:
             raise InvalidInputError("a density callable is required")
         Measure.__post_init__(self)
-        object.__setattr__(self, "_sigma_max", self._find_sigma_max())
         self._validate()
 
     def density(self, sigma):
         return self.h(np.asarray(sigma, dtype=np.float64))
 
     def _find_sigma_max(self) -> float:
-        from scipy.integrate import quad
-
+        """The first of 1, 2, 4, ... past which the fine rule holds mass below 1e-12."""
+        x, w = self._rules[1]
         hi = 1.0
-        while hi < 1e6:
-            tail, _ = quad(lambda s: float(self.h(np.array([s]))[0]), hi, np.inf, limit=200)
-            if tail < 1e-12:
-                return hi
+        while np.sum(w[x > hi]) >= 1e-12:  # ends once no node lies past hi
             hi *= 2.0
-        raise NumericError("density mass does not concentrate on a bounded interval")
+        return hi
 
     def _validate(self):
-        nodes = np.linspace(1e-6, self._sigma_max, 257)
+        nodes = np.linspace(1e-6, self._find_sigma_max(), 257)
         vals = np.asarray(self.h(nodes), dtype=np.float64)
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise InvalidInputError("density must be finite and nonnegative")
-        if self.interval_support:
-            if not np.any(vals > 0):
-                raise InvalidInputError("density vanishes at every sampled node")
-        else:
-            if np.any(vals <= 0):
-                raise InvalidInputError("density must be positive on (0, inf)")
-            if vals[0] <= 0:
-                raise InvalidInputError("0 must lie in the support of the measure")
+        if np.any(vals <= 0):
+            raise InvalidInputError("density must be positive on (0, inf)")
         total = self.integrate(lambda s: np.ones_like(s))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
@@ -273,25 +281,61 @@ class DensityMeasure(Measure):
         factors[pos] = np.exp(np.log(w[pos]) + x[pos] + np.log(hv[pos]) + math.log(0.5))
         return sig, factors
 
-    def integrate(self, g):
-        if self.spec.scheme != "adaptive":
-            return super().integrate(g)
-        from scipy.integrate import quad_vec
 
-        val, err = quad_vec(
-            lambda s: np.asarray(g(np.array([s])))[..., 0] * self.h(np.array([s]))[0],
-            0.0,
-            self._sigma_max,
-            limit=400,
-            epsabs=1e-13,
-            epsrel=self.spec.tol / 10,
-            norm="max",
-        )
-        if not np.all(np.isfinite(val)):
-            raise NumericError("adaptive quadrature produced non-finite values")
-        if err > self.spec.tol * max(1.0, float(np.max(np.abs(val)))):
-            raise NumericError(f"adaptive quadrature error estimate {err!r} above tolerance")
-        return float(val) if np.ndim(val) == 0 else val
+@dataclass(frozen=True, eq=False)
+class SampledDensityMeasure(Measure):
+    """Probability measure whose density is the linear interpolant of the
+    samples [[sigma_0, h_0], ..., [sigma_K, h_K]], and zero off [sigma_0, sigma_K].
+
+    The samples need sigma_0 >= 0, strictly increasing sigmas, h_i >= 0 with
+    some h_i > 0, and total mass 1; the density may vanish on subintervals.
+    On each of the K segments n^{-2 sigma} h is entire, so a Gauss-Legendre
+    rule converges geometrically there.  The coarse rule puts
+    k = max(2, ceil(spec.nodes / K)) nodes on every segment, the fine rule 2k.
+    """
+
+    samples: np.ndarray = None  # type: ignore[assignment]
+    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
+
+    def __post_init__(self):
+        samples = np.array(self.samples, dtype=np.float64)
+        if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
+            raise InvalidInputError("density samples must be [[sigma, h], ...] with >= 2 rows")
+        sig, val = samples.T
+        if not np.all(np.isfinite(samples)):
+            raise InvalidInputError("density samples must be finite")
+        if sig[0] < 0:
+            raise InvalidInputError("sample sigmas must start at sigma_0 >= 0")
+        if np.any(np.diff(sig) <= 0):
+            raise InvalidInputError("sample sigmas must be strictly increasing")
+        if np.any(val < 0):
+            raise InvalidInputError("density samples must be nonnegative")
+        if not np.any(val > 0):
+            raise InvalidInputError("density vanishes at every sample")
+        # the trapezoid rule is exact on the interpolant
+        total = float(np.sum((val[1:] + val[:-1]) * np.diff(sig)) / 2.0)
+        if abs(total - 1.0) > _NORMALIZATION_TOL:
+            raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        Measure.__post_init__(self)
+
+    def density(self, sigma):
+        sig, val = self.samples.T
+        return np.interp(np.asarray(sigma, dtype=np.float64), sig, val, left=0.0, right=0.0)
+
+    @cached_property
+    def _rules(self):
+        k = max(2, -(-self.spec.nodes // (len(self.samples) - 1)))
+        return self._composite_rule(k), self._composite_rule(2 * k)
+
+    def _composite_rule(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k Gauss-Legendre nodes on every segment, weighted by the interpolant."""
+        sig, val = self.samples.T
+        t, w = _gauss_legendre(k)
+        width = np.diff(sig)[:, None]
+        hv = val[:-1, None] * (1.0 - t) + val[1:, None] * t
+        return (sig[:-1, None] + width * t).ravel(), (width * w * hv).ravel()
 
 
 def measure_from_json(obj: dict) -> Measure:
@@ -314,12 +358,9 @@ def measure_from_json(obj: dict) -> Measure:
         raise InvalidInputError(f"malformed measure JSON: {e!r}") from e
     if kind == "alpha":
         return AlphaMeasure(alpha=alpha)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
-        raise InvalidInputError("density samples must be [[sigma, h], ...] with >= 2 rows")
-    sig, val = samples[:, 0], samples[:, 1]
-    spec = QuadratureSpec(nodes=nodes, scheme="adaptive", tol=tol)
-    h = lambda s: np.interp(np.asarray(s, dtype=np.float64), sig, val, left=0.0, right=0.0)
-    return DensityMeasure(h=h, spec=spec, interval_support=True, name="sampled-density")
+    if nodes > _MAX_JSON_NODES:
+        raise InvalidInputError(f"quadrature nodes must be at most {_MAX_JSON_NODES}")
+    return SampledDensityMeasure(samples=samples, spec=QuadratureSpec(nodes=nodes, tol=tol))
 
 
 def measure_tag(mu: Measure) -> str:
@@ -327,4 +368,6 @@ def measure_tag(mu: Measure) -> str:
         return f"alpha({mu.alpha:g})"
     if isinstance(mu, DensityMeasure):
         return mu.name
+    if isinstance(mu, SampledDensityMeasure):
+        return "sampled-density"
     return "H2" if mu is None else type(mu).__name__

@@ -13,7 +13,8 @@ on the first route and the replicate standard error on the second.  A^p
 norms integrate the translated H^p norms against the measure.  Every norm is
 computed on f scaled by a power of two, so that tiny and huge coefficients
 keep their norm.  Kernel tails of the Gamma family are in closed form, and
-those of density measures integrate by adaptive quadrature.
+those of density measures integrate by scipy.integrate.quad, the one scipy
+call of the package.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirspaces import AlphaMeasure, DensityMeasure, QuadratureSpec, symbol
+from dirspaces import AlphaMeasure, DensityMeasure, SampledDensityMeasure, symbol
 
 # Non-translation admissible symbols used across the diagnostic tests.
 GALLERY = [
@@ -35,6 +35,16 @@ def alpha1():
 @pytest.fixture(scope="session")
 def custom_density():
     return DensityMeasure(h=exp3_density, name="3exp(-3s)")
+
+
+# Zero on [0, 1/2], then a triangle of height 2 on [1/2, 3/2]: a sampled
+# density supported on an interval.
+BUMP_SAMPLES = [[0.0, 0.0], [0.5, 0.0], [1.0, 2.0], [1.5, 0.0]]
+
+
+@pytest.fixture(scope="session")
+def sampled_density():
+    return SampledDensityMeasure(samples=BUMP_SAMPLES)
 
 
 @pytest.fixture(scope="session")

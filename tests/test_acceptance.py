@@ -193,14 +193,14 @@ def test_criterion_09_schwarz_margin(capsys):
     )
 
 
-def test_criterion_10_norm_profile(capsys, alpha0):
+def test_criterion_10_norm_profile(capsys):
     sigmas = [0.25, 0.5, 1.0, 2.0]
     for sym in GALLERY:
-        for pt in d.two_norm_profile(sym, alpha0, 2.0, sigmas):
+        for pt in d.two_norm_profile(sym, 2.0, sigmas):
             assert pt.value <= pt.reference + 1e-9
             assert pt.reference - pt.value > 1e-9  # strict for non-translations
     for tau in (0.0, 3.0):
-        for pt in d.two_norm_profile(symbol(1, complex(0.0, tau)), alpha0, 2.0, sigmas):
+        for pt in d.two_norm_profile(symbol(1, complex(0.0, tau)), 2.0, sigmas):
             assert pt.value == pytest.approx(pt.reference, abs=1e-12)
     _report(
         capsys,

@@ -43,6 +43,32 @@ def test_weights_closed_form(capsys):
     assert vals[1] == pytest.approx(0.5906, abs=1e-4)
 
 
+SAMPLED_JSON = json.dumps({"type": "density", "samples": [[0, 0], [0.5, 1], [1, 1], [1.5, 0]]})
+
+
+def test_weights_nmax_is_one_vector_call(capsys, monkeypatch):
+    from dirspaces.measures import AlphaMeasure, Measure, measure_from_json
+
+    calls = []
+    for name in ("weight", "weights"):
+        fn = getattr(Measure, name)
+        monkeypatch.setattr(
+            Measure, name, lambda self, n, fn=fn, name=name: calls.append(name) or fn(self, n)
+        )
+    code, out, _ = run_cli(capsys, "weights", "--measure-json", SAMPLED_JSON, "--nmax", "300")
+    assert code == 0 and calls == ["weights"]
+    mu = measure_from_json(json.loads(SAMPLED_JSON))
+    assert json.loads(out)["weights"] == [[n, mu.weight(n)] for n in range(1, 301)]
+    calls.clear()
+    code, out, _ = run_cli(capsys, "weights", "--measure-json", SAMPLED_JSON, "--n", "7")
+    assert code == 0 and calls == ["weight"]
+    assert json.loads(out)["weights"] == [[7, mu.weight(7)]]
+    # alpha measures print what the per-index loop printed, byte for byte
+    code, out, _ = run_cli(capsys, "weights", "--alpha", "1.5", "--nmax", "40")
+    per_index = [[n, AlphaMeasure(1.5).weight(n)] for n in range(1, 41)]
+    assert out == json.dumps({"measure": "alpha(1.5)", "weights": per_index}, sort_keys=True) + "\n"
+
+
 def test_norm_a2(capsys):
     code, out, _ = run_cli(
         capsys, "norm", "--p", "2", "--alpha", "0", "--terms", "[[1,1,0],[2,1,0]]"
@@ -141,6 +167,9 @@ def test_numeric_error_exit_3(capsys):
         ["kernel", "--s-re", "1", "--w-re", "1", "--w-im", "inf"],
         ["lemma2", "--alpha", "nan", "--csv", "--sigmas", "4", "--N", "10"],
         ["check-symbol", "--c0", "0", "--phi", "[[1,1,0]]", "--eta", "nan"],
+        # profile reads no measure
+        ["profile", "--c0", "2", "--phi", "[]", "--alpha", "0"],
+        ["profile", "--c0", "2", "--phi", "[]", "--measure-json", '{"type":"beta"}'],
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -181,6 +210,32 @@ def _reject_constant(name):
         (["weights", "--alpha", "1e308", "--nmax", "3"], 3),
         (["kernel", "--s-re", "1", "--w-re", "1", "--alpha", "1e300"], 3),
         (["classify", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]", "--N", "16"], 3),
+        # sampled densities: sigmas decreasing or unsorted, sigma_0 < 0, non-finite or
+        # negative values, no mass, mass 2, too many nodes
+        (["weights", "--measure-json", '{"type":"density","samples":[[1,0],[0,2]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,1],[2,0],[1,1]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[-1,0.5],[1,0.5]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,NaN],[1,2]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,1],[Infinity,1]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,3],[1,-1]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,0],[1,0]]}'], 2),
+        (["weights", "--measure-json", '{"type":"density","samples":[[0,1],[1,1],[2,1]]}'], 2),
+        (
+            [
+                "weights",
+                "--measure-json",
+                '{"type":"density","samples":[[0,2],[1,0]],"quadrature":{"tol":NaN}}',
+            ],
+            2,
+        ),
+        (
+            [
+                "weights",
+                "--measure-json",
+                '{"type":"density","samples":[[0,2],[1,0]],"quadrature":{"nodes":4096}}',
+            ],
+            2,
+        ),
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, argv, expected):
@@ -345,9 +400,9 @@ def test_lemma2_cli_fuzz(alpha, sigmas, N):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(0, 2), _PHI, _ALPHA, _SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
-def test_profile_cli_fuzz(c0, phi, alpha, sigmas, p):
-    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
+@given(st.integers(0, 2), _PHI, _SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+def test_profile_cli_fuzz(c0, phi, sigmas, p):
+    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi)]
     _assert_clean_exit(argv + ["--sigmas", sigmas, "--p", repr(p), "--N", "32"])
 
 
@@ -390,9 +445,9 @@ def test_lemma2_csv_cli_fuzz(alpha, sigmas, N):
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
-@given(st.integers(0, 2), _PHI, _ALPHA, _CSV_SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
-def test_profile_csv_cli_fuzz(c0, phi, alpha, sigmas, p):
-    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi), "--alpha", repr(alpha)]
+@given(st.integers(0, 2), _PHI, _CSV_SIGMAS, st.sampled_from([1.0, 2.0, 3.0, 4.0]))
+def test_profile_csv_cli_fuzz(c0, phi, sigmas, p):
+    argv = ["profile", "--c0", str(c0), "--phi", json.dumps(phi)]
     argv += ["--sigmas", sigmas, "--p", repr(p), "--N", "32", "--csv"]
     _assert_clean_exit(argv, _profile_csv)
 

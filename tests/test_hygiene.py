@@ -5,6 +5,7 @@ paths that do not need it."""
 import ast
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,12 +72,18 @@ def test_folded_helpers_stay_gone():
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
     measures = _tree(PACKAGE / "measures.py")
-    assert "integrate" not in class_methods(measures, "AlphaMeasure")
+    # every measure integrates through the one node-doubled Measure.integrate
+    for cls in ("AlphaMeasure", "DensityMeasure", "SampledDensityMeasure"):
+        assert "integrate" not in class_methods(measures, cls), cls
     for cls in ("Measure", "DensityMeasure"):
         assert "_rule" not in class_methods(measures, cls), cls
 
 
 def test_dead_knobs_stay_gone():
+    import dataclasses
+
+    from dirspaces.lab import two_norm_profile
+    from dirspaces.measures import DensityMeasure, QuadratureSpec
     from dirspaces.norms import norm_hp, qmc_norm_hp
     from dirspaces.primes import factorize
     from dirspaces.symbols import check_theorem1, check_theorem2
@@ -84,6 +91,23 @@ def test_dead_knobs_stay_gone():
     dead = {"method", "points", "replicates", "max_rel_spread", "spf", "t_max", "t_steps"}
     for fn in (norm_hp, qmc_norm_hp, factorize, check_theorem1, check_theorem2):
         assert not dead & set(inspect.signature(fn).parameters), fn.__name__
+    assert "mu" not in inspect.signature(two_norm_profile).parameters
+    for cls, name in ((QuadratureSpec, "scheme"), (DensityMeasure, "interval_support")):
+        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+
+
+def test_scipy_is_imported_only_by_the_density_kernel_tail():
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert found == [("norms.py", "scipy.integrate")]
 
 
 def test_no_qmc_thread_knob():
@@ -93,8 +117,10 @@ def test_no_qmc_thread_knob():
         assert "ThreadPoolExecutor" not in text, path.name
 
 
-# Every subcommand on an alpha measure, norms at even and non-even p: none of
-# these may load scipy, which only the density paths import.
+SAMPLED = json.dumps({"type": "density", "samples": [[0, 2], [1, 0]]})
+# Every subcommand on an alpha measure, norms at even and non-even p, and
+# sampled-density weights, norms and classify: none of these may load scipy,
+# which only the kernel tail of a density measure imports.
 SCIPY_FREE_ARGV = [
     ["classify", "--c0", "0", "--phi", "[[1,1,0],[2,0.25,0]]", "--alpha", "0", "--N", "16"],
     ["classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--alpha", "1", "--N", "32"],
@@ -112,12 +138,13 @@ SCIPY_FREE_ARGV = [
     # |1 + 2^{-s}| vanishes on the torus: the QMC fallback
     ["norm", "--space", "h", "--p", "1", "--terms", "[[1,1,0],[2,1,0]]"],
     ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--sigmas", "0.5", "--p", "3", "--N", "16"],
+    ["weights", "--measure-json", SAMPLED, "--nmax", "64"],
+    ["norm", "--space", "a", "--p", "1.5", "--measure-json", SAMPLED, "--terms", "[[1,1,0],[6,0.4,0]]"],
+    ["classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--measure-json", SAMPLED, "--N", "16"],
 ]
-# A density measure integrates with scipy.integrate: the control that the
-# probe sees a scipy import when there is one.
-DENSITY_ARGV = [
-    "weights", "--measure-json", json.dumps({"type": "density", "samples": [[0, 2], [1, 0]]})
-]
+# The kernel tail of a density measure integrates with scipy.integrate: the
+# control that the probe sees a scipy import when there is one.
+DENSITY_ARGV = ["kernel", "--measure-json", SAMPLED, "--s-re", "1.5", "--w-re", "1.5", "--N", "16"]
 
 PROBE = """
 import contextlib, io, json, sys
@@ -157,16 +184,24 @@ def test_scipy_is_not_imported_off_the_density_paths():
     assert "scipy.integrate" in density[2]
 
 
-# The QMC fallback with scipy unimportable: a 5-dimensional lift whose
-# sigma-nodes mostly fail their only trapezoid grid, and |1 + 2^{-s}|.
+# With scipy unimportable: the QMC fallback, on a 5-dimensional lift whose
+# sigma-nodes mostly fail their only trapezoid grid and on |1 + 2^{-s}|; and
+# a callable and a sampled density, their weights and a non-even A^p norm.
 BLOCKED_SCIPY_PROBE = """
 import sys
 sys.modules["scipy"] = None
+import numpy as np
 import dirspaces as d
 
 f = d.from_terms({61: 0.346, 60: -0.949j, 38: 3.06e-84 - 1e-300j}, 61)
 print(d.norm_ap(f, 1.0, d.AlphaMeasure(0.0)))
 print(d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 1.0}, 2), 1.0)[0])
+g = d.from_terms({1: 1.0, 6: 0.4}, 6)
+for mu in (
+    d.DensityMeasure(h=lambda s: 3.0 * np.exp(-3.0 * s)),
+    d.SampledDensityMeasure(samples=[[0.0, 2.0], [1.0, 0.0]]),
+):
+    print(mu.weights(64)[1], d.norm_ap(g, 1.5, mu))
 """
 
 
@@ -180,6 +215,13 @@ def test_qmc_fallback_runs_without_scipy():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    ap, hp = map(float, run.stdout.split())
+    ap, hp, w_callable, ap_callable, w_sampled, ap_sampled = map(float, run.stdout.split())
     assert ap == pytest.approx(0.3218, rel=1e-3)
     assert hp == pytest.approx(4.0 / 3.141592653589793, rel=1e-8)
+    # w(2) = 3/(3 + 2 log 2) and, for h = 2 - 2 sigma on [0, 1],
+    # 2 (c - 1 + e^{-c})/c^2 with c = 2 log 2
+    c = 2.0 * math.log(2.0)
+    assert w_callable == pytest.approx(3.0 / (3.0 + c), rel=1e-12)
+    assert w_sampled == pytest.approx(2.0 * (c - 1.0 + math.exp(-c)) / c**2, rel=1e-12)
+    for value in (ap_callable, ap_sampled):
+        assert 1.0 < value < 1.4

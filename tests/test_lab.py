@@ -61,33 +61,33 @@ def test_prop1_bound_validation(alpha0):
 # ---------- two-norm profile ----------
 
 
-def test_two_norm_profile_translation_equality(alpha0):
-    pts = d.two_norm_profile(symbol(1, 3j), alpha0, 2.0, [0.25, 0.5, 1.0, 2.0])
+def test_two_norm_profile_translation_equality():
+    pts = d.two_norm_profile(symbol(1, 3j), 2.0, [0.25, 0.5, 1.0, 2.0])
     for p in pts:
         assert p.value == pytest.approx(2.0**-p.sigma, abs=1e-12)
         assert p.reference == pytest.approx(2.0**-p.sigma)
 
 
-def test_two_norm_profile_dilation(alpha0):
-    (pt,) = d.two_norm_profile(symbol(2, {}), alpha0, 2.0, [1.0])
+def test_two_norm_profile_dilation():
+    (pt,) = d.two_norm_profile(symbol(2, {}), 2.0, [1.0])
     # ||4^{-1-s}||_{H^2} = 1/4 < 1/2
     assert pt.value == pytest.approx(0.25)
 
 
-def test_two_norm_profile_constant_shift(alpha0):
-    (pt,) = d.two_norm_profile(symbol(1, 1.0), alpha0, 2.0, [0.5])
+def test_two_norm_profile_constant_shift():
+    (pt,) = d.two_norm_profile(symbol(1, 1.0), 2.0, [0.5])
     assert pt.value == pytest.approx(2.0**-1.5)
 
 
-def test_two_norm_profile_inequality_gallery(alpha0):
+def test_two_norm_profile_inequality_gallery():
     for sym in GALLERY:
-        for pt in d.two_norm_profile(sym, alpha0, 2.0, [0.25, 0.5, 1.0, 2.0]):
+        for pt in d.two_norm_profile(sym, 2.0, [0.25, 0.5, 1.0, 2.0]):
             assert pt.value <= pt.reference + 1e-9
 
 
-def test_two_norm_profile_requires_linear_part(alpha0):
+def test_two_norm_profile_requires_linear_part():
     with pytest.raises(InvalidInputError):
-        d.two_norm_profile(symbol(0, 1.0), alpha0, 2.0, [1.0])
+        d.two_norm_profile(symbol(0, 1.0), 2.0, [1.0])
 
 
 def _per_sigma_profile(sym, p, sigmas, N):
@@ -132,20 +132,20 @@ _GRID = st.lists(
     p=st.sampled_from([2.0, 3.0, 4.0]),
     N=st.sampled_from([16, 32, 64]),
 )
-def test_two_norm_profile_matches_per_sigma_builds(alpha0, sym, grid, p, N):
-    got = d.two_norm_profile(sym, alpha0, p, grid, N)
+def test_two_norm_profile_matches_per_sigma_builds(sym, grid, p, N):
+    got = d.two_norm_profile(sym, p, grid, N)
     assert [pt.sigma for pt in got] == grid
     for pt, (ref, err) in zip(got, _per_sigma_profile(sym, p, grid, N)):
         assert pt.reference == 2.0**-pt.sigma
         assert abs(pt.value - ref) <= err + 1e-13 * ref
 
 
-def test_two_norm_profile_edge_grids(alpha0):
+def test_two_norm_profile_edge_grids():
     sym = symbol(1, {1: 1.0, 2: 0.3})
-    assert d.two_norm_profile(sym, alpha0, 2.0, [], 32) == []
+    assert d.two_norm_profile(sym, 2.0, [], 32) == []
     for grid in ([0.0], [1.0, 0.0, 0.5], [2.0, -1.0]):
         with pytest.raises(InvalidInputError):
-            d.two_norm_profile(sym, alpha0, 2.0, grid, 32)
+            d.two_norm_profile(sym, 2.0, grid, 32)
         argv = ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.3,0]]"]
         assert main(argv + ["--sigmas", ",".join(map(str, grid)), "--N", "32"]) == 2
 
@@ -160,12 +160,12 @@ def _counted(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
-def test_two_norm_profile_runs_one_exp_pass(monkeypatch, alpha0):
+def test_two_norm_profile_runs_one_exp_pass(monkeypatch):
     calls = {}
     _counted(monkeypatch, lab, "compose_basis", calls)
     _counted(monkeypatch, series, "exp", calls)
     sym = symbol(1, {1: 1.0, 2: 0.2, 3: 0.1})
-    pts = d.two_norm_profile(sym, alpha0, 2.0, [2.0, 0.25, 1.0, 0.5], 256)
+    pts = d.two_norm_profile(sym, 2.0, [2.0, 0.25, 1.0, 0.5], 256)
     assert len(pts) == 4
     assert calls == {"compose_basis": 1, "exp": 1}
 
@@ -256,8 +256,8 @@ def test_classify_report_json(alpha0):
 # ---------- CSV exports ----------
 
 
-def test_profile_csv(alpha0):
-    pts = d.two_norm_profile(symbol(2, {}), alpha0, 2.0, [1.0])
+def test_profile_csv():
+    pts = d.two_norm_profile(symbol(2, {}), 2.0, [1.0])
     text = profile_to_csv(pts)
     assert text.splitlines()[0] == "sigma,two_pow,composed"
     assert "0.25" in text

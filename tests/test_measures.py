@@ -5,8 +5,15 @@ import pytest
 from scipy.integrate import quad
 
 import dirspaces as d
-from dirspaces import AlphaMeasure, DensityMeasure, InvalidInputError, NumericError, QuadratureSpec
-from dirspaces.measures import _gauss_laguerre, measure_from_json
+from dirspaces import (
+    AlphaMeasure,
+    DensityMeasure,
+    InvalidInputError,
+    NumericError,
+    QuadratureSpec,
+    SampledDensityMeasure,
+)
+from dirspaces.measures import _gauss_laguerre, _gauss_legendre, measure_from_json
 
 from conftest import exp3_density
 
@@ -20,8 +27,8 @@ def quad_weight_oracle(alpha, n):
     return val
 
 
-def test_weight_at_one_is_one(alpha0, alpha1, custom_density):
-    for mu in (alpha0, alpha1, custom_density):
+def test_weight_at_one_is_one(alpha0, alpha1, custom_density, sampled_density):
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
         assert mu.weight(1) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -51,8 +58,8 @@ def test_alpha_measure_invalid():
             AlphaMeasure(alpha)
 
 
-def test_integrate_constant_is_one(alpha0, alpha1, custom_density):
-    for mu in (alpha0, alpha1, custom_density):
+def test_integrate_constant_is_one(alpha0, alpha1, custom_density, sampled_density):
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
         assert mu.integrate(lambda s: np.ones_like(s)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -148,8 +155,8 @@ def test_integrate_vector_integrand(alpha0, custom_density):
         alpha0.integrate(lambda s: np.stack([np.ones_like(s), np.where(s > 0.5, np.nan, 1.0)]))
 
 
-def test_adaptive_weights_match_per_n_quad():
-    mu = DensityMeasure(h=exp3_density, spec=QuadratureSpec(scheme="adaptive"))
+def test_density_weights_match_per_n_quad():
+    mu = DensityMeasure(h=exp3_density)
     N = 40
     ref = np.array(
         [
@@ -163,8 +170,8 @@ def test_adaptive_weights_match_per_n_quad():
     assert isinstance(mu.weight(5), float)
 
 
-def test_weight_monotone_decreasing(alpha0, custom_density):
-    for mu in (alpha0, custom_density):
+def test_weight_monotone_decreasing(alpha0, custom_density, sampled_density):
+    for mu in (alpha0, custom_density, sampled_density):
         w = mu.weights(200)
         assert np.all(np.diff(w) < 0)
         assert w[0] == pytest.approx(1.0, abs=1e-10)
@@ -194,28 +201,107 @@ def test_density_must_normalize():
 
 def test_density_positivity_checked():
     bad = lambda s: np.where(np.asarray(s) < 1.0, 0.0, 2.0 * np.exp(-2.0 * (np.asarray(s) - 1.0)))
-    with pytest.raises(InvalidInputError):
-        DensityMeasure(h=bad, spec=QuadratureSpec(scheme="adaptive"))
-    # the interval-support relaxation accepts it
-    mu = DensityMeasure(h=bad, spec=QuadratureSpec(scheme="adaptive"), interval_support=True)
+    with pytest.raises(InvalidInputError, match="positive on"):
+        DensityMeasure(h=bad)
+    # a sampled density may vanish on an interval: here on [0, 1]
+    mu = SampledDensityMeasure(samples=[[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
     assert mu.weight(2) > 0
+    assert mu.density(0.5) == 0.0 and mu.density(2.0) == 1.0 and mu.density(4.0) == 0.0
 
 
-def test_adaptive_scheme_matches_gauss_laguerre(custom_density):
-    adaptive = DensityMeasure(
-        h=exp3_density, spec=QuadratureSpec(scheme="adaptive"), name="3exp(-3s)"
-    )
-    for n in (2, 50):
-        assert adaptive.weight(n) == pytest.approx(custom_density.weight(n), rel=1e-9)
+def _random_samples(seed=3, m=20):
+    rng = np.random.default_rng(seed)
+    sig = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, m - 1))])
+    val = rng.uniform(0.1, 1.0, m)
+    return np.column_stack([sig, val / (np.sum((val[1:] + val[:-1]) * np.diff(sig)) / 2)])
+
+
+def test_sampled_weights_match_adaptive_quad():
+    # an adaptive oracle that knows the breakpoints of the interpolant
+    samples = _random_samples()
+    mu = SampledDensityMeasure(samples=samples)
+    sig, val = samples.T
+    for n in (2, 17, 1000):
+        ref, _ = quad(
+            lambda s: n ** (-2.0 * s) * np.interp(s, sig, val),
+            0.0, sig[-1], points=sig[1:-1], limit=200, epsabs=0.0, epsrel=1e-13,
+        )
+        assert mu.weight(n) == pytest.approx(ref, rel=1e-11)
+
+
+def test_sampled_weights_closed_forms():
+    # the triangle on (0, 2) is the uniform density on (0, 1) convolved with itself
+    ns = np.arange(2, 10_001, dtype=np.float64)
+    c = 2.0 * np.log(ns)
+    cases = [([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], (-np.expm1(-2.0 * np.log(ns)) / c) ** 2)]
+    for b in (0.25, 1.0, 3.0):
+        cases.append(([[0.0, 1.0 / b], [b, 1.0 / b]], -np.expm1(-b * c) / (b * c)))
+    for samples, ref in cases:
+        mu = SampledDensityMeasure(samples=samples)
+        w = mu.weights(10_000)
+        assert w[0] == pytest.approx(1.0, abs=1e-14)
+        assert np.max(np.abs(w[1:] - ref) / ref) < 1e-12
+        # weights() integrates blocks of n: bitwise the per-call route
+        assert np.array_equal(w[[1, 4999, 9999]], mu.weights_by_quadrature([2, 5000, 10_000]))
+
+
+def test_sampled_fine_rule_doubles_every_segment():
+    sig = np.linspace(0.0, 2.0, 401)
+    mu = SampledDensityMeasure(samples=np.column_stack([sig, 1.0 - np.abs(sig - 1.0)]))
+    assert mu.spec.nodes == 128
+    coarse, fine = (np.bincount(np.searchsorted(sig, x) - 1, minlength=400) for x, _ in mu._rules)
+    assert np.all(coarse == 2) and np.array_equal(fine, 2 * coarse)
+    # and where spec.nodes exceeds the segment count, ceil(nodes / K) per segment
+    mu = SampledDensityMeasure(samples=_random_samples(), spec=QuadratureSpec(nodes=128))
+    (x1, _), (x2, _) = mu._rules
+    assert (x1.size, x2.size) == (19 * 7, 19 * 14)
+
+
+def test_gauss_legendre_rules_are_cached_and_read_only():
+    t, w = _gauss_legendre(16)
+    assert _gauss_legendre(16)[0] is t
+    assert np.all((0 < t) & (t < 1)) and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+    for arr in (t, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([[0.0, 1.0]], ">= 2 rows"),
+        ([[0.0, math.nan], [1.0, 2.0]], "finite"),
+        ([[0.0, 1.0], [math.inf, 1.0]], "finite"),
+        ([[-1.0, 0.5], [1.0, 0.5]], "sigma_0 >= 0"),
+        ([[1.0, 0.0], [0.0, 2.0]], "strictly increasing"),
+        ([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]], "strictly increasing"),
+        ([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0]], "strictly increasing"),
+        ([[0.0, 3.0], [1.0, -1.0]], "samples must be nonnegative"),
+        ([[0.0, 0.0], [1.0, 0.0]], "vanishes at every sample"),
+        ([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]], "integrates to 2.0"),
+    ],
+)
+def test_sampled_density_validation(samples, message):
+    with pytest.raises(InvalidInputError, match=message):
+        SampledDensityMeasure(samples=samples)
+
+
+def test_callable_sigma_max_from_the_fine_rule():
+    # the mass past hi is e^{-rate hi}: below 1e-12 first at hi = 16, 16, 8
+    for rate, hi in ((2.5, 16.0), (3.0, 16.0), (4.0, 8.0)):
+        mu = DensityMeasure(h=lambda s, r=rate: r * np.exp(-r * np.asarray(s)))
+        assert mu._find_sigma_max() == hi
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(InvalidInputError):
         QuadratureSpec(nodes=1)
-    with pytest.raises(InvalidInputError):
-        QuadratureSpec(tol=0.0)
-    with pytest.raises(InvalidInputError):
-        QuadratureSpec(scheme="simpson")
+    for tol in (0.0, math.nan, math.inf):
+        # a NaN tolerance would pass every doubling check
+        with pytest.raises(InvalidInputError):
+            QuadratureSpec(tol=tol)
+    with pytest.raises(TypeError):
+        QuadratureSpec(scheme="adaptive")
 
 
 def test_measure_from_json_alpha():
@@ -230,6 +316,7 @@ def test_measure_from_json_density():
     samples = [[float(s), float(1.0 - abs(s - 1.0))] for s in sig]
     mu = measure_from_json({"type": "density", "samples": samples, "quadrature": {"tol": 1e-6}})
     oracle, _ = quad(lambda s: 2.0 ** (-2.0 * s) * (1.0 - abs(s - 1.0)), 0, 2, points=[1.0])
+    assert isinstance(mu, SampledDensityMeasure) and mu.spec.tol == 1e-6
     assert mu.weight(2) == pytest.approx(oracle, rel=1e-6)
 
 
@@ -240,3 +327,6 @@ def test_measure_from_json_invalid():
         measure_from_json({})
     with pytest.raises(InvalidInputError):
         measure_from_json({"type": "alpha", "alpha": math.inf})
+    samples = [[0, 2], [1, 0]]
+    with pytest.raises(InvalidInputError, match="at most 1024"):
+        measure_from_json({"type": "density", "samples": samples, "quadrature": {"nodes": 4096}})

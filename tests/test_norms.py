@@ -101,9 +101,9 @@ def test_norm_ap_monomial(alpha0):
     assert d.norm_ap(d.from_terms({1: 1.0}, 4), 4.0, alpha0) == pytest.approx(1.0)
 
 
-def test_norm_ap_equals_norm_a2(alpha0, alpha1, custom_density):
+def test_norm_ap_equals_norm_a2(alpha0, alpha1, custom_density, sampled_density):
     rng = np.random.default_rng(5)
-    for mu in (alpha0, alpha1, custom_density):
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
         for _ in range(5):
             f = random_polynomial(rng, 32)
             a2 = d.norm_a2(f, mu)

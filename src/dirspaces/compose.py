@@ -2,10 +2,11 @@
 on the weighted orthonormal basis e_n = n^{-s}/sqrt(w_h(n)) of A^2, and the
 Gram-based isometry and contraction diagnostics.
 
-Truncation is honest: a column only carries coefficients up to N, so Gram
-diagonals are lower-biased; basis indices whose image starts beyond N are
-omitted entirely rather than zero-padded (a zero column would fake
-non-isometry).
+The finite section is held as its nonzero entries, from which the spectrum
+is taken block by block.  Truncation is honest: a column only carries
+coefficients up to N, so Gram diagonals are lower-biased; basis indices
+whose image starts beyond N are omitted entirely rather than zero-padded (a
+zero column would fake non-isometry).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,13 +96,26 @@ def apply(sym: Symbol, f: DirichletSeries, N: int) -> DirichletSeries:
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Finite section of C_Phi: column n holds the weighted coefficients of
-    C_Phi(e_n), i.e. M[m, n] = g_m sqrt(w_h(m)/w_h(n)) with g = n^{-Phi}."""
+    C_Phi(e_n), i.e. M[m, n] = g_m sqrt(w_h(m)/w_h(n)) with g = n^{-Phi}.
 
-    entries: np.ndarray  # shape (N, n_cols)
+    Held as its nonzero entries M[rows[j], ns[cols[j]]] = values[j] (rows
+    from 1, column positions from 0, column by column, rows ascending).  The
+    dense (N, n_cols) `entries` is scattered from them on first read.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     ns: tuple[int, ...]  # basis indices of the columns
     N: int
     measure: str
     symbol: dict
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        out = np.zeros((self.N, len(self.ns)), dtype=np.complex128, order="F")
+        out[self.rows - 1, self.cols] = self.values
+        return out
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)
@@ -177,10 +192,9 @@ def operator_matrix(
     sqw = np.sqrt(w)
     ns = _section_columns(sym, N)
     rows, cols, values = compose_basis(sym, ns, N)
-    entries = np.zeros((N, len(ns)), dtype=np.complex128, order="F")
-    entries[rows - 1, cols] = values * sqw[rows - 1] / sqw[cols]  # column j is n = j + 1
+    values = values * sqw[rows - 1] / sqw[cols]  # column j is n = j + 1
     return OperatorMatrix(
-        entries=entries, ns=ns, N=N, measure=measure_tag(mu), symbol=sym.to_json()
+        rows, cols, values, ns=ns, N=N, measure=measure_tag(mu), symbol=sym.to_json()
     )
 
 
@@ -229,55 +243,46 @@ def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
 def _section_spectra(
     m: OperatorMatrix, sym: Symbol, sizes: list[tuple[int, int]]
 ) -> list[np.ndarray]:
-    """Every singular value of each leading block m.entries[:rows, :cols],
-    for (rows, cols) in `sizes`, from one grouping of the section.
+    """Every singular value of each leading section, the rows up to R of the
+    first C columns, for (R, C) in `sizes`, from one grouping of the entries.
 
     n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
     times the semigroup generated by supp(psi), so column n only meets rows
     m with r(m) = r(n)^{c0} (r from _coprime_part) and the section is block
-    diagonal under that grouping.  Rows and columns run ascending within a
-    block, so a block of a leading section is the leading sub-block of a
-    block of the whole one.  Rows that meet no column are zero and are
-    dropped; a block with more columns than rows adds one zero singular
-    value per missing row, as the SVD of the whole section would.  A block
-    with one row or one column has one singular value, the norm of that
-    vector, and one vectorized norm takes all of them; the blocks of each
-    other shape, from every size, share one batched SVD.
+    diagonal under that grouping.  Each block is taken dense over the rows
+    and columns its entries occupy.  A block with one row or one column has
+    one singular value, the norm of that vector, and one vectorized norm
+    takes all of them; the blocks of each other shape, from every size,
+    share one batched SVD.  G = M* M has one eigenvalue per column, so each
+    size's values are padded with zeros up to C: that one rule covers empty
+    columns and blocks with more columns than rows.
     """
-    r = _coprime_part(sym, m.N)
-    col_key = r[np.asarray(m.ns) - 1] ** sym.c0  # <= N, as r(n) <= n
-    is_key = np.zeros(m.N + 1, dtype=bool)
-    is_key[col_key] = True
-    block_of = np.cumsum(is_key) - 1  # the block of each key that a column has
-    n_blocks = int(block_of[-1]) + 1
-    col_block = block_of[col_key]
-    live = np.flatnonzero(is_key[r])  # the other rows meet no column and are zero
-    row_block = block_of[r[live]]
-    col_order, col_start = _grouped(np.arange(len(m.ns)), col_block, n_blocks)
-    row_order, row_start = _grouped(live, row_block, n_blocks)
-    # (size, block, rows, columns) for each block with a column in each size
-    parts = []
-    for i, (rows, cols) in enumerate(sizes):
-        n_rows = np.bincount(row_block[: np.searchsorted(live, rows)], minlength=n_blocks)
-        n_cols = np.bincount(col_block[:cols], minlength=n_blocks)
-        b = np.flatnonzero(n_cols)  # a block with no column here holds only zero rows
-        parts.append(np.stack([np.full(b.size, i), b, n_rows[b], n_cols[b]]))
-    size_of, block, n_rows, n_cols = np.concatenate(parts, axis=1)
-    rank = np.minimum(n_rows, n_cols)  # >= 1: column n meets row n^{c0}
-    order = np.lexsort((n_cols, n_rows, rank > 1))  # the vectors, then the rest by shape
-    size_of, block, n_rows, n_cols, rank = (
-        a[order] for a in (size_of, block, n_rows, n_cols, rank)
-    )
+    span = m.N + 1  # above every row index and column position
+    key = _coprime_part(sym, m.N)[np.asarray(m.ns) - 1] ** sym.c0  # <= N, as r(n) <= n
+    picks = [np.flatnonzero((m.rows <= R) & (m.cols < C)) for R, C in sizes]
+    size_of = np.repeat(np.arange(len(sizes)), [p.size for p in picks])
+    pick = np.concatenate(picks)
+    rows, cols, values = m.rows[pick], m.cols[pick], m.values[pick]
+    # one block per (size, key); each entry's rank among its block's rows and columns
+    tags, block = np.unique(size_of * span + key[cols], return_inverse=True)
+    at, shape = [], []
+    for x in (rows, cols):
+        pairs, inv = np.unique(block * span + x, return_inverse=True)
+        count = np.bincount(pairs // span, minlength=tags.size)
+        at.append(inv - (np.cumsum(count) - count)[block])
+        shape.append(count)
+    rank = np.minimum(*shape)  # >= 1
+    order = np.lexsort((shape[1], shape[0], rank > 1))  # the vectors, then the rest by shape
+    n_rows, n_cols, rank = shape[0][order], shape[1][order], rank[order]
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    e = np.argsort(slot[block], kind="stable")  # block by block, each in its own order
+    block, row_at, col_at, v = slot[block[e]], at[0][e], at[1][e], values[e]
+    bounds = np.searchsorted(block, np.arange(order.size + 1))  # each block's run of entries
     hi = int(np.count_nonzero(rank == 1))
     s = np.empty(int(rank.sum()))  # the singular values of each block in turn
-    if hi:  # the entries of the vector blocks, one run per block
-        n = np.maximum(n_rows, n_cols)[:hi]
-        first = np.cumsum(n) - n
-        step = np.arange(first[-1] + n[-1]) - np.repeat(first, n)
-        at_row = np.repeat(row_start[block[:hi]], n) + step * np.repeat(n_rows[:hi] > 1, n)
-        at_col = np.repeat(col_start[block[:hi]], n) + step * np.repeat(n_cols[:hi] > 1, n)
-        v = m.entries[row_order[at_row], col_order[at_col]]
-        s[:hi] = np.hypot.reduceat(np.abs(v), first)
+    if hi:
+        s[:hi] = np.hypot.reduceat(np.abs(v[: bounds[hi]]), bounds[:hi])
         if np.isnan(s[:hi]).any():  # where an SVD would not converge
             raise NumericError("section spectrum: the section is not finite")
     start = np.cumsum(rank) - rank
@@ -285,26 +290,19 @@ def _section_spectra(
     for j0, j1 in zip([hi, *cuts.tolist()], [*cuts.tolist(), rank.size]):
         if j0 == j1:
             continue
-        b = block[j0:j1]
-        R = row_order[row_start[b, None] + np.arange(n_rows[j0])]
-        C = col_order[col_start[b, None] + np.arange(n_cols[j0])]
+        run = slice(bounds[j0], bounds[j1])
+        stack = np.zeros((j1 - j0, n_rows[j0], n_cols[j0]), dtype=np.complex128)
+        stack[block[run] - j0, row_at[run], col_at[run]] = v[run]
         try:
-            sv = np.linalg.svd(m.entries[R[:, :, None], C[:, None, :]], compute_uv=False)
-        except np.linalg.LinAlgError as e:  # as on a section that overflowed
-            raise NumericError(f"section spectrum: {e}") from None
+            sv = np.linalg.svd(stack, compute_uv=False)
+        except np.linalg.LinAlgError as err:  # as on a section that overflowed
+            raise NumericError(f"section spectrum: {err}") from None
         s[start[j0] : start[j0] + sv.size] = sv.ravel()
-    zeros = np.bincount(size_of, weights=n_cols - rank, minlength=len(sizes))
-    keep = np.repeat(size_of, rank)
-    return [np.concatenate([s[keep == i], np.zeros(int(z))]) for i, z in enumerate(zeros)]
-
-
-def _grouped(
-    positions: np.ndarray, labels: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`positions` sorted by label, with the offset of each label's run."""
-    order = positions[np.argsort(labels, kind="stable")]
-    sizes = np.bincount(labels, minlength=count)
-    return order, np.cumsum(sizes) - sizes
+    keep = np.repeat(tags[order] // span, rank)  # the size of each singular value
+    return [
+        np.concatenate([s[keep == i], np.zeros(C - np.count_nonzero(keep == i))])
+        for i, (_, C) in enumerate(sizes)
+    ]
 
 
 def isometry_defect(

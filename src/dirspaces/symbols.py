@@ -9,6 +9,7 @@ Unknown otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,10 +68,6 @@ class Symbol:
     def c1(self) -> complex:
         return self.phi.coeff(1)
 
-    def tail_coeffs(self) -> np.ndarray:
-        """|c_k| for k >= 2 (the non-constant part of phi)."""
-        return np.abs(self.phi.coeffs[1:])
-
     def to_json(self) -> dict:
         return {"c0": int(self.c0), "phi": to_json(self.phi)}
 
@@ -93,29 +90,68 @@ def symbol_from_json(obj: dict) -> Symbol:
     return Symbol(c0=c0, phi=from_json(phi))
 
 
-def is_vertical_translation(sym: Symbol, tol: float = 0.0) -> float | None:
+def is_vertical_translation(sym: Symbol) -> float | None:
     """tau if Phi(s) = s + i tau (c0 = 1, phi a purely imaginary constant), else None."""
-    if sym.c0 != 1:
+    if sym.c0 != 1 or np.any(sym.phi.coeffs[1:]) or sym.c1.real != 0.0:
         return None
-    if np.any(np.abs(sym.phi.coeffs[1:]) > tol):
-        return None
-    c1 = sym.c1
-    if abs(c1.real) > tol:
-        return None
-    return float(c1.imag)
+    return float(sym.c1.imag)
 
 
 def halfplane_lower_bound(sym: Symbol, eps: float = 0.0) -> float:
     """Certified lower bound of Re Phi on the half-plane Re s > eps.
 
     Sound because |sum over k>=2 of c_k k^{-s}| <= sum |c_k| k^{-eps} there:
-    Re Phi >= c0 eps + Re c1 - sum |c_k| k^{-eps}.
+    Re Phi >= c0 eps + Re c1 - sum |c_k| k^{-eps}.  Every rounding goes
+    against the claim (see _domination_bound), and the result is rounded
+    down, so a tail that exactly dominates Re c1 gives exactly 0.
     """
-    if eps < 0:
-        raise InvalidInputError("eps must be >= 0")
-    ks = np.arange(2, sym.phi.truncation + 1, dtype=np.float64)
-    tail = float(np.sum(sym.tail_coeffs() * ks**-eps))
-    return sym.c0 * eps + sym.c1.real - tail
+    bound = _domination_bound(sym, eps)
+    try:
+        low = bound / 2**_FIXED  # correctly rounded
+    except OverflowError:
+        return -math.inf if bound < 0 else sys.float_info.max
+    return math.nextafter(low, -math.inf) if _fixed(low) > bound else low
+
+
+_FIXED = 2148  # every product of two floats is a whole multiple of 2^-2148
+
+
+def _fixed(x: float, y: float = 1.0) -> int:
+    """x y 2^2148 for finite floats x and y, an exact integer."""
+    (a, p), (b, q) = x.as_integer_ratio(), y.as_integer_ratio()
+    return a * b << (_FIXED + 2 - p.bit_length() - q.bit_length())
+
+
+def _domination_bound(sym: Symbol, eps: float) -> int:
+    """A lower bound of c0 eps + Re c1 - sum |c_k| k^{-eps}, times 2^2148.
+
+    Each |c_k| is rounded up to a float, so it is exact where it is one;
+    k^{-eps} is rounded one ulp up; the rest is exact.
+    """
+    if not 0 <= eps < math.inf:
+        raise InvalidInputError("eps must be finite and >= 0")
+    bound = int(sym.c0) * _fixed(float(eps)) + _fixed(sym.c1.real)
+    for k in np.flatnonzero(sym.phi.coeffs[1:]) + 2:
+        c = complex(sym.phi.coeffs[k - 1])
+        decay = math.nextafter(float(k) ** -eps, math.inf) if eps else 1.0
+        modulus = _modulus_up(c)
+        if modulus < math.inf:
+            bound -= _fixed(modulus, decay)
+        else:  # |c| is past the floats; |Re c| + |Im c| bounds it
+            bound -= _fixed(abs(c.real), decay) + _fixed(abs(c.imag), decay)
+    return bound
+
+
+def _modulus_up(c: complex) -> float:
+    """The smallest float >= |c|: inf past the largest float."""
+    square = _fixed(c.real, c.real) + _fixed(c.imag, c.imag)
+    up = math.hypot(c.real, c.imag)  # within an ulp of |c|
+    while up < math.inf and _fixed(up, up) < square:
+        up = math.nextafter(up, math.inf)
+    down = math.nextafter(up, 0.0)
+    while up > 0.0 and _fixed(down, down) >= square:
+        up, down = down, math.nextafter(down, 0.0)
+    return up
 
 
 def _refutation_grid(sym: Symbol) -> tuple[np.ndarray, np.ndarray]:
@@ -154,19 +190,17 @@ def check_theorem1(sym: Symbol) -> Certificate:
     """Certificate for phi(C_+) inside C_+ (boundedness with c0 >= 1).
 
     CertifiedYes when phi is a purely imaginary constant or when
-    Re c1 >= sum |c_k| (coefficient domination); CertifiedNo with a grid
+    Re c1 >= sum |c_k| (coefficient domination, decided by
+    halfplane_lower_bound at eps = 0); CertifiedNo with a grid
     witness where Re phi < -1e-12; Unknown otherwise.
     """
     if sym.c0 < 1:
         raise InvalidInputError("theorem-1 check applies to c0 >= 1")
-    tail = float(np.sum(sym.tail_coeffs()))
-    c1 = sym.c1
-    if tail == 0.0 and c1.real == 0.0:
+    if not np.any(sym.phi.coeffs[1:]) and sym.c1.real == 0.0:
         return Certificate(Verdict.CERTIFIED_YES, margin=0.0, method="imaginary-constant")
-    if c1.real >= tail:
-        return Certificate(
-            Verdict.CERTIFIED_YES, margin=c1.real - tail, method="coefficient-domination"
-        )
+    low = halfplane_lower_bound(sym)
+    if low >= 0.0:
+        return Certificate(Verdict.CERTIFIED_YES, margin=low, method="coefficient-domination")
     sigmas, ts = _refutation_grid(sym)
     low, witness = _min_re_phi(sym, sigmas, ts)
     if low < -1e-12:
@@ -179,17 +213,19 @@ def check_theorem1(sym: Symbol) -> Certificate:
 def check_theorem2(sym: Symbol, eta: float) -> Certificate:
     """Certificate for Phi(C_+) inside C_{1/2+eta} when c0 = 0.
 
-    CertifiedYes when Re c1 - sum |c_k| >= 1/2 + eta; CertifiedNo with a
+    CertifiedYes when Re c1 - sum |c_k| >= 1/2 + eta, decided exactly on
+    the bound of halfplane_lower_bound at eps = 0; CertifiedNo with a
     witness violating the necessary condition Re Phi > 1/2; Unknown otherwise.
     """
     if sym.c0 != 0:
         raise InvalidInputError("theorem-2 check applies to c0 = 0")
     if not 0 < eta < math.inf:
         raise InvalidInputError("eta must be positive and finite")
-    tail = float(np.sum(sym.tail_coeffs()))
-    slack = sym.c1.real - tail - (0.5 + eta)
+    slack = _domination_bound(sym, 0.0) - _fixed(0.5) - _fixed(eta)  # exact
     if slack >= 0:
-        return Certificate(Verdict.CERTIFIED_YES, margin=slack, method="coefficient-domination")
+        return Certificate(
+            Verdict.CERTIFIED_YES, margin=slack / 2**_FIXED, method="coefficient-domination"
+        )
     sigmas, ts = _refutation_grid(sym)
     low, witness = _min_re_phi(sym, sigmas, ts)
     if low <= 0.5 - 1e-12:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,21 @@ def test_matrix_requires_admissible(alpha0):
     assert m.entries.shape[0] == 8
 
 
+def test_entries_are_the_scatter_of_the_triplets(alpha1):
+    # The dense section is built on demand; it is, bit for bit, the weighted
+    # compose_basis triplets scattered into an (N, n_cols) array.
+    rng = np.random.default_rng(4)
+    sqw = np.sqrt(alpha1.weights(200))
+    for c0 in (0, 1, 2, 3):
+        for _ in range(3):
+            sym, N = random_symbol(rng, c0), int(rng.integers(2, 200))
+            m = d.operator_matrix(sym, alpha1, N, require_admissible=False)
+            rows, cols, values = d.compose_basis(sym, m.ns, N)
+            dense = np.zeros((N, len(m.ns)), dtype=np.complex128)
+            dense[rows - 1, cols] = values * sqw[rows - 1] / sqw[cols]
+            assert m.entries.tobytes() == dense.tobytes()
+
+
 def test_admissibility_certificate_routes():
     assert admissibility_certificate(symbol(1, 2j)).verdict is d.Verdict.CERTIFIED_YES
     assert admissibility_certificate(symbol(0, 1.0)).verdict is d.Verdict.CERTIFIED_YES
@@ -392,6 +408,33 @@ def test_spectrum_takes_small_blocks(monkeypatch, alpha0):
     assert shapes and max(shape[-1] for shape in shapes) <= 6
 
 
+def test_empty_columns_are_zero_singular_values(alpha0):
+    # n^{-800} underflows for n >= 3, so 62 of the 64 columns have no entry;
+    # each still adds its zero singular value, as in the dense SVD.
+    sym = symbol(1, {1: 800.0, 2: 0.1})
+    m = d.operator_matrix(sym, alpha0, 64)
+    assert np.count_nonzero(np.abs(m.entries).sum(axis=0)) == 2
+    s = np.linalg.svd(m.entries, compute_uv=False)
+    s_half = np.linalg.svd(m.entries[:32, :32], compute_uv=False)
+    rep = d.isometry_defect(sym, alpha0, 64)
+    assert rep.value == np.max(np.abs(s * s - 1.0)) == 1.0
+    assert rep.value_half == np.max(np.abs(s_half * s_half - 1.0)) == 1.0
+    assert _close(rep.s_max, s[0])
+
+
+def test_large_section_spectrum_stays_small(alpha1):
+    # The dense N = 16384 section would take 4.1 GB for its 49 035 nonzeros.
+    sym = symbol(1, {1: 1.0, 2: 0.2, 3: 0.1})
+    tracemalloc.start()
+    try:
+        rep = d.isometry_defect(sym, alpha1, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    assert 0.99 < rep.value < 1.0 and rep.value_half < rep.value
+
+
 def test_classify_builds_one_section(monkeypatch, alpha0):
     sizes = []
     build = compose.operator_matrix
@@ -433,11 +476,23 @@ def test_singular_value_oracle(alpha0):
 # ---------- export ----------
 
 
-def test_matrix_json_and_csv(alpha0):
+def test_matrix_json_and_csv(alpha0, alpha1):
     m = d.operator_matrix(symbol(2, {}), alpha0, 4)
     obj = m.to_json()
     assert obj["N"] == 4 and obj["columns"] == [1, 2]
-    assert len(obj["entries"]) == 4 and len(obj["entries"][0]) == 2
-    csv_text = m.to_csv()
-    assert csv_text.splitlines()[0] == "m,n=1,n=2"
-    assert len(csv_text.splitlines()) == 5
+    w = 0.8423359734085933  # sqrt(w(4) / w(2))
+    zero = [0.0, 0.0]
+    assert obj["entries"] == [[[1.0, 0.0], zero], [zero, zero], [zero, zero], [zero, [w, 0.0]]]
+    assert m.to_csv() == "m,n=1,n=2\r\n1,1,0\r\n2,0,0\r\n3,0,0\r\n4,0,0.842335973409\r\n"
+    m = d.operator_matrix(symbol(1, {1: 1.0, 2: 0.5}), alpha1, 6)
+    assert m.to_csv().splitlines() == [
+        "m,n=1,n=2,n=3,n=4,n=5,n=6",
+        "1,1,0,0,0,0,0",
+        "2,0,0.5,0,0,0,0",
+        "3,0,0,0.333333333333,0,0,0",
+        "4,0,0.122952161058,0,0.25,0,0",
+        "5,0,0,0,0,0.2,0",
+        "6,0,0,0.137640872175,0,0,0.166666666667",
+    ]
+    assert m.to_json()["entries"][3][1] == [-0.12295216105771782, 0.0]
+    assert m.to_json()["entries"][5][2] == [-0.13764087217479132, 0.0]

@@ -62,7 +62,7 @@ def test_no_unused_imports(path):
 
 def test_folded_helpers_stay_gone():
     gone = {
-        "compose.py": {"_defect_at"},
+        "compose.py": {"_defect_at", "_grouped"},
         "measures.py": {"integrate", "weight"},
         "norms.py": {
             "_worker_count", "_qmc_replicate", "_weight_real", "_scrambled_sobol", "_sobol_directions"
@@ -79,6 +79,23 @@ def test_folded_helpers_stay_gone():
         assert "_rule" not in class_methods(measures, cls), cls
 
 
+def test_spectrum_path_never_reads_the_dense_section():
+    # The spectrum is taken from the section's triplets; the dense N x k
+    # array is built only for the callers that read `.entries`.
+    spectrum = {"_section_spectra", "isometry_defect", "contraction_lower_bound"}
+    seen = set()
+    for node in _tree(PACKAGE / "compose.py").body:
+        if isinstance(node, ast.FunctionDef) and node.name in spectrum:
+            seen.add(node.name)
+            reads = [
+                n.lineno
+                for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "entries"
+            ]
+            assert reads == [], node.name
+    assert seen == spectrum
+
+
 def test_dead_knobs_stay_gone():
     import dataclasses
 
@@ -86,10 +103,12 @@ def test_dead_knobs_stay_gone():
     from dirspaces.measures import DensityMeasure, QuadratureSpec
     from dirspaces.norms import norm_hp, qmc_norm_hp
     from dirspaces.primes import factorize
-    from dirspaces.symbols import check_theorem1, check_theorem2
+    from dirspaces.symbols import check_theorem1, check_theorem2, is_vertical_translation
 
-    dead = {"method", "points", "replicates", "max_rel_spread", "spf", "t_max", "t_steps"}
-    for fn in (norm_hp, qmc_norm_hp, factorize, check_theorem1, check_theorem2):
+    dead = {"method", "points", "replicates", "max_rel_spread", "spf", "t_max", "t_steps", "tol"}
+    for fn in (
+        norm_hp, qmc_norm_hp, factorize, check_theorem1, check_theorem2, is_vertical_translation
+    ):
         assert not dead & set(inspect.signature(fn).parameters), fn.__name__
     assert "mu" not in inspect.signature(two_norm_profile).parameters
     for cls, name in ((QuadratureSpec, "scheme"), (DensityMeasure, "interval_support")):

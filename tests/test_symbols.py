@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,6 +73,57 @@ def test_halfplane_lower_bound_monotone_in_eps():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_halfplane_lower_bound_is_sound_and_tight():
+    # Against c0 eps + Re c1 - sum |c_k| k^{-eps} in 50 digits: never above
+    # it, and below it by rounding only.
+    rng = np.random.default_rng(5)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            c0, eps = int(rng.integers(0, 4)), float(rng.choice([0.0, 0.1, 0.5, 1.3]))
+            terms = {1: complex(*rng.uniform(-2.0, 2.0, 2))}
+            for k in rng.choice(np.arange(2, 13), size=rng.integers(1, 5), replace=False):
+                terms[int(k)] = complex(*rng.uniform(-1.0, 1.0, 2))
+            exact = c0 * mpmath.mpf(eps) + terms[1].real - mpmath.fsum(
+                abs(mpmath.mpc(c)) * mpmath.mpf(k) ** -mpmath.mpf(eps)
+                for k, c in terms.items()
+                if k > 1
+            )
+            low = d.halfplane_lower_bound(symbol(c0, terms), eps)
+            assert low <= exact
+            assert exact - low <= 1e-15 * (c0 * eps + sum(map(abs, terms.values())))
+
+
+def test_domination_short_by_half_an_ulp_is_not_certified():
+    # Re c1 - |c_2| - |c_3| = -2^-55 exactly, which a float sum rounds to 0.
+    terms = {1: 0.7999999999999999, 2: 0.1, 3: 0.7}
+    assert Fraction(terms[1]) - Fraction(terms[2]) - Fraction(terms[3]) == Fraction(-1, 2**55)
+    sym = symbol(1, terms)
+    assert d.halfplane_lower_bound(sym) < 0.0
+    assert d.check_theorem1(sym).verdict is not Verdict.CERTIFIED_YES
+
+
+@pytest.mark.parametrize(
+    "terms", [{1: 0.5, 2: 0.5}, {1: 0.75, 2: 0.5, 3: -0.25j}, {1: 1.25, 2: 0.75 + 1j}]
+)
+def test_exact_domination_stays_certified(terms):
+    # Re c1 = sum |c_k| exactly (|0.75 + i| = 1.25 is a float), so Re phi > 0
+    # on the open half-plane and the margin is exactly 0.
+    cert = d.check_theorem1(symbol(1, terms))
+    assert (cert.verdict, cert.margin) == (Verdict.CERTIFIED_YES, 0.0)
+
+
+def test_gallery_certificates():
+    certs = [d.check_theorem1(sym) for sym in GALLERY]
+    assert [(c.verdict, c.method, c.margin) for c in certs] == [
+        (Verdict.CERTIFIED_YES, "imaginary-constant", 0.0),
+        (Verdict.CERTIFIED_YES, "coefficient-domination", 1.0),
+        (Verdict.CERTIFIED_YES, "coefficient-domination", 0.5),
+        (Verdict.CERTIFIED_YES, "imaginary-constant", 0.0),
+        (Verdict.CERTIFIED_YES, "coefficient-domination", 0.25),
+        (Verdict.CERTIFIED_YES, "coefficient-domination", 1.0),
+    ]
+
+
 # ---------- theorem 1 ----------
 
 
@@ -126,8 +179,11 @@ def test_check_theorem2_constant_no():
 
 
 def test_check_theorem2_with_tail():
+    # 1 - 0.3 = 0.5 + 0.2 exactly in floats, though neither side is a float
     cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.3}), eta=0.2)
-    assert cert.verdict is Verdict.CERTIFIED_YES
+    assert (cert.verdict, cert.margin) == (Verdict.CERTIFIED_YES, 0.0)
+    cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.30000000000000004}), eta=0.2)
+    assert cert.verdict is not Verdict.CERTIFIED_YES
     with pytest.raises(InvalidInputError):
         d.check_theorem2(symbol(1, 1.0), eta=0.1)
     for eta in (0.0, math.nan, math.inf):

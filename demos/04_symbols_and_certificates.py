@@ -23,7 +23,7 @@ for label, sym in examples:
     if sym.c0 >= 1:
         cert = d.check_theorem1(sym)
     else:
-        cert = d.check_theorem2(sym, eta=1e-6)
+        cert = d.check_theorem2(sym)
     line = f"{label:38s} -> {cert.verdict.value:12s} (method {cert.method})"
     if tau is not None:
         line += f"  [translation tau = {tau:g}]"

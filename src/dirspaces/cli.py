@@ -3,8 +3,8 @@
 Every subcommand reads flags (or inline JSON), dispatches to one library
 operation, and prints a JSON report (CSV with --csv where a profile is
 tabular).  Exit codes: 0 success, 2 validation error, 3 numeric error.
-Output is deterministic for a fixed seed: keys are sorted and floats use
-their shortest round-trip representation.
+Output is deterministic: the same flags print the same bytes, with keys
+sorted and floats in their shortest round-trip representation.
 """
 
 from __future__ import annotations
@@ -17,18 +17,11 @@ import sys
 import numpy as np
 
 from . import lab, norms, series
+from .compose import admissibility_certificate, compose_basis
 from .compose import apply as apply_symbol
-from .compose import compose_basis
 from .errors import InvalidInputError, NumericError
 from .measures import AlphaMeasure, Measure, measure_from_json, measure_tag
-from .symbols import (
-    Symbol,
-    check_theorem1,
-    check_theorem2,
-    is_vertical_translation,
-    lemma1_region,
-    symbol_from_json,
-)
+from .symbols import Symbol, is_vertical_translation, lemma1_region, symbol_from_json
 
 
 def _strict_json(obj) -> str:
@@ -113,11 +106,11 @@ def cmd_norm(args) -> None:
         if norms._even_q(args.p) is not None:
             _emit({"space": f"H^{args.p:g}", "value": norms.norm_hp(f, args.p)})
         else:
-            value, stderr = norms.qmc_norm_hp(f, args.p, seed=args.seed)
+            value, stderr = norms.qmc_norm_hp(f, args.p)
             _emit({"space": f"H^{args.p:g}", "value": value, "stderr": stderr})
         return
     mu = _parse_measure(args)
-    value = norms.norm_ap(f, args.p, mu, seed=args.seed)
+    value = norms.norm_ap(f, args.p, mu)
     out = {"space": f"A^{args.p:g}", "measure": measure_tag(mu), "value": value}
     if args.p == 2.0:
         out["coefficient_route"] = norms.norm_a2(f, mu)
@@ -157,20 +150,17 @@ def cmd_compose(args) -> None:
 
 def cmd_check_symbol(args) -> None:
     sym = _parse_symbol(args)
-    tau = is_vertical_translation(sym)
-    out = {"symbol": sym.to_json(), "vertical_translation": tau}
+    out = {"symbol": sym.to_json(), "vertical_translation": is_vertical_translation(sym)}
+    out["theorem1" if sym.c0 >= 1 else "theorem2"] = admissibility_certificate(sym).to_json()
     if sym.c0 >= 1:
-        out["theorem1"] = check_theorem1(sym).to_json()
         out["lemma1"] = lemma1_region(sym).to_json()
-    else:
-        out["theorem2"] = check_theorem2(sym, args.eta).to_json()
     _emit(out)
 
 
 def cmd_classify(args) -> None:
     sym = _parse_symbol(args)
     mu = _parse_measure(args)
-    report = lab.classify(sym, mu, args.N, p=args.p, seed=args.seed)
+    report = lab.classify(sym, mu, args.N, p=args.p)
     _emit(report.to_json())
 
 
@@ -185,7 +175,7 @@ def cmd_lemma2(args) -> None:
 
 def cmd_profile(args) -> None:
     sym = _parse_symbol(args)
-    points = lab.two_norm_profile(sym, args.p, _sigma_list(args.sigmas), args.N, seed=args.seed)
+    points = lab.two_norm_profile(sym, args.p, _sigma_list(args.sigmas), args.N)
     if args.csv:
         _emit_csv(lab.profile_to_csv(points), points)
     else:
@@ -212,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("h", "a"), default="a")
     p.add_argument("--p", type=_finite_float, default=2.0)
     p.add_argument("--N", type=_positive_int)
-    p.add_argument("--seed", type=int, default=0)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_norm)
 
@@ -241,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-symbol", help="admissibility certificates for a symbol")
     _add_symbol_flags(p)
-    p.add_argument("--eta", type=_finite_float, default=1e-6, help="margin for the c0=0 check")
     p.set_defaults(func=cmd_check_symbol)
 
     p = sub.add_parser("classify", help="full isometry/invertibility diagnostic report")
@@ -249,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_flags(p)
     p.add_argument("--N", type=_positive_int, default=32)
     p.add_argument("--p", type=_finite_float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("lemma2", help="point-evaluation bound profile S(sigma)")
@@ -264,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigmas", default="0.25,0.5,1,2")
     p.add_argument("--p", type=_finite_float, default=2.0)
     p.add_argument("--N", type=_positive_int, default=128)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_profile)
 

@@ -26,8 +26,6 @@ from .series import DirichletSeries
 from . import series as ds
 from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2
 
-THEOREM2_ETA = 1e-6  # default margin when certifying c0 = 0 symbols
-
 
 def compose_basis(sym: Symbol, n, N: int):
     """Exact coefficients up to N of n^{-Phi(s)}, for one index or a batch.
@@ -145,7 +143,7 @@ def admissibility_certificate(sym: Symbol) -> Certificate:
     """Boundedness certificate: theorem-1 route for c0 >= 1, theorem-2 for c0 = 0."""
     if sym.c0 >= 1:
         return check_theorem1(sym)
-    return check_theorem2(sym, THEOREM2_ETA)
+    return check_theorem2(sym)
 
 
 def _column_count(c0: int, N: int) -> int:

@@ -86,9 +86,7 @@ class ProfilePoint:
         return {"sigma": self.sigma, "two_pow": self.reference, "composed": self.value}
 
 
-def two_norm_profile(
-    sym: Symbol, p: float, sigma_grid, N: int = 128, *, seed: int = 0
-) -> list[ProfilePoint]:
+def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[ProfilePoint]:
     """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}.
 
     One exp pass serves the whole grid: with sigma0 the smallest sigma,
@@ -112,7 +110,7 @@ def two_norm_profile(
         ProfilePoint(
             sigma=sigma,
             reference=2.0**-sigma,
-            value=norm_hp(translate(g, sigma - sigma0), p, seed=seed),
+            value=norm_hp(translate(g, sigma - sigma0), p),
         )
         for sigma in sigmas
     ]
@@ -166,13 +164,8 @@ class ClassificationReport:
         }
 
 
-def classify(
-    sym: Symbol, mu: Measure, N: int, p: float = 2.0, *, seed: int = 0
-) -> ClassificationReport:
+def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> ClassificationReport:
     """Full diagnostic run for one symbol on one measure.
-
-    `seed` seeds the QMC of the norm profile, which only non-even p past the
-    trapezoid budget reach.
 
     Verdict logic: vertical translation -> Isometry/Invertible/Fredholm
     (structural); certified-admissible non-translation with a stabilized
@@ -211,7 +204,7 @@ def classify(
     # admissibility was already screened above; Unknown proceeds with that caveat attached
     defect = isometry_defect(sym, mu, N, require_admissible=False)
     region = lemma1_region(sym)
-    profile = two_norm_profile(sym, p, (0.25, 0.5, 1.0, 2.0), N, seed=seed)
+    profile = two_norm_profile(sym, p, (0.25, 0.5, 1.0, 2.0), N)
 
     if tau is not None:
         verdict = "Isometry/Invertible/Fredholm"

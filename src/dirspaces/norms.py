@@ -32,6 +32,9 @@ from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_mo
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
 QMC_MAX_REL_SPREAD = 0.2
+# Even-p norms form f^{p/2} by convolution only up to these sizes.
+_POWER_CAP = 4_000_000  # coefficients
+_POWER_CAP_Q = 2**17  # convolutions
 # A torus integral is done once the trapezoid rules on the grids of M and M/2
 # points per axis agree to this relative gap (see _torus_moments).
 _TORUS_REL_TOL = 1e-12
@@ -122,15 +125,21 @@ def _even_q(p: float) -> int | None:
 
 
 def _power_truncation(f: DirichletSeries, q: int) -> int:
+    """D^q, the truncation that holds f^q exactly (D the degree of f),
+    refused past _POWER_CAP coefficients or _POWER_CAP_Q convolutions.
+
+    The second cap binds only for a constant f, D = 1, whose q-th power
+    still takes q - 1 convolutions.  Both are checked before D^q is formed,
+    which at a large q would be a huge integer.
+    """
     D = f.degree
-    N = D**q
-    if N > 4_000_000:
-        raise InvalidInputError(f"convolution power truncation {N} too large (degree {D}, q={q})")
-    return N
+    if q > _POWER_CAP_Q or q * math.log(D) > math.log(_POWER_CAP) + 1.0 or D**q > _POWER_CAP:
+        raise InvalidInputError(f"convolution power f^{q:.6g} too large (degree {D})")
+    return D**q
 
 
 @_homogeneous
-def norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> float:
+def norm_hp(f: DirichletSeries, p: float) -> float:
     """H^p norm of an exact polynomial.
 
     Even integer p is computed exactly via ||f^{p/2}||_2^{2/p}; other p by
@@ -145,12 +154,12 @@ def norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> float:
     if q is not None:
         fq = power(f, q, _power_truncation(f, q))
         return norm_h2(fq) ** (1.0 / q)
-    value, _ = qmc_norm_hp(f, p, seed=seed)
+    value, _ = qmc_norm_hp(f, p)
     return value
 
 
 @_homogeneous
-def qmc_norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> tuple[float, float]:
+def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
     """Estimate of the H^p norm with its error bar, for any p >= 1.
 
     Integrates |D(f)|^p over the polytorus (see _torus_moments): by a
@@ -161,7 +170,7 @@ def qmc_norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> tuple[float, 
     alias error of the lattice.  Either is propagated through the 1/p-th
     root.
     """
-    (integral,), (err,) = _torus_moments(bohr_lift(f), p, np.zeros(1), seed)
+    (integral,), (err,) = _torus_moments(bohr_lift(f), p, np.zeros(1))
     value = float(integral) ** (1.0 / p)
     # The zero polynomial has integral 0 and no spread.
     stderr = float(err) * value / (p * float(integral)) if integral else 0.0
@@ -169,7 +178,7 @@ def qmc_norm_hp(f: DirichletSeries, p: float, *, seed: int = 0) -> tuple[float, 
 
 
 def _torus_moments(
-    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray, seed: int
+    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """||f_sigma||_{H^p}^p for each sigma, with its error bar, where
     f_sigma = f(sigma + .) and `lift` is the Bohr lift of f.
@@ -189,9 +198,9 @@ def _torus_moments(
     a phase of f that cancels the leading alias of one gap does not cancel
     it in the other.  A sigma still open at the budget, or whose gap squared
     once per doubling left would be (f_sigma vanishes on the torus, or k is
-    too large), goes to _qmc_moments: shifted rank-1 lattices on the same k
-    coordinates and terms, with the replicate standard error as its error
-    bar.
+    too large), or whose rule overflows (|f_sigma|^p past the floats), goes
+    to _qmc_moments: shifted rank-1 lattices on the same k coordinates and
+    terms, with the replicate standard error as its error bar.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -235,15 +244,16 @@ def _torus_moments(
         )
         integral[todo[done]], err[todo[done]] = fine[done], gap[done]
         # Each doubling squares the gap of a geometric rule; a sigma whose gap
-        # would still be above the tolerance at the budget goes to QMC now.
+        # would still be above the tolerance at the budget goes to QMC now,
+        # as does one whose rule overflows: every finer grid holds this one.
         left = int(math.log2(budget / grid.prod())) // k
-        stuck = ~done & ((gap / fine) ** (2.0**left) > _TORUS_REL_TOL)
+        stuck = ~done & (((gap / fine) ** (2.0**left) > _TORUS_REL_TOL) | np.isinf(fine))
         qmc[todo[stuck]] = True
         todo = todo[~done & ~stuck]
         grid = 2 * grid
     qmc[todo] = True
     if qmc.any():
-        integral[qmc], err[qmc] = _qmc_moments(alphas, scaled[qmc], p, seed)
+        integral[qmc], err[qmc] = _qmc_moments(alphas, scaled[qmc], p)
     scale = np.exp(p * log_peak)
     return integral * scale, err * scale
 
@@ -286,7 +296,7 @@ def _trapezoid_rules(
 
 
 def _qmc_moments(
-    alphas: np.ndarray, coeffs: np.ndarray, p: float, seed: int
+    alphas: np.ndarray, coeffs: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Randomized QMC estimates of the means of |sum_t c_t z^{alpha_t}|^p
     over the k-torus, for each row c of `coeffs`, with their replicate
@@ -294,19 +304,21 @@ def _qmc_moments(
 
     The rule is the rank-1 lattice {i z / n : i < n} (Dick, Kuo and Sloan,
     Acta Numer. 22, 2013), z from _lattice_vector, under QMC_REPLICATES
-    uniform random shifts drawn from `seed`.  At the point i z / n the
+    uniform random shifts from a fixed-seed generator, so every call gives
+    the same bits.  At the point i z / n the
     monomial z^alpha is the n-th root of unity of index (alpha.z mod n) i, so
     the lattice rule is the 1-D trapezoid rule on those exponents, and a
     shift by Delta multiplies c_t by e^{2 pi i alpha_t.Delta}: every point is
     evaluated by _trapezoid_rules.  n doubles from 2^10 to QMC_POINTS, and a
     row is done once its standard error is below _TORUS_REL_TOL of its mean,
-    or at QMC_POINTS.  The error of one shift is a sum of the integrand's
+    once its mean overflows (each lattice holds the points of the coarser
+    ones), or at QMC_POINTS.  The error of one shift is a sum of the integrand's
     Fourier coefficients on the dual lattice with independent uniform
     phases, so an alias the lattice misses shows as spread between shifts.
     """
     terms, k = alphas.shape
     z = _lattice_vector(k)
-    shifts = np.random.default_rng(seed).random((QMC_REPLICATES, k))
+    shifts = np.random.default_rng(0).random((QMC_REPLICATES, k))
     rotated = coeffs[:, None, :] * np.exp(2j * np.pi * (alphas @ shifts.T)).T
     integral, se = np.zeros(len(coeffs)), np.zeros(len(coeffs))
     todo, n = np.arange(len(coeffs)), 2**10
@@ -316,7 +328,7 @@ def _qmc_moments(
         means = _trapezoid_rules(g, rows, p, np.array([n]))[0].reshape(todo.size, -1)
         mean = np.mean(means, axis=1)
         err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
-        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS)
+        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS) | np.isinf(mean)
         integral[todo[done]], se[todo[done]] = mean[done], err[done]
         todo, n = todo[~done], 2 * n
     for i, s in zip(integral.tolist(), se.tolist()):
@@ -359,13 +371,7 @@ def norm_a2(f: DirichletSeries, mu: Measure) -> float:
 
 
 @_homogeneous
-def norm_ap(
-    f: DirichletSeries,
-    p: float,
-    mu: Measure,
-    *,
-    seed: int = 0,
-) -> float:
+def norm_ap(f: DirichletSeries, p: float, mu: Measure) -> float:
     """(integral of ||f_sigma||_{H^p}^p d mu(sigma))^{1/p}.
 
     This is the translate-then-integrate route, kept independent of norm_a2
@@ -388,7 +394,7 @@ def norm_ap(
         return mu.integrate(g) ** (1.0 / p)
 
     lift = bohr_lift(f)
-    return mu.integrate(lambda sig: _torus_moments(lift, p, sig, seed)[0]) ** (1.0 / p)
+    return mu.integrate(lambda sig: _torus_moments(lift, p, sig)[0]) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

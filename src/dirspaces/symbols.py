@@ -22,6 +22,8 @@ from .series import DirichletSeries, evaluate, from_json, from_terms, to_json
 # The refutation grid samples t in [-GRID_T_MAX, GRID_T_MAX] at GRID_T_STEPS points.
 GRID_T_MAX = 40.0
 GRID_T_STEPS = 401
+# lemma1_region certifies Phi(C_{1/2-eps}) inside C_{1/2+eta} at this eps.
+LEMMA1_EPS = 0.02
 
 
 class Verdict(Enum):
@@ -72,13 +74,11 @@ class Symbol:
         return {"c0": int(self.c0), "phi": to_json(self.phi)}
 
 
-def symbol(c0: int, terms: dict[int, complex] | complex, N: int | None = None) -> Symbol:
+def symbol(c0: int, terms: dict[int, complex] | complex) -> Symbol:
     """Convenience constructor; a bare complex value means a constant phi."""
     if not isinstance(terms, dict):
         terms = {1: complex(terms)}
-    if N is None:
-        N = max(terms, default=1)
-    return Symbol(c0=c0, phi=from_terms(terms, N))
+    return Symbol(c0=c0, phi=from_terms(terms, max(terms, default=1)))
 
 
 def symbol_from_json(obj: dict) -> Symbol:
@@ -105,7 +105,11 @@ def halfplane_lower_bound(sym: Symbol, eps: float = 0.0) -> float:
     against the claim (see _domination_bound), and the result is rounded
     down, so a tail that exactly dominates Re c1 gives exactly 0.
     """
-    bound = _domination_bound(sym, eps)
+    return _float_down(_domination_bound(sym, eps))
+
+
+def _float_down(bound: int) -> float:
+    """The largest float <= bound / 2^2148."""
     try:
         low = bound / 2**_FIXED  # correctly rounded
     except OverflowError:
@@ -210,21 +214,21 @@ def check_theorem1(sym: Symbol) -> Certificate:
     return Certificate(Verdict.UNKNOWN, margin=low, method="grid-inconclusive")
 
 
-def check_theorem2(sym: Symbol, eta: float) -> Certificate:
-    """Certificate for Phi(C_+) inside C_{1/2+eta} when c0 = 0.
+def check_theorem2(sym: Symbol) -> Certificate:
+    """Certificate for Phi(C_+) inside C_{1/2+eta} for some eta > 0, when c0 = 0.
 
-    CertifiedYes when Re c1 - sum |c_k| >= 1/2 + eta, decided exactly on
-    the bound of halfplane_lower_bound at eps = 0; CertifiedNo with a
-    witness violating the necessary condition Re Phi > 1/2; Unknown otherwise.
+    CertifiedYes when Re c1 - sum |c_k| > 1/2, decided exactly on the bound
+    of halfplane_lower_bound at eps = 0, with that slack rounded down, the
+    supremum of the certified eta, as its margin; a tie certifies no eta.
+    CertifiedNo with a witness violating the necessary condition
+    Re Phi > 1/2; Unknown otherwise.
     """
     if sym.c0 != 0:
         raise InvalidInputError("theorem-2 check applies to c0 = 0")
-    if not 0 < eta < math.inf:
-        raise InvalidInputError("eta must be positive and finite")
-    slack = _domination_bound(sym, 0.0) - _fixed(0.5) - _fixed(eta)  # exact
-    if slack >= 0:
+    slack = _domination_bound(sym, 0.0) - _fixed(0.5)  # exact
+    if slack > 0:
         return Certificate(
-            Verdict.CERTIFIED_YES, margin=slack / 2**_FIXED, method="coefficient-domination"
+            Verdict.CERTIFIED_YES, margin=_float_down(slack), method="coefficient-domination"
         )
     sigmas, ts = _refutation_grid(sym)
     low, witness = _min_re_phi(sym, sigmas, ts)
@@ -277,23 +281,19 @@ class Lemma1Result:
         return {"status": self.status, "eps": self.eps, "eta": self.eta}
 
 
-def lemma1_region(sym: Symbol, eps_grid: np.ndarray | None = None) -> Lemma1Result:
-    """Search for (eps, eta) with Phi(C_{1/2-eps}) certified inside C_{1/2+eta}.
+def lemma1_region(sym: Symbol) -> Lemma1Result:
+    """(eps, eta) with Phi(C_{1/2-eps}) certified inside C_{1/2+eta}.
 
-    Returns the first grid point whose certified bound gives eta > 0 (the
-    smallest eps carries the largest eta, so the grid runs upward).  Empty by
+    eps is LEMMA1_EPS, and eta is the certified bound of
+    halfplane_lower_bound at 1/2 - eps, less 1/2, when that is positive.
+    That bound never falls as the abscissa grows, so a larger eps gives
+    neither a larger eta nor an eta where this one gives none.  Empty by
     hypothesis for vertical translations; Unknown when the sufficient bound
     certifies nothing.
     """
     if is_vertical_translation(sym) is not None:
         return Lemma1Result(status="vertical-translation")
-    if eps_grid is None:
-        eps_grid = np.arange(0.02, 0.50, 0.02)
-    for eps in eps_grid:
-        eps = float(eps)
-        if not 0 < eps < 0.5:
-            raise InvalidInputError("eps grid must lie in (0, 1/2)")
-        eta = halfplane_lower_bound(sym, 0.5 - eps) - 0.5
-        if eta > 0:
-            return Lemma1Result(status="certified", eps=eps, eta=eta)
+    eta = halfplane_lower_bound(sym, 0.5 - LEMMA1_EPS) - 0.5
+    if eta > 0:
+        return Lemma1Result(status="certified", eps=LEMMA1_EPS, eta=eta)
     return Lemma1Result(status="unknown")

@@ -210,10 +210,8 @@ def test_criterion_10_norm_profile(capsys):
 
 
 def test_criterion_11_cli_determinism(capsys):
-    args = [
-        sys.executable,
-        "-m",
-        "dirspaces.cli",
+    cli = [sys.executable, "-m", "dirspaces.cli"]
+    classify = cli + [
         "classify",
         "--symbol-json",
         '{"c0":1,"phi":{"terms":[[1,0.2,0],[2,0.1,0]]}}',
@@ -221,14 +219,23 @@ def test_criterion_11_cli_determinism(capsys):
         "0",
         "--N",
         "32",
-        "--seed",
-        "11",
     ]
-    runs = [subprocess.run(args, capture_output=True, check=True) for _ in range(2)]
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout
-    json.loads(runs[0].stdout)  # well-formed report
-    _report(
-        capsys,
-        "ACCEPTANCE 11 PASS: repeated CLI runs with a fixed seed are byte-identical",
+    # four terms on eight coordinates: the shifted-lattice route of the H^p norm
+    lattice = cli + [
+        "norm",
+        "--space",
+        "h",
+        "--p",
+        "1.5",
+        "--terms",
+        "[[6,1,0],[35,1,0],[143,0,0.7],[323,-0.5,0]]",
+    ]
+    for args in (classify, lattice):
+        runs = [subprocess.run(args, capture_output=True, check=True) for _ in range(2)]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout
+        json.loads(runs[0].stdout)  # well-formed report
+    assert runs[0].stdout == (
+        b'{"space": "H^1.5", "stderr": 2.106642805530169e-07, "value": 1.5809467852844712}\n'
     )
+    _report(capsys, "ACCEPTANCE 11 PASS: repeated CLI runs are byte-identical")

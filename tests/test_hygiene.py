@@ -115,6 +115,55 @@ def test_dead_knobs_stay_gone():
         assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
 
 
+SETTINGS = {"seed", "eta", "eps_grid"}
+
+
+def test_no_setting_the_code_works_out_for_itself():
+    """The QMC shifts, the theorem-2 margin and the Lemma 1 eps are fixed
+    by the inputs: no public function or method takes them."""
+    import importlib
+
+    import dirspaces
+    from dirspaces.norms import _qmc_moments, _torus_moments
+
+    fns = [_qmc_moments, _torus_moments]
+    modules = [dirspaces] + [importlib.import_module(f"dirspaces.{p.stem}") for p in MODULES]
+    for module in modules:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not getattr(obj, "__module__", "").startswith("dirspaces"):
+                continue
+            if inspect.isfunction(obj):
+                fns.append(obj)
+            elif inspect.isclass(obj):
+                methods = vars(obj).items()
+                fns += [m for n, m in methods if inspect.isfunction(m) and not n.startswith("_")]
+    assert len(fns) > 50
+    for fn in fns:
+        assert not SETTINGS & set(inspect.signature(fn).parameters), fn.__qualname__
+
+
+def test_no_seed_or_eta_flag():
+    import argparse
+
+    from dirspaces.cli import build_parser
+
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 8
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert not {"--seed", "--eta"} & flags, name
+    path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    run = subprocess.run(
+        [sys.executable, "-m", "dirspaces.cli", "classify", "--seed", "1", "--phi", "[[1,1,0]]"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        timeout=60,
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert "unrecognized arguments: --seed 1" in run.stderr and "Traceback" not in run.stderr
+
+
 def test_scipy_is_imported_only_by_the_density_kernel_tail():
     found = []
     for path in MODULES:

@@ -60,7 +60,7 @@ def test_norm_h2_examples():
 def test_norm_hp_monomial_any_p():
     f = d.from_terms({6: 2.5j}, 8)
     for p in (1.5, 2.0, 4.0, 6.0):
-        assert d.norm_hp(f, p, seed=1) == pytest.approx(2.5, rel=1e-3)
+        assert d.norm_hp(f, p) == pytest.approx(2.5, rel=1e-3)
 
 
 def test_norm_hp_even_p_convolution_oracle():
@@ -73,7 +73,7 @@ def test_norm_hp_even_p_convolution_oracle():
 def test_norm_hp_qmc_cross_check():
     f = d.from_terms({1: 1.0, 2: 1.0}, 4)
     for p, exact in ((2.0, math.sqrt(2)), (4.0, 6.0**0.25)):
-        value, stderr = d.qmc_norm_hp(f, p, seed=3)
+        value, stderr = d.qmc_norm_hp(f, p)
         assert abs(value - exact) <= 3 * stderr + 1e-9
 
 
@@ -167,7 +167,7 @@ def test_norm_ap_noneven_without_constant_term(alpha):
 
 
 def _torus_integral(f, p):
-    (integral,), (err,) = _torus_moments(d.bohr_lift(f), p, np.zeros(1), 0)
+    (integral,), (err,) = _torus_moments(d.bohr_lift(f), p, np.zeros(1))
     return integral, err
 
 
@@ -283,7 +283,7 @@ def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
     assert grids[-1] == (d.norms.QMC_POINTS,)
     assert stderr > 0
     assert abs(value - 4.0 / math.pi) <= 5 * stderr
-    # the lattice route's estimate and standard error at seed 0, bit for bit
+    # the lattice route's estimate and standard error, bit for bit
     assert (value, stderr) == (1.2732395443497766, 6.724829076048367e-10)
 
 

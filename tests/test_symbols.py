@@ -167,28 +167,35 @@ def test_check_theorem1_requires_c0():
 
 
 def test_check_theorem2_constant_yes():
-    cert = d.check_theorem2(symbol(0, 1.0), eta=0.5)
-    assert cert.verdict is Verdict.CERTIFIED_YES
-    assert d.check_theorem2(symbol(0, 1.0), eta=0.4).verdict is Verdict.CERTIFIED_YES
+    # Re Phi = 1 certifies every eta < 1/2
+    cert = d.check_theorem2(symbol(0, 1.0))
+    assert (cert.verdict, cert.margin) == (Verdict.CERTIFIED_YES, 0.5)
 
 
 def test_check_theorem2_constant_no():
-    cert = d.check_theorem2(symbol(0, 0.4), eta=0.1)
+    cert = d.check_theorem2(symbol(0, 0.4))
     assert cert.verdict is Verdict.CERTIFIED_NO
     assert cert.witness is not None
 
 
 def test_check_theorem2_with_tail():
-    # 1 - 0.3 = 0.5 + 0.2 exactly in floats, though neither side is a float
-    cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.3}), eta=0.2)
-    assert (cert.verdict, cert.margin) == (Verdict.CERTIFIED_YES, 0.0)
-    cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.30000000000000004}), eta=0.2)
+    # Re c1 - |c_2| = 1/2 exactly: Re Phi > 1/2 on C_+, but no eta > 0 fits
+    cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.5}))
     assert cert.verdict is not Verdict.CERTIFIED_YES
+    # one ulp below 1/2 leaves a slack of 2^-54, certified exactly
+    cert = d.check_theorem2(symbol(0, {1: 1.0, 2: 0.49999999999999994}))
+    assert (cert.verdict, cert.margin) == (Verdict.CERTIFIED_YES, 2.0**-54)
     with pytest.raises(InvalidInputError):
-        d.check_theorem2(symbol(1, 1.0), eta=0.1)
-    for eta in (0.0, math.nan, math.inf):
-        with pytest.raises(InvalidInputError):
-            d.check_theorem2(symbol(0, {1: 1.0}), eta=eta)
+        d.check_theorem2(symbol(1, 1.0))
+
+
+@pytest.mark.parametrize("terms", [{1: 1.0, 2: 0.3}, {1: 3.0, 2: -0.3, 3: 0.75 + 1j}])
+def test_check_theorem2_margin_is_the_slack_rounded_down(terms):
+    # every |c_k| is a float (|0.75 + i| = 1.25), so the slack is exact in fractions
+    tail = sum(Fraction(abs(c)) for k, c in terms.items() if k > 1)
+    slack = Fraction(terms[1]) - Fraction(1, 2) - tail
+    margin = d.check_theorem2(symbol(0, terms)).margin
+    assert 0 < Fraction(margin) <= slack < Fraction(math.nextafter(margin, math.inf))
 
 
 # ---------- translate ----------
@@ -253,15 +260,56 @@ def test_lemma1_vertical_translation_empty():
 
 
 def test_lemma1_linear_example():
-    res = d.lemma1_region(symbol(2, {}), eps_grid=[0.1])
-    assert res.status == "certified"
-    assert res.eta == pytest.approx(0.3)
+    # bound at 1/2 - eps: c0 (1/2 - eps), so eta = 1/2 - 2 eps
+    res = d.lemma1_region(symbol(2, {}))
+    assert (res.status, res.eps) == ("certified", 0.02)
+    assert res.eta == pytest.approx(0.46)
 
 
 def test_lemma1_constant_example():
-    # bound at eps: c0 (1/2 - eps) + 1, so eta = 1 - eps
-    res = d.lemma1_region(symbol(1, 1.0), eps_grid=[0.1])
-    assert res.eta == pytest.approx(0.9)
+    # bound at 1/2 - eps: c0 (1/2 - eps) + 1, so eta = 1 - eps
+    res = d.lemma1_region(symbol(1, 1.0))
+    assert (res.status, res.eps) == ("certified", 0.02)
+    assert res.eta == pytest.approx(0.98)
+
+
+# The ROADMAP's c0 = 1 symbol whose Re phi dips to -0.170 near t = 158.92.
+REFUTED = symbol(1, {1: 0.766, 3: -0.072 + 0.293j, 4: -0.382 - 0.198j, 7: -0.069 - 0.197j})
+
+
+def test_lemma1_values_are_pinned():
+    pinned = [
+        0.45999999999999996, 0.98, 0.6215111879960431, 0.94, 0.35148577166799155, 1.46,
+        0.2647281022660488,
+    ]
+    for sym, eta in zip(GALLERY + [REFUTED], pinned, strict=True):
+        assert d.lemma1_region(sym).to_json() == {"status": "certified", "eps": 0.02, "eta": eta}
+
+
+def test_lemma1_one_eps_finds_what_the_eps_grid_finds():
+    """A scan of eps = 0.02, 0.04, ..., 0.48 that stops at the first eps
+    certifying an eta > 0 gives what the one eps gives, bit for bit."""
+
+    def grid_scan(sym):
+        for eps in np.arange(0.02, 0.50, 0.02).tolist():
+            eta = d.halfplane_lower_bound(sym, 0.5 - eps) - 0.5
+            if eta > 0:
+                return {"status": "certified", "eps": eps, "eta": eta}
+        return {"status": "unknown", "eps": None, "eta": None}
+
+    rng = np.random.default_rng(23)
+    syms = GALLERY + [REFUTED]
+    for _ in range(200):
+        terms = {1: complex(rng.uniform(0, 1.5), rng.uniform(-1, 1))}
+        for k in rng.integers(2, 30, size=rng.integers(0, 5)):
+            terms[int(k)] = complex(*rng.uniform(-0.6, 0.6, size=2))
+        syms.append(symbol(int(rng.integers(0, 4)), terms))
+    statuses = set()
+    for sym in syms:
+        res = d.lemma1_region(sym).to_json()
+        assert res == grid_scan(sym)
+        statuses.add(res["status"])
+    assert statuses == {"certified", "unknown"}
 
 
 def test_lemma1_matches_translation_detector():

@@ -25,7 +25,9 @@ for s in (0.8, 1.5 + 2.0j, 2.5 - 1.0j):
     print(f"<f, K({s}, .)> = {lhs:.12f}   f({s}) = {rhs:.12f}   "
           f"|diff| = {abs(lhs - rhs):.1e}")
 
-# the kernel diverges on the boundary Re s + Re w <= 1
+# the kernel series diverges for Re s + Re w at or below the abscissa of the
+# measure, 1 + 2 sigma_min with sigma_min the left end of its support (1 here)
+print("abscissa of the measure:", mu.abscissa)
 try:
     d.kernel(mu, 0.4, 0.5, 64)
 except d.DivergenceError as e:

@@ -103,11 +103,11 @@ def _sigma_list(raw: str) -> list[float]:
 def cmd_norm(args) -> None:
     f = _parse_series(args)
     if args.space == "h":
-        if norms._even_q(args.p) is not None:
-            _emit({"space": f"H^{args.p:g}", "value": norms.norm_hp(f, args.p)})
-        else:
-            value, stderr = norms.qmc_norm_hp(f, args.p)
-            _emit({"space": f"H^{args.p:g}", "value": value, "stderr": stderr})
+        value, stderr = norms._norm(f, args.p)
+        out = {"space": f"H^{args.p:g}", "value": value}
+        if stderr is not None:  # None where the value is exact, at even p
+            out["stderr"] = stderr
+        _emit(out)
         return
     mu = _parse_measure(args)
     value = norms.norm_ap(f, args.p, mu)

@@ -121,6 +121,14 @@ class Measure:
     def density(self, sigma):
         raise NotImplementedError
 
+    @property
+    def abscissa(self) -> float:
+        """1 + 2 sigma_min, sigma_min the left end of the support (here 0): the
+        sum of n^{-a}/w_h(n) converges exactly for a above it, as
+        n^{-2 sigma_min} >= w_h(n) >= n^{-2 sigma_min} (log n)^{-(k+1)} for a
+        density growing like (sigma - sigma_min)^k."""
+        return 1.0
+
     def integrate(self, g: Callable[[np.ndarray], np.ndarray]):
         """Integral of g against the measure, componentwise.
 
@@ -323,6 +331,12 @@ class SampledDensityMeasure(Measure):
     def density(self, sigma):
         sig, val = self.samples.T
         return np.interp(np.asarray(sigma, dtype=np.float64), sig, val, left=0.0, right=0.0)
+
+    @property
+    def abscissa(self) -> float:
+        sig, val = self.samples.T
+        first = int(np.argmax(val > 0))  # the support starts at the sample before
+        return 1.0 + 2.0 * float(sig[max(first - 1, 0)])
 
     @cached_property
     def _rules(self):

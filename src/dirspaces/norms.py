@@ -12,9 +12,10 @@ the same trapezoid kernel evaluates.  The error bar is the doubling residual
 on the first route and the replicate standard error on the second.  A^p
 norms integrate the translated H^p norms against the measure.  Every norm is
 computed on f scaled by a power of two, so that tiny and huge coefficients
-keep their norm.  Kernel tails of the Gamma family are in closed form, and
-those of density measures integrate by scipy.integrate.quad, the one scipy
-call of the package.
+keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
+refused at or below the measure's abscissa.  Its tail is in closed form for
+the Gamma family; density measures integrate it by scipy.integrate.quad, the
+one scipy call of the package.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_mo
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
 QMC_MAX_REL_SPREAD = 0.2
-# Even-p norms form f^{p/2} by convolution only up to these sizes.
-_POWER_CAP = 4_000_000  # coefficients
-_POWER_CAP_Q = 2**17  # convolutions
+# Even-p norms form f^{p/2} by convolution only up to this many coefficients.
+_POWER_CAP = 4_000_000
 # A torus integral is done once the trapezoid rules on the grids of M and M/2
 # points per axis agree to this relative gap (see _torus_moments).
 _TORUS_REL_TOL = 1e-12
@@ -103,7 +103,7 @@ def _homogeneous(norm):
         quotient = np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128)
         out = norm(DirichletSeries(quotient, exact=f.exact), *args, **kwargs)
         if isinstance(out, tuple):
-            return tuple(float(np.ldexp(x, e)) for x in out)
+            return tuple(x if x is None else float(np.ldexp(x, e)) for x in out)
         return float(np.ldexp(out, e))
 
     return scaled
@@ -124,41 +124,62 @@ def _even_q(p: float) -> int | None:
     return None
 
 
-def _power_truncation(f: DirichletSeries, q: int) -> int:
-    """D^q, the truncation that holds f^q exactly (D the degree of f),
-    refused past _POWER_CAP coefficients or _POWER_CAP_Q convolutions.
-
-    The second cap binds only for a constant f, D = 1, whose q-th power
-    still takes q - 1 convolutions.  Both are checked before D^q is formed,
-    which at a large q would be a huge integer.
-    """
-    D = f.degree
-    if q > _POWER_CAP_Q or q * math.log(D) > math.log(_POWER_CAP) + 1.0 or D**q > _POWER_CAP:
-        raise InvalidInputError(f"convolution power f^{q:.6g} too large (degree {D})")
-    return D**q
-
-
 @_homogeneous
-def norm_hp(f: DirichletSeries, p: float) -> float:
-    """H^p norm of an exact polynomial.
+def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[float, float | None]:
+    """(||f||, error bar) in H^p, or in A^p_mu given mu, with no error bar
+    where the value is exact (even p) or not estimated (A^p).
 
-    Even integer p is computed exactly via ||f^{p/2}||_2^{2/p}; other p by
-    the torus trapezoid rule, or past its point budget by quasi-Monte Carlo
-    (see qmc_norm_hp for both routes and the error bar).
+    sigma -> ||f(sigma + .)||^p_{H^p} is built once: at p = 2q the sum of
+    |b_m|^2 m^{-2 sigma} over f^q = sum b_m m^{-s}, at other p the torus
+    integral of the Bohr lift.  H^p reads it at sigma = 0, A^p integrates it
+    against mu.  One term a n^{-s} has the norm |a| ||n^{-s}||, with no power
+    of |a| formed: 1 in H^p, and the p-th root of the integral of n^{-p sigma}
+    d mu in A^p.
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     if not f.exact:
-        raise InvalidInputError("norm_hp requires an exact polynomial")
+        raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
     q = _even_q(p)
+    support = np.flatnonzero(f.coeffs)
+    if support.size <= 1:
+        value = float(np.abs(f.coeffs[support]).sum())
+        if mu is not None and support.size and support[0] > 0:
+            log_n = math.log(support[0] + 1.0)
+            value *= mu.integrate(lambda sig: np.exp(-p * log_n * sig)) ** (1.0 / p)
+        return value, (None if q is not None else 0.0)
     if q is not None:
-        fq = power(f, q, _power_truncation(f, q))
-        return norm_h2(fq) ** (1.0 / q)
-    value, _ = qmc_norm_hp(f, p)
-    return value
+        D = f.degree  # f^q has degree D^q, checked before that huge integer is formed
+        if q * math.log(D) > math.log(_POWER_CAP) + 1.0 or D**q > _POWER_CAP:
+            raise InvalidInputError(f"convolution power f^{q:.6g} too large (degree {D})")
+        fq = power(f, q, D**q)
+        mags = np.abs(fq.coeffs) ** 2
+        nz = np.nonzero(mags)[0]
+        logs = np.log(nz + 1.0)
+        mags = mags[nz]
+
+        def moments(sig):
+            return np.exp(-2.0 * np.outer(sig, logs)) @ mags, None
+
+    else:
+        lift = bohr_lift(f)
+
+        def moments(sig):
+            return _torus_moments(lift, p, sig)
+
+    if mu is not None:
+        return mu.integrate(lambda sig: moments(sig)[0]) ** (1.0 / p), None
+    (integral,), err = moments(np.zeros(1))
+    value = float(integral) ** (1.0 / p)
+    return value, (None if err is None else float(err[0]) * value / (p * float(integral)))
 
 
-@_homogeneous
+def norm_hp(f: DirichletSeries, p: float) -> float:
+    """H^p norm of an exact polynomial: exact via ||f^{p/2}||_2^{2/p} at even
+    integer p, at other p as qmc_norm_hp."""
+    return _norm(f, p)[0]
+
+
 def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
     """Estimate of the H^p norm with its error bar, for any p >= 1.
 
@@ -168,13 +189,10 @@ def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
     QMC_REPLICATES random shifts of one rank-1 lattice, and then it is the
     standard error of the mean of the shifted rules, whose spread is the
     alias error of the lattice.  Either is propagated through the 1/p-th
-    root.
+    root.  At even p the value is exact and `stderr` is 0.
     """
-    (integral,), (err,) = _torus_moments(bohr_lift(f), p, np.zeros(1))
-    value = float(integral) ** (1.0 / p)
-    # The zero polynomial has integral 0 and no spread.
-    stderr = float(err) * value / (p * float(integral)) if integral else 0.0
-    return value, stderr
+    value, stderr = _norm(f, p)
+    return value, stderr or 0.0
 
 
 def _torus_moments(
@@ -202,11 +220,6 @@ def _torus_moments(
     to _qmc_moments: shifted rank-1 lattices on the same k coordinates and
     terms, with the replicate standard error as its error bar.
     """
-    if p < 1:
-        raise InvalidInputError("p must be >= 1")
-    if lift.dimension == 0:
-        coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
-        return np.full(sigmas.size, abs(coeffs.sum()) ** p), np.zeros(sigmas.size)
     alphas = np.array(list(lift.terms), dtype=np.int64)
     # Translating by sigma scales the coefficient of n^{-s} by n^{-sigma}.
     # Each row is divided by its largest modulus in log scale: at sigma in
@@ -370,31 +383,10 @@ def norm_a2(f: DirichletSeries, mu: Measure) -> float:
     return float(math.sqrt(np.sum(np.abs(f.coeffs) ** 2 * w)))
 
 
-@_homogeneous
 def norm_ap(f: DirichletSeries, p: float, mu: Measure) -> float:
-    """(integral of ||f_sigma||_{H^p}^p d mu(sigma))^{1/p}.
-
-    This is the translate-then-integrate route, kept independent of norm_a2
-    so the two can cross-check each other at p = 2.
-    """
-    if not f.exact:
-        raise InvalidInputError("norm_ap requires an exact polynomial")
-    q = _even_q(p)
-    if q is not None:
-        fq = power(f, q, _power_truncation(f, q))
-        mags = np.abs(fq.coeffs) ** 2
-        nz = np.nonzero(mags)[0]
-        logs = np.log(nz + 1.0)
-        mags = mags[nz]
-
-        def g(sig):
-            sig = np.asarray(sig, dtype=np.float64)
-            return np.exp(-2.0 * np.outer(sig, logs)) @ mags
-
-        return mu.integrate(g) ** (1.0 / p)
-
-    lift = bohr_lift(f)
-    return mu.integrate(lambda sig: _torus_moments(lift, p, sig)[0]) ** (1.0 / p)
+    """(integral of ||f_sigma||_{H^p}^p d mu(sigma))^{1/p}: the translate-then-
+    integrate route, independent of norm_a2, so the two cross-check at p = 2."""
+    return _norm(f, p, mu)[0]
 
 
 @dataclass(frozen=True)
@@ -404,9 +396,10 @@ class KernelValue:
 
 
 def kernel_series(mu: Measure, s: complex, N: int) -> DirichletSeries:
-    """Coefficients n^{-conj(s)}/w_h(n) of the reproducing kernel K(s, .)."""
-    if s.real <= 0.5:
-        raise PoleError("reproducing kernel requires Re s > 1/2")
+    """Coefficients n^{-conj(s)}/w_h(n) of the reproducing kernel K(s, .),
+    in A^2 exactly for 2 Re s above mu.abscissa."""
+    if 2.0 * s.real <= mu.abscissa:
+        raise PoleError(f"reproducing kernel requires 2 Re s above the abscissa {mu.abscissa!r}")
     w = mu.weights(N)
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
     coeffs = np.exp(-np.conjugate(complex(s)) * logs) / w
@@ -425,16 +418,15 @@ def _kernel_tail(mu: Measure, a: float, N: int) -> float:
 
     log f(e^t) = -a t - log w_h(e^t) is concave in t, since w_h(e^t) is a
     Laplace transform in t, so f is unimodal and the tail is at most the
-    integral of f from N upward plus max over x >= N of f(x).  Since
-    w_h(n) <= 1, the sum diverges for a <= 1.
+    integral of f from N upward plus max over x >= N of f(x), for a above
+    mu.abscissa, where the sum converges.
 
     For the Gamma family 1/w_h(x) = (1 + log x)^{alpha+1}: the integral is
     e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)) and the peak
     sits at log x* = (alpha+1)/a - 1.  Other measures integrate by quad and
-    take f(N) for the maximum, which assumes N is past the peak.
+    take f(N) for the maximum, which assumes N is past the peak; an integral
+    that quad does not converge is no bound, and raises NumericError.
     """
-    if a <= 1.0:
-        raise DivergenceError(f"kernel tail diverges at abscissa {a!r}")
     if isinstance(mu, AlphaMeasure):
         b = mu.alpha + 1.0
         log_integral = (
@@ -451,9 +443,17 @@ def _kernel_tail(mu: Measure, a: float, N: int) -> float:
     else:
         from scipy.integrate import quad
 
-        integral, _ = quad(
-            lambda x: x**-a / mu.weight(x), N, np.inf, limit=200, epsabs=0.0, epsrel=1e-10
+        def summand(x):
+            w = mu.weight(x)
+            if not w > 0:
+                raise NumericError(f"weight w_h({x:g}) of the kernel tail underflows")
+            return x**-a / w
+
+        integral, _, *failed = quad(
+            summand, N, np.inf, limit=200, epsabs=0.0, epsrel=1e-10, full_output=1
         )
+        if len(failed) > 1:  # quad appends its message when it does not converge
+            raise NumericError(f"kernel tail integral did not converge at Re z = {a!r}")
         val = N**-a / mu.weight(N) + integral
     if not math.isfinite(val):
         raise DivergenceError(f"kernel tail overflows at abscissa {a!r}")
@@ -499,16 +499,24 @@ def _log_upper_gamma(s: float, x: float) -> float:
     return s * math.log(x) - x + math.log(h)
 
 
-def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:
-    """Truncated kernel sum over n <= N of n^{-conj(s)-w}/w_h(n), with a tail bound."""
-    s, w = complex(s), complex(w)
-    a = s.real + w.real
-    if a <= 1.0:
-        raise DivergenceError("kernel series diverges for Re s + Re w <= 1")
+def _weighted_sum(mu: Measure, z: complex, N: int) -> tuple[complex, float]:
+    """Partial sum over n <= N of n^{-z}/w_h(n), and a bound on the rest.
+    The sum converges exactly for Re z above mu.abscissa."""
+    z = complex(z)
+    if z.real <= mu.abscissa:
+        raise DivergenceError(
+            f"sum n^(-z)/w_h(n) diverges at Re z = {z.real!r}, "
+            f"not above the abscissa {mu.abscissa!r} of the measure"
+        )
     wh = mu.weights(N)
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
-    value = complex(np.sum(np.exp(-(np.conjugate(s) + w) * logs) / wh))
-    return KernelValue(value=value, tail=_kernel_tail(mu, a, N))
+    return complex(np.sum(np.exp(-z * logs) / wh)), _kernel_tail(mu, z.real, N)
+
+
+def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:
+    """Truncated kernel sum over n <= N of n^{-conj(s)-w}/w_h(n), with a tail bound."""
+    value, tail = _weighted_sum(mu, complex(s).conjugate() + complex(w), N)
+    return KernelValue(value=value, tail=tail)
 
 
 def point_eval_norm_hp(s: complex, p: float) -> FunctionalNormEstimate:
@@ -523,40 +531,11 @@ def point_eval_norm_hp(s: complex, p: float) -> FunctionalNormEstimate:
     )
 
 
-def _dyadic_blocks_decreasing(terms: np.ndarray) -> bool:
-    N = terms.size
-    if N < 8:
-        return True
-    b2 = float(np.sum(terms[N // 2 :]))
-    b1 = float(np.sum(terms[N // 4 : N // 2]))
-    return b2 < b1
-
-
 def point_eval_sum(mu: Measure, sigma: float, N: int) -> tuple[float, float]:
-    """Partial sum over n <= N of n^{-sigma}/w_h(n) and its tail estimate.
-
-    Raises DivergenceError naming the smallest convergent abscissa found on
-    a coarse upward search when the dyadic block ratio indicates divergence.
-    """
-    wh = mu.weights(N)
-    ns = np.arange(1, N + 1, dtype=np.float64)
-
-    def blocks_ok(sig: float) -> bool:
-        return _dyadic_blocks_decreasing(ns**-sig / wh)
-
-    if not blocks_ok(sigma):
-        probe = sigma
-        for _ in range(200):
-            probe += 0.25
-            if blocks_ok(probe):
-                break
-        raise DivergenceError(
-            f"sum n^(-sigma)/w_h(n) diverges at sigma={sigma!r}; "
-            f"smallest convergent abscissa found: {probe!r}"
-        )
-    partial = float(np.sum(ns**-sigma / wh))
-    tail = _kernel_tail(mu, sigma, N)
-    return partial, tail
+    """S(sigma), the partial sum over n <= N of n^{-sigma}/w_h(n), and its tail
+    bound: the kernel at (sigma/2, sigma/2)."""
+    value, tail = _weighted_sum(mu, sigma, N)
+    return value.real, tail
 
 
 def point_eval_bound_a1(mu: Measure, s: complex, N: int) -> FunctionalNormEstimate:

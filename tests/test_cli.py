@@ -196,9 +196,9 @@ _ODD = "1000000000001"
         (["norm", "--space", "a", "--terms", "[[1,1,0],[2,0.5,0]]", "--p", "1e300"], 2),
         (["profile", *_PHI_03, "--p", "1e300"], 2),
         (["classify", *_PHI_03, "--p", "1e300"], 2),
-        # a constant's power is q - 1 convolutions of one coefficient
-        (["norm", "--space", "h", "--terms", "[[1,1,0]]", "--p", "2e6"], 2),
-        (["norm", "--space", "a", "--terms", "[[1,1,0]]", "--p", "2e8"], 2),
+        # a constant's norm is its modulus: no power of it is formed
+        (["norm", "--space", "h", "--terms", "[[1,1,0]]", "--p", "2e6"], 0),
+        (["norm", "--space", "a", "--terms", "[[1,1,0]]", "--p", "2e8"], 0),
         # odd p: |f|^p overflows on the first torus grid of every sigma-node
         (["norm", "--terms", "[[1,1,0],[2,0.5,0]]", "--measure-json", _SAMPLED, "--p", "1e12"], 2),
         (["norm", "--terms", "[[1,1,0],[2,0.5,0]]", "--measure-json", _SAMPLED, "--p", _ODD], 3),
@@ -211,8 +211,45 @@ def test_huge_p_ends_quickly(argv, expected):
     )
     assert time.perf_counter() - start < 5.0
     assert run.returncode == expected
-    assert run.stdout == "" and "Traceback" not in run.stderr
+    if expected:
+        assert run.stdout == "" and "Traceback" not in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+    else:
+        assert json.loads(run.stdout)["value"] == 1.0 and run.stderr == ""
+
+
+@pytest.mark.parametrize("space", ["h", "a"])
+@pytest.mark.parametrize("p", ["3", "4001", "262144"])
+def test_one_term_norm_prints_its_modulus(capsys, space, p):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "norm", "--space", space, "--terms", "[[1,0.7,0]]", "--p", p)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["value"] == 0.7
+
+
+_LATE_BUMP = '{"type":"density","samples":[[1,0],[1.5,2],[2,0]]}'
+_LATE_10 = '{"type":"density","samples":[[10,0],[10.25,4],[10.5,0]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 1/w(n) >= n^2: the sum diverges for Re s + Re w <= 3
+        (["--measure-json", _LATE_BUMP, "--s-re", "1", "--w-re", "1", "--N", "256"], "abscissa 3.0"),
+        # just right of the abscissa, quad does not converge on the tail
+        (["--measure-json", _LATE_BUMP, "--s-re", "1.5", "--w-re", "1.52"], "did not converge"),
+        (["--measure-json", _SAMPLED, "--s-re", "0.5", "--w-re", "0.52"], "did not converge"),
+        # supported from sigma = 10: w(x) underflows where quad evaluates the tail
+        (["--measure-json", _LATE_10, "--s-re", "10.5", "--w-re", "10.51"], "underflows"),
+    ],
+)
+def test_density_kernel_without_a_bound_exits_3(argv, message):
+    run = subprocess.run(
+        [sys.executable, "-m", "dirspaces.cli", "kernel", *argv], capture_output=True, text=True
+    )
+    assert run.returncode == 3 and run.stdout == ""
     assert len(run.stderr.splitlines()) == 1
+    assert run.stderr.startswith("numeric error:") and message in run.stderr
 
 
 @pytest.mark.parametrize("space", ["h", "a"])
@@ -359,10 +396,29 @@ def test_weights_cli_fuzz(alpha, nmax):
     _assert_clean_exit(["weights", "--alpha", repr(alpha), "--nmax", str(nmax)])
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
-@given(_ALPHA, st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.integers(1, 64))
-def test_kernel_cli_fuzz(alpha, s_re, w_re, N):
-    argv = ["kernel", "--alpha", repr(alpha), "--s-re", repr(s_re), "--w-re", repr(w_re)]
+def _sampled_late(sigma0, width, box):
+    """A box, or a triangle rising from zero, of mass 1 on [sigma0, sigma0 + width]."""
+    if box:
+        samples = [[sigma0, 1.0 / width], [sigma0 + width, 1.0 / width]]
+    else:
+        samples = [[sigma0, 0.0], [sigma0 + width / 2, 2.0 / width], [sigma0 + width, 0.0]]
+    return ["--measure-json", json.dumps({"type": "density", "samples": samples})]
+
+
+# Alpha measures, and sampled densities whose support starts at sigma_0 > 0,
+# where the kernel sum has the abscissa 1 + 2 sigma_0.
+_KERNEL_MEASURE = st.one_of(
+    _ALPHA.map(lambda alpha: ["--alpha", repr(alpha)]),
+    st.builds(
+        _sampled_late, st.floats(0.01, 10.0), st.sampled_from([0.5, 1.0, 2.0]), st.booleans()
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_KERNEL_MEASURE, st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.integers(1, 64))
+def test_kernel_cli_fuzz(measure, s_re, w_re, N):
+    argv = ["kernel", *measure, "--s-re", repr(s_re), "--w-re", repr(w_re)]
     _assert_clean_exit(argv + ["--N", str(N)])
 
 

@@ -50,6 +50,15 @@ def class_methods(tree: ast.Module, cls: str) -> set[str]:
     raise LookupError(cls)
 
 
+def calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """Calls of the plain name `name` within `tree`."""
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name
+    ]
+
+
 def test_checker_flags_unused_import():
     tree = ast.parse("import os\nimport math\nfrom x import y, z\nmath.pi\nz()\n")
     assert unused_imports(tree) == ["os (line 1)", "y (line 3)"]
@@ -65,12 +74,30 @@ def test_folded_helpers_stay_gone():
         "compose.py": {"_defect_at", "_grouped"},
         "measures.py": {"integrate", "weight"},
         "norms.py": {
-            "_worker_count", "_qmc_replicate", "_weight_real", "_scrambled_sobol", "_sobol_directions"
+            "_worker_count",
+            "_qmc_replicate",
+            "_weight_real",
+            "_scrambled_sobol",
+            "_sobol_directions",
+            "_dyadic_blocks_decreasing",
         },
         "series.py": {"_mono_with_table", "_divisor_lists"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
+    norms = _tree(PACKAGE / "norms.py")
+    assert "_POWER_CAP_Q" not in {n.id for n in ast.walk(norms) if isinstance(n, ast.Name)}
+    # even p is decided once, in the one H^p / A^p norm routine
+    assert len(calls(norms, "_even_q")) == 1
+    # one routine sums n^{-z}/w_h(n) and tests its divergence, at mu.abscissa
+    functions = {n.name: n for n in norms.body if isinstance(n, ast.FunctionDef)}
+    for name in ("kernel", "point_eval_sum"):
+        assert calls(functions[name], "_weighted_sum"), name
+    assert len(calls(norms, "_weighted_sum")) == 2
+    for node in ast.walk(norms):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ast.LtE) for op in node.ops):
+            literals = [c.value for c in node.comparators if isinstance(c, ast.Constant)]
+            assert not [v for v in literals if isinstance(v, float) and v == 1.0], node.lineno
     measures = _tree(PACKAGE / "measures.py")
     # every measure integrates through the one node-doubled Measure.integrate
     for cls in ("AlphaMeasure", "DensityMeasure", "SampledDensityMeasure"):

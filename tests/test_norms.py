@@ -75,6 +75,18 @@ def test_norm_hp_qmc_cross_check():
     for p, exact in ((2.0, math.sqrt(2)), (4.0, 6.0**0.25)):
         value, stderr = d.qmc_norm_hp(f, p)
         assert abs(value - exact) <= 3 * stderr + 1e-9
+        # even p takes the exact convolution route
+        assert (value, stderr) == (d.norm_hp(f, p), 0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 3.0, 4.0, 4001.0, 262144.0, 2e8])
+def test_one_term_norm_is_its_modulus(p, alpha0, sampled_density):
+    # ||a n^{-s}|| = |a| ||n^{-s}||: no power of |a| is formed, at any p
+    f = d.from_terms({1: 0.7}, 4)
+    assert d.norm_hp(f, p) == d.qmc_norm_hp(f, p)[0] == 0.7
+    assert d.norm_ap(f, p, alpha0) == d.norm_ap(f, p, sampled_density) == 0.7
+    assert d.norm_hp(d.from_terms({5: -0.6j}, 5), p) == 0.6
+    assert d.norm_hp(d.from_terms({}, 3), p) == d.norm_ap(d.from_terms({}, 3), p, alpha0) == 0.0
 
 
 def test_norm_hp_validation():
@@ -414,13 +426,52 @@ def test_alpha_kernel_tail_bounds_a_narrow_peak():
 
 
 def test_kernel_tail_diverges_at_abscissa_one(alpha0, custom_density):
+    # the one divergence test, in the weighted sum that kernel and
+    # point_eval_sum share, whatever N
     for mu in (alpha0, custom_density):
+        assert mu.abscissa == 1.0
         for a in (0.9, 1.0):
-            with pytest.raises(DivergenceError):
-                _kernel_tail(mu, a, 10)
-    # N = 4 is too short for the dyadic test; the tail itself now refuses
-    with pytest.raises(DivergenceError):
-        d.norms.point_eval_sum(alpha0, 0.9, 4)
+            with pytest.raises(DivergenceError, match="abscissa 1.0"):
+                d.kernel(mu, a / 2, a / 2, 10)
+            with pytest.raises(DivergenceError, match="abscissa 1.0"):
+                d.norms.point_eval_sum(mu, a, 4)
+
+
+# A sampled density zero below sigma = 1: 1/w(n) >= n^2, so sum n^{-a}/w(n)
+# diverges for a <= 3.
+LATE_BUMP = [[1.0, 0.0], [1.5, 2.0], [2.0, 0.0]]
+
+
+def test_sampled_density_abscissa_is_its_support_start(sampled_density):
+    late = d.SampledDensityMeasure(samples=LATE_BUMP)
+    assert late.abscissa == 3.0
+    # the bump of conftest is zero on [0, 1/2]; a box is positive from its first sample
+    assert sampled_density.abscissa == 2.0
+    assert d.SampledDensityMeasure(samples=[[0.25, 2.0], [0.75, 2.0]]).abscissa == 1.5
+    for a in (2.0, 3.0):
+        with pytest.raises(DivergenceError, match="abscissa 3.0"):
+            d.kernel(late, a / 2, a / 2, 256)
+    with pytest.raises(PoleError):
+        d.kernel_series(late, 1.0, 8)
+    # w(n) < n^{-2}: the partial sums pass any bound near the abscissa
+    assert d.kernel(late, 2.0, 2.0, 64).value.real > 1.0
+
+
+@pytest.mark.parametrize("sigma", [1.02, 1.05, 1.1, 1.2])
+def test_lemma2_converges_just_right_of_the_abscissa(alpha1, sigma):
+    # sum n^{-sigma} (1 + log n)^2 converges for every sigma > 1
+    N = 10_000
+    (pt,) = d.lemma2_profile(alpha1, [sigma], N)
+    assert pt.error is None and math.isfinite(pt.value) and math.isfinite(pt.tail)
+    n = np.arange(N + 1, 100 * N + 1, dtype=np.float64)
+    assert pt.tail >= float(np.sum(n**-sigma * (1.0 + np.log(n)) ** 2))
+
+
+def test_point_eval_sum_is_the_kernel_on_the_diagonal(alpha0, alpha1, custom_density, sampled_density):
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
+        for sigma in (2.5, 4.0, 10.0):
+            kv = d.kernel(mu, sigma / 2, sigma / 2, 128)
+            assert d.norms.point_eval_sum(mu, sigma, 128) == (kv.value.real, kv.tail)
 
 
 @pytest.mark.parametrize("c", [2.5, 3.0, 4.0])
@@ -456,7 +507,7 @@ def test_reproducing_property(alpha0, alpha1, custom_density):
 
 
 def test_kernel_series_requires_halfplane(alpha0):
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="abscissa"):
         d.kernel_series(alpha0, 0.5, 8)
 
 

@@ -34,7 +34,6 @@ from .measures import (
     AlphaMeasure,
     DensityMeasure,
     Measure,
-    QuadratureSpec,
     SampledDensityMeasure,
     alpha_weight,
 )

@@ -63,10 +63,30 @@ def _parse_series(args) -> series.DirichletSeries:
     return series.from_json({"terms": json.loads(args.terms), "N": args.N})
 
 
+# Largest --N or --nmax.  It is above every size the tests, demos and
+# benchmark use (lemma2's default 10^4 is the largest), and it keeps the
+# per-n weight loops and the sections that these sizes drive bounded.
+_SIZE_CAP = 2**20
+
+
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
+def _size(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > _SIZE_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {_SIZE_CAP}, got {raw!r}")
+    return value
+
+
+def _index(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be below the largest float, got {raw!r}")
     return value
 
 
@@ -201,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-json", help="full series JSON (overrides --terms)")
     p.add_argument("--space", choices=("h", "a"), default="a")
     p.add_argument("--p", type=_finite_float, default=2.0)
-    p.add_argument("--N", type=_positive_int)
+    p.add_argument("--N", type=_size)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("weights", help="weights w_h(n) of a measure")
-    p.add_argument("--n", type=_positive_int, help="single index")
-    p.add_argument("--nmax", type=_positive_int, default=8, help="list weights for n = 1..nmax")
+    p.add_argument("--n", type=_index, help="single index")
+    p.add_argument("--nmax", type=_size, default=8, help="list weights for n = 1..nmax")
     _add_measure_flags(p)
     p.set_defaults(func=cmd_weights)
 
@@ -216,16 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-im", type=_finite_float, default=0.0)
     p.add_argument("--w-re", type=_finite_float, required=True)
     p.add_argument("--w-im", type=_finite_float, default=0.0)
-    p.add_argument("--N", type=_positive_int, default=256)
+    p.add_argument("--N", type=_size, default=256)
     _add_measure_flags(p)
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("compose", help="coefficients of n^{-Phi} or f o Phi")
     _add_symbol_flags(p)
-    p.add_argument("--n", type=_positive_int, default=2, help="basis index to compose")
+    p.add_argument("--n", type=_index, default=2, help="basis index to compose")
     p.add_argument("--terms", help="JSON terms of a polynomial to compose instead")
     p.add_argument("--series-json")
-    p.add_argument("--N", type=_positive_int, default=64)
+    p.add_argument("--N", type=_size, default=64)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("check-symbol", help="admissibility certificates for a symbol")
@@ -235,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="full isometry/invertibility diagnostic report")
     _add_symbol_flags(p)
     _add_measure_flags(p)
-    p.add_argument("--N", type=_positive_int, default=32)
+    p.add_argument("--N", type=_size, default=32)
     p.add_argument("--p", type=_finite_float, default=2.0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("lemma2", help="point-evaluation bound profile S(sigma)")
     _add_measure_flags(p)
     p.add_argument("--sigmas", default="4,6,8,10,12")
-    p.add_argument("--N", type=_positive_int, default=10_000)
+    p.add_argument("--N", type=_size, default=10_000)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_lemma2)
 
@@ -250,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_symbol_flags(p)
     p.add_argument("--sigmas", default="0.25,0.5,1,2")
     p.add_argument("--p", type=_finite_float, default=2.0)
-    p.add_argument("--N", type=_positive_int, default=128)
+    p.add_argument("--N", type=_size, default=128)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_profile)
 

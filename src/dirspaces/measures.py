@@ -6,17 +6,18 @@ callable, integrated by Gauss-Laguerre rules; and sampled densities, the
 linear interpolant of samples (sigma_i, h_i), integrated by composite
 Gauss-Legendre rules over the sample segments.  The weight w_h(n) = integral
 of n^{-2 sigma} d mu(sigma) drives every A^2 norm and kernel evaluation, so
-weights are memoized per measure.  Each measure builds a coarse and a fine
-rule, the fine one with twice the nodes, and every quadrature goes through
-one node-doubled integrate.  The Gauss rules are built here in numpy and
-cached per node count (and alpha); this module imports nothing from scipy.
+weights are memoized per measure.  Each measure builds a coarse rule of
+_NODES nodes and a fine one with twice as many, and every quadrature goes
+through one node-doubled integrate, which accepts a value once the two rules
+agree to DOUBLING_TOL.  The Gauss rules are built here in numpy and cached
+per node count (and alpha).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -25,11 +26,14 @@ import numpy as np
 from .errors import InvalidInputError, NumericError
 
 _NORMALIZATION_TOL = 1e-8
+# Nodes of the coarse rule of every measure; the fine rule has twice as many.
+_NODES = 128
+# integrate accepts the fine rule's value once the coarse one agrees with it
+# to this, relative to max(1, |value|).
+DOUBLING_TOL = 1e-8
 # weights(N) integrates blocks of n whose (n, node) integrand arrays hold
 # about this many entries.
 _BLOCK = 2**20
-# Largest quadrature node count that a measure JSON may ask for.
-_MAX_JSON_NODES = 1024
 # Mantissa bound for the Laguerre recurrence: past it a node's values move
 # into its log scale, so rules stay finite at thousands of nodes.
 _RESCALE_AT = 2.0**500
@@ -39,9 +43,8 @@ def _laguerre_ratio(n: int, a: float, x: np.ndarray):
     """p_k(x) = L_k^{(a)}(x)/binom(k+a, k) at k = n and n - 1, n >= 1, and
     d_n = p_n - p_{n-1}, as mantissas sharing the factor e^{scale}.
 
-    The difference form of the recurrence, as scipy.special's
-    eval_genlaguerre runs it: d_{k+1} = (k d_k - x p_k)/(k+a+1) and
-    p_{k+1} = p_k + d_{k+1}, from p_0 = 1.  A node's three mantissas are
+    The difference form of the recurrence: d_{k+1} = (k d_k - x p_k)/(k+a+1)
+    and p_{k+1} = p_k + d_{k+1}, from p_0 = 1.  A node's three mantissas are
     divided by |p_k| once it passes _RESCALE_AT.
     """
     d = -x / (a + 1)
@@ -65,10 +68,9 @@ def _gauss_laguerre(m: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix,
     refined by one Newton step on the recurrence.  The weights come from the
     derivative formula w_i ~ 1/(L_{m-1}(x_i) L_m'(x_i)), normalized in log
-    scale to sum to 1, as scipy.special's roots_genlaguerre computes them;
-    eigenvector weights would lose relative accuracy where w_i is tiny, and
-    density rules multiply w_i by e^{x_i}.  Both arrays are shared, so they
-    are read-only.
+    scale to sum to 1; eigenvector weights would lose relative accuracy where
+    w_i is tiny, and density rules multiply w_i by e^{x_i}.  Both arrays are
+    shared, so they are read-only.
     """
     k = np.arange(1, m)
     jacobi = np.diag(2.0 * np.arange(m) + a + 1.0)
@@ -98,25 +100,9 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Fixed-rule parameters: node count and a convergence tolerance."""
-
-    nodes: int = 128
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise InvalidInputError("quadrature needs at least 2 nodes")
-        if not 0 < self.tol < math.inf:
-            raise InvalidInputError("quadrature tolerance must be positive and finite")
-
-
 class Measure:
     """Base class; concrete measures implement density() and _gl_nodes(), or
     build their own pair of rules in _rules."""
-
-    spec: QuadratureSpec
 
     def density(self, sigma):
         raise NotImplementedError
@@ -134,24 +120,39 @@ class Measure:
 
         g maps the nodes, shape (m,), to values of shape (..., m); the result
         has shape (...), a float for a scalar integrand.  Evaluates the fixed
-        rule at spec.nodes and 2 spec.nodes nodes and returns the finer value
-        once every component of the two agrees to spec.tol.
+        rule at _NODES and 2 _NODES nodes and returns the finer value once
+        every component of the two agrees to DOUBLING_TOL.
         """
-        (x1, w1), (x2, w2) = self._rules
-        est = np.sum(w1 * g(x1), axis=-1)
-        ref = np.sum(w2 * g(x2), axis=-1)
-        if not np.all(np.isfinite(ref)):
-            raise NumericError("integrand produced non-finite values")
-        bad = np.abs(ref - est) > self.spec.tol * np.maximum(1.0, np.abs(ref))
+        est, ref = self._both_rules(g)
+        bad = np.abs(ref - est) > DOUBLING_TOL * np.maximum(1.0, np.abs(ref))
         if np.any(bad):
             i = np.argmax(bad)  # flat index of the first failing component
             e, r = float(np.ravel(est)[i]), float(np.ravel(ref)[i])
             raise NumericError(f"quadrature did not converge: {e!r} vs {r!r} on node doubling")
         return float(ref) if np.ndim(ref) == 0 else ref
 
+    def _both_rules(self, g):
+        """g integrated by the coarse and the fine rule, the latter finite."""
+        (x1, w1), (x2, w2) = self._rules
+        est = np.sum(w1 * g(x1), axis=-1)
+        ref = np.sum(w2 * g(x2), axis=-1)
+        if not np.all(np.isfinite(ref)):
+            raise NumericError("integrand produced non-finite values")
+        return est, ref
+
     def weight(self, n) -> float:
         """w_h(n) = integral of n^{-2 sigma} d mu(sigma); n real >= 1 allowed."""
         return self.weights_by_quadrature(n)
+
+    def weight_and_gap(self, x: float) -> tuple[float, float]:
+        """w_h(x) by the fine rule and its distance to the coarse rule's value,
+        for real x >= 1, with no test of that gap: integrate accepts a gap up
+        to DOUBLING_TOL absolute for weights below 1, so a caller that needs
+        a tiny weight to a relative accuracy judges the gap itself."""
+        if not x >= 1:
+            raise InvalidInputError("weight requires n >= 1")
+        est, ref = self._both_rules(lambda s: np.power(float(x), -2.0 * s))
+        return float(ref), abs(float(ref) - float(est))
 
     def weights(self, N: int) -> np.ndarray:
         """Memoized vector (w_h(1), ..., w_h(N))."""
@@ -180,8 +181,8 @@ class Measure:
 
     @cached_property
     def _rules(self):
-        """The spec.nodes and 2 spec.nodes rules that integrate compares."""
-        return self._gl_nodes(self.spec.nodes), self._gl_nodes(2 * self.spec.nodes)
+        """The _NODES and 2 _NODES rules that integrate compares."""
+        return self._gl_nodes(_NODES), self._gl_nodes(2 * _NODES)
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m-node Gauss-Laguerre rule for this measure."""
@@ -197,7 +198,6 @@ class AlphaMeasure(Measure):
     """d mu(sigma) = (2^{a+1}/Gamma(a+1)) sigma^a e^{-2 sigma} d sigma, a > -1."""
 
     alpha: float = 0.0
-    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         if not -1 < self.alpha < math.inf:
@@ -246,7 +246,6 @@ class DensityMeasure(Measure):
     """
 
     h: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
-    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
     name: str = "density"
 
     def __post_init__(self):
@@ -299,11 +298,10 @@ class SampledDensityMeasure(Measure):
     some h_i > 0, and total mass 1; the density may vanish on subintervals.
     On each of the K segments n^{-2 sigma} h is entire, so a Gauss-Legendre
     rule converges geometrically there.  The coarse rule puts
-    k = max(2, ceil(spec.nodes / K)) nodes on every segment, the fine rule 2k.
+    k = max(2, ceil(_NODES / K)) nodes on every segment, the fine rule 2k.
     """
 
     samples: np.ndarray = None  # type: ignore[assignment]
-    spec: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=np.float64)
@@ -340,7 +338,7 @@ class SampledDensityMeasure(Measure):
 
     @cached_property
     def _rules(self):
-        k = max(2, -(-self.spec.nodes // (len(self.samples) - 1)))
+        k = max(2, -(-_NODES // (len(self.samples) - 1)))
         return self._composite_rule(k), self._composite_rule(2 * k)
 
     def _composite_rule(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -353,28 +351,27 @@ class SampledDensityMeasure(Measure):
 
 
 def measure_from_json(obj: dict) -> Measure:
-    """Measure config: {"type":"alpha","alpha":0.0} or
-    {"type":"density","samples":[[sigma,h],...],"quadrature":{"nodes":64,"tol":1e-8}}."""
+    """Measure config: {"type":"alpha","alpha":0.0} ("alpha" defaults to 0)
+    or {"type":"density","samples":[[sigma,h],...]}; any other key is refused."""
     try:
         kind = obj["type"]
     except (TypeError, KeyError) as e:
         raise InvalidInputError("measure JSON needs a 'type' field") from e
     if kind not in ("alpha", "density"):
         raise InvalidInputError(f"unknown measure type {kind!r}")
+    extra = sorted(set(obj) - {"type", "alpha" if kind == "alpha" else "samples"})
+    if extra:
+        raise InvalidInputError(f"unknown keys {extra} in a measure JSON of type {kind!r}")
     try:
         if kind == "alpha":
             alpha = float(obj.get("alpha", 0.0))
         else:
             samples = np.asarray(obj["samples"], dtype=np.float64)
-            q = obj.get("quadrature", {})
-            nodes, tol = int(q.get("nodes", 128)), float(q.get("tol", 1e-8))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed measure JSON: {e!r}") from e
     if kind == "alpha":
         return AlphaMeasure(alpha=alpha)
-    if nodes > _MAX_JSON_NODES:
-        raise InvalidInputError(f"quadrature nodes must be at most {_MAX_JSON_NODES}")
-    return SampledDensityMeasure(samples=samples, spec=QuadratureSpec(nodes=nodes, tol=tol))
+    return SampledDensityMeasure(samples=samples)
 
 
 def measure_tag(mu: Measure) -> str:

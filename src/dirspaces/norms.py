@@ -13,9 +13,9 @@ on the first route and the replicate standard error on the second.  A^p
 norms integrate the translated H^p norms against the measure.  Every norm is
 computed on f scaled by a power of two, so that tiny and huge coefficients
 keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
-refused at or below the measure's abscissa.  Its tail is in closed form for
-the Gamma family; density measures integrate it by scipy.integrate.quad, the
-one scipy call of the package.
+refused at or below the measure's abscissa.  Its tail is bounded in closed
+form for the Gamma family, and for density measures from the weights alone,
+by secants of the concave log w_h(e^t).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import AlphaMeasure, Measure
+from .measures import DOUBLING_TOL, AlphaMeasure, Measure
 from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_monomial, power
 
 QMC_POINTS = 2**14
@@ -38,6 +38,11 @@ _POWER_CAP = 4_000_000
 # A torus integral is done once the trapezoid rules on the grids of M and M/2
 # points per axis agree to this relative gap (see _torus_moments).
 _TORUS_REL_TOL = 1e-12
+# The density kernel tail walks N, r N, r^2 N, ... with this r (see
+# _secant_tail), and takes each weight within DOUBLING_TOL of the one computed,
+# once the coarse and fine rules agree to that, relative to the weight.
+_TAIL_RATIO = 2.0**0.25
+_LOG_LO, _LOG_HI = math.log1p(-DOUBLING_TOL), math.log1p(DOUBLING_TOL)
 
 # Bernoulli numbers B_2, B_4, ..., B_18 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -133,8 +138,8 @@ def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[floa
     |b_m|^2 m^{-2 sigma} over f^q = sum b_m m^{-s}, at other p the torus
     integral of the Bohr lift.  H^p reads it at sigma = 0, A^p integrates it
     against mu.  One term a n^{-s} has the norm |a| ||n^{-s}||, with no power
-    of |a| formed: 1 in H^p, and the p-th root of the integral of n^{-p sigma}
-    d mu in A^p.
+    of |a| formed: 1 in H^p, and in A^p the p-th root of the integral of
+    n^{-p sigma} d mu, which is the weight w_h(n^{p/2}).
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
@@ -145,8 +150,11 @@ def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[floa
     if support.size <= 1:
         value = float(np.abs(f.coeffs[support]).sum())
         if mu is not None and support.size and support[0] > 0:
-            log_n = math.log(support[0] + 1.0)
-            value *= mu.integrate(lambda sig: np.exp(-p * log_n * sig)) ** (1.0 / p)
+            try:
+                x = float(support[0] + 1) ** (p / 2.0)
+            except OverflowError:
+                raise NumericError(f"{support[0] + 1}^(p/2) at p = {p!r} is past the floats") from None
+            value *= mu.weight(x) ** (1.0 / p)
         return value, (None if q is not None else 0.0)
     if q is not None:
         D = f.degree  # f^q has degree D^q, checked before that huge integer is formed
@@ -324,8 +332,9 @@ def _qmc_moments(
     shift by Delta multiplies c_t by e^{2 pi i alpha_t.Delta}: every point is
     evaluated by _trapezoid_rules.  n doubles from 2^10 to QMC_POINTS, and a
     row is done once its standard error is below _TORUS_REL_TOL of its mean,
-    once its mean overflows (each lattice holds the points of the coarser
-    ones), or at QMC_POINTS.  The error of one shift is a sum of the integrand's
+    once its mean or its standard error overflows (each lattice holds the
+    points of the coarser ones, and such a row can only fail the spread
+    check), or at QMC_POINTS.  The error of one shift is a sum of the integrand's
     Fourier coefficients on the dual lattice with independent uniform
     phases, so an alias the lattice misses shows as spread between shifts.
     """
@@ -341,14 +350,15 @@ def _qmc_moments(
         means = _trapezoid_rules(g, rows, p, np.array([n]))[0].reshape(todo.size, -1)
         mean = np.mean(means, axis=1)
         err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
-        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS) | np.isinf(mean)
+        # a mean past the floats has a NaN spread
+        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS) | ~np.isfinite(err)
+        for i, s in zip(mean[done].tolist(), err[done].tolist()):
+            if i <= 0:
+                raise NumericError("QMC integral estimate is nonpositive")
+            if s > QMC_MAX_REL_SPREAD * i:
+                raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
         integral[todo[done]], se[todo[done]] = mean[done], err[done]
         todo, n = todo[~done], 2 * n
-    for i, s in zip(integral.tolist(), se.tolist()):
-        if i <= 0:
-            raise NumericError("QMC integral estimate is nonpositive")
-        if s > QMC_MAX_REL_SPREAD * i:
-            raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
     return integral, se
 
 
@@ -414,50 +424,91 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
 
 
 def _kernel_tail(mu: Measure, a: float, N: int) -> float:
-    """Bound on the tail sum over n > N of f(n) = n^{-a}/w_h(n).
-
-    log f(e^t) = -a t - log w_h(e^t) is concave in t, since w_h(e^t) is a
-    Laplace transform in t, so f is unimodal and the tail is at most the
-    integral of f from N upward plus max over x >= N of f(x), for a above
+    """Bound on the tail sum over n > N of f(n) = n^{-a}/w_h(n), for a above
     mu.abscissa, where the sum converges.
 
-    For the Gamma family 1/w_h(x) = (1 + log x)^{alpha+1}: the integral is
-    e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)) and the peak
-    sits at log x* = (alpha+1)/a - 1.  Other measures integrate by quad and
-    take f(N) for the maximum, which assumes N is past the peak; an integral
-    that quad does not converge is no bound, and raises NumericError.
+    For the Gamma family 1/w_h(x) = (1 + log x)^{alpha+1}, and log f(e^t) is
+    concave, so f is unimodal and the tail is at most the integral of f from
+    N upward, e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)),
+    plus the peak of f on [N, inf), at log x* = (alpha+1)/a - 1.  Other
+    measures bound it from their weights alone (see _secant_tail).
     """
-    if isinstance(mu, AlphaMeasure):
-        b = mu.alpha + 1.0
-        log_integral = (
-            (a - 1.0)
-            - (b + 1.0) * math.log(a - 1.0)
-            + _log_upper_gamma(b + 1.0, (a - 1.0) * (1.0 + math.log(N)))
-        )
-        u = max(math.log(N), b / a - 1.0)
-        log_peak = -a * u + b * math.log1p(u)
-        try:
-            val = math.exp(log_integral) + math.exp(log_peak)
-        except OverflowError:
-            val = math.inf
-    else:
-        from scipy.integrate import quad
-
-        def summand(x):
-            w = mu.weight(x)
-            if not w > 0:
-                raise NumericError(f"weight w_h({x:g}) of the kernel tail underflows")
-            return x**-a / w
-
-        integral, _, *failed = quad(
-            summand, N, np.inf, limit=200, epsabs=0.0, epsrel=1e-10, full_output=1
-        )
-        if len(failed) > 1:  # quad appends its message when it does not converge
-            raise NumericError(f"kernel tail integral did not converge at Re z = {a!r}")
-        val = N**-a / mu.weight(N) + integral
+    if not isinstance(mu, AlphaMeasure):
+        return _secant_tail(mu, a, N)
+    b = mu.alpha + 1.0
+    log_integral = (
+        (a - 1.0)
+        - (b + 1.0) * math.log(a - 1.0)
+        + _log_upper_gamma(b + 1.0, (a - 1.0) * (1.0 + math.log(N)))
+    )
+    u = max(math.log(N), b / a - 1.0)
+    log_peak = -a * u + b * math.log1p(u)
+    try:
+        val = math.exp(log_integral) + math.exp(log_peak)
+    except OverflowError:
+        val = math.inf
     if not math.isfinite(val):
         raise DivergenceError(f"kernel tail overflows at abscissa {a!r}")
     return val
+
+
+def _secant_tail(mu: Measure, a: float, N: int) -> float:
+    """Bound on the sum over n > N of f(n) = n^{-a}/w_h(n), from the weights
+    of mu at x_k = N r^k, r = _TAIL_RATIO.
+
+    g(t) = log(e^t f(e^t)) = (1 - a) t - log w_h(e^t) is concave, since
+    w_h(e^t) is a Laplace transform in t.  Hence:
+    - the slope s_k of the secant of g over [log x_{k-1}, log x_k] is at
+      least g' past log x_k;
+    - each of the floor(x_k) - floor(x_{k-1}) integers n in (x_{k-1}, x_k]
+      has f(n) <= x_{k-1}^{-a}/w_h(x_k), as w_h decreases;
+    - where s_k < 0, f decreases past x_k, so the sum over n > x_k is at most
+      f(x_k) plus the integral of f from x_k, which is at most
+      e^{g(log x_k)}/|s_k| = x_k f(x_k)/|s_k|.
+    The bound is the least, over the k with s_k < 0, of the blocks up to x_k
+    plus f(x_k) (1 + x_k/|s_k|).  The walk starts at x_{-1} = N/r where
+    N > 1 (at x_0 = 1 where N = 1), and stops once the blocks alone reach
+    the least total, since a later total only adds blocks, or once x_k
+    leaves the floats or a weight fails, underflows or has coarse and fine
+    rules further apart than DOUBLING_TOL of it.  Each weight is taken
+    DOUBLING_TOL low or high, relative to it, whichever makes the bound
+    larger.  Raises NumericError if no x_k closes before the walk stops.
+    """
+    total, best, failure = 0.0, math.inf, None
+    start = -1 if N > 1 else 0
+    # r^k = 2^{k/4} is finite below k = 4 * 1024
+    for k in range(start, 4 * 1024):
+        x = N * _TAIL_RATIO**k
+        if not math.isfinite(x):
+            break
+        try:
+            w, gap = mu.weight_and_gap(x)
+        except NumericError as e:
+            failure = str(e)
+            break
+        if not w >= np.finfo(np.float64).tiny:
+            failure = f"weight w_h({x:g}) of the kernel tail underflows"
+            break
+        if gap > DOUBLING_TOL * w:
+            failure = f"weight w_h({x:g}) of the kernel tail is not resolved: {w!r} +- {gap!r}"
+            break
+        log_lo = math.log(w) + _LOG_LO
+        if k > 0:
+            n_block = math.floor(x) - math.floor(x_prev)
+            total += n_block * math.exp(-a * math.log(x_prev) - log_lo)
+        if k > start:
+            slope = (1.0 - a) + (log_hi - log_lo) / math.log(x / x_prev)
+            if slope < 0:
+                rest = math.exp(-a * math.log(x) - log_lo) * (1.0 + x / -slope)
+                best = min(best, total + rest)
+        if total >= best:
+            break
+        x_prev, log_hi = x, math.log(w) + _LOG_HI
+    if best < math.inf:
+        return best
+    raise NumericError(
+        failure or f"the kernel tail bound does not close at Re z = {a!r} within the floats"
+    )
 
 
 def _log_upper_gamma(s: float, x: float) -> float:

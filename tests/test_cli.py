@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirspaces.cli import main
+from dirspaces.cli import _SIZE_CAP, main
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +171,28 @@ def test_numeric_error_exit_3(capsys):
         # profile reads no measure
         ["profile", "--c0", "2", "--phi", "[]", "--alpha", "0"],
         ["profile", "--c0", "2", "--phi", "[]", "--measure-json", '{"type":"beta"}'],
+        # sizes past the cap, and indices past the floats
+        ["norm", "--terms", "[[1,1,0],[2,1,0]]", "--N", str(10**30)],
+        ["compose", "--c0", "1", "--phi", "[[1,1,0]]", "--N", str(10**30)],
+        ["weights", "--n", str(10**400)],
+        ["compose", "--c0", "1", "--phi", "[[1,1,0]]", "--n", str(10**400)],
+        ["lemma2", "--N", str(10**30)],
+        ["classify", "--c0", "1", "--phi", "[[1,1,0]]", "--N", str(10**30)],
+        ["profile", "--c0", "2", "--phi", "[]", "--N", str(10**30)],
+        ["weights", "--nmax", str(10**30)],
+        ["kernel", "--s-re", "1", "--w-re", "1", "--N", str(10**8)],
+        *(
+            [*argv, flag, str(_SIZE_CAP + 1)]
+            for argv, flag in (
+                (["norm", "--terms", "[[1,1,0]]"], "--N"),
+                (["weights"], "--nmax"),
+                (["kernel", "--s-re", "1", "--w-re", "1"], "--N"),
+                (["compose", "--c0", "1", "--phi", "[[1,1,0]]"], "--N"),
+                (["classify", "--c0", "1", "--phi", "[[1,1,0]]"], "--N"),
+                (["lemma2"], "--N"),
+                (["profile", "--c0", "2", "--phi", "[]"], "--N"),
+            )
+        ),
     ],
 )
 def test_bad_flag_values_are_usage_errors(capsys, argv):
@@ -202,6 +224,9 @@ _ODD = "1000000000001"
         # odd p: |f|^p overflows on the first torus grid of every sigma-node
         (["norm", "--terms", "[[1,1,0],[2,0.5,0]]", "--measure-json", _SAMPLED, "--p", "1e12"], 2),
         (["norm", "--terms", "[[1,1,0],[2,0.5,0]]", "--measure-json", _SAMPLED, "--p", _ODD], 3),
+        # one term: the weight at 2^{p/2}, which is past the floats
+        (["norm", "--space", "a", "--terms", "[[2,0.7,0]]", "--p", "1e10"], 3),
+        (["norm", "--terms", "[[2,0.7,0]]", "--measure-json", _SAMPLED, "--p", "4001"], 3),
     ],
 )
 def test_huge_p_ends_quickly(argv, expected):
@@ -227,8 +252,17 @@ def test_one_term_norm_prints_its_modulus(capsys, space, p):
     assert code == 0 and json.loads(out)["value"] == 0.7
 
 
+@pytest.mark.parametrize("p", ["400", "60"])
+def test_one_term_a_norm_prints_its_weight(capsys, p):
+    # ||0.7 2^{-s}|| in A^p on alpha(0) is 0.7 (1 + (p/2) log 2)^{-1/p}
+    code, out, _ = run_cli(capsys, "norm", "--space", "a", "--terms", "[[2,0.7,0]]", "--p", p)
+    ref = 0.7 * (1.0 + float(p) / 2.0 * math.log(2.0)) ** (-1.0 / float(p))
+    assert code == 0 and json.loads(out)["value"] == pytest.approx(ref, rel=1e-15)
+
+
 _LATE_BUMP = '{"type":"density","samples":[[1,0],[1.5,2],[2,0]]}'
 _LATE_10 = '{"type":"density","samples":[[10,0],[10.25,4],[10.5,0]]}'
+_TRIANGLE = '{"type":"density","samples":[[0,2],[1,0]]}'
 
 
 @pytest.mark.parametrize(
@@ -236,10 +270,12 @@ _LATE_10 = '{"type":"density","samples":[[10,0],[10.25,4],[10.5,0]]}'
     [
         # 1/w(n) >= n^2: the sum diverges for Re s + Re w <= 3
         (["--measure-json", _LATE_BUMP, "--s-re", "1", "--w-re", "1", "--N", "256"], "abscissa 3.0"),
-        # just right of the abscissa, quad does not converge on the tail
-        (["--measure-json", _LATE_BUMP, "--s-re", "1.5", "--w-re", "1.52"], "did not converge"),
-        (["--measure-json", _SAMPLED, "--s-re", "0.5", "--w-re", "0.52"], "did not converge"),
-        # supported from sigma = 10: w(x) underflows where quad evaluates the tail
+        # 1e-12 right of the abscissa: 1/w grows like (log x)^2, so the secant
+        # slope stays positive past the floats
+        (["--measure-json", _TRIANGLE, "--s-re", "0.5", "--w-re", "0.500000000001"], "does not close"),
+        # w(x) <= x^{-2} underflows near x = 10^159, before the slope turns
+        (["--measure-json", _LATE_BUMP, "--s-re", "1.5", "--w-re", "1.500000000001"], "underflows"),
+        # supported from sigma = 10: w(x) underflows near x = 10^15
         (["--measure-json", _LATE_10, "--s-re", "10.5", "--w-re", "10.51"], "underflows"),
     ],
 )
@@ -250,6 +286,30 @@ def test_density_kernel_without_a_bound_exits_3(argv, message):
     assert run.returncode == 3 and run.stdout == ""
     assert len(run.stderr.splitlines()) == 1
     assert run.stderr.startswith("numeric error:") and message in run.stderr
+
+
+@pytest.mark.parametrize(
+    "measure, s_re, w_re, N",
+    [
+        # just right of the abscissa, where the tail integral did not converge
+        (_LATE_BUMP, 1.5, 1.52, 256),
+        (_SAMPLED, 0.5, 0.52, 256),
+        (_TRIANGLE, 0.6, 0.6, 64),
+    ],
+    ids=["late-bump", "plateau", "triangle"],
+)
+def test_density_kernel_near_the_abscissa_has_a_bound(capsys, measure, s_re, w_re, N):
+    argv = ["--measure-json", measure, "--s-re", str(s_re), "--w-re", str(w_re), "--N", str(N)]
+    code, out, _ = run_cli(capsys, "kernel", *argv)
+    assert code == 0
+    tail = json.loads(out)["tail"]
+    # the bound holds the next terms, with weights from the same measure
+    from dirspaces.measures import measure_from_json
+
+    mu = measure_from_json(json.loads(measure))
+    n = [float(k) for k in range(N + 1, 20 * N)]
+    partial = math.fsum(x ** -(s_re + w_re) / mu.weight(x) for x in n)
+    assert partial <= tail < math.inf
 
 
 @pytest.mark.parametrize("space", ["h", "a"])
@@ -282,7 +342,8 @@ def _reject_constant(name):
         (["kernel", "--s-re", "1", "--w-re", "1", "--alpha", "1e300"], 3),
         (["classify", "--c0", "1", "--phi", "[[1,1e300,0],[2,1e300,0]]", "--N", "16"], 3),
         # sampled densities: sigmas decreasing or unsorted, sigma_0 < 0, non-finite or
-        # negative values, no mass, mass 2, too many nodes
+        # negative values, no mass, mass 2, and quadrature settings, which no
+        # measure reads
         (["weights", "--measure-json", '{"type":"density","samples":[[1,0],[0,2]]}'], 2),
         (["weights", "--measure-json", '{"type":"density","samples":[[0,1],[2,0],[1,1]]}'], 2),
         (["weights", "--measure-json", '{"type":"density","samples":[[-1,0.5],[1,0.5]]}'], 2),
@@ -307,6 +368,9 @@ def _reject_constant(name):
             ],
             2,
         ),
+        # a key the measure does not read
+        (["weights", "--measure-json", '{"type":"alpha","alpah":3}'], 2),
+        (["weights", "--measure-json", '{"type":"alpha","alpha":1,"samples":[[0,2],[1,0]]}'], 2),
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, argv, expected):

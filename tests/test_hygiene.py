@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports in the package modules, helpers that
-were folded into one implementation stay folded, and scipy stays out of the
-paths that do not need it."""
+were folded into one implementation stay folded, and no path of the package
+imports scipy."""
 
 import ast
 import inspect
@@ -126,8 +126,8 @@ def test_spectrum_path_never_reads_the_dense_section():
 def test_dead_knobs_stay_gone():
     import dataclasses
 
+    from dirspaces import measures
     from dirspaces.lab import two_norm_profile
-    from dirspaces.measures import DensityMeasure, QuadratureSpec
     from dirspaces.norms import norm_hp, qmc_norm_hp
     from dirspaces.primes import factorize
     from dirspaces.symbols import check_theorem1, check_theorem2, is_vertical_translation
@@ -138,8 +138,11 @@ def test_dead_knobs_stay_gone():
     ):
         assert not dead & set(inspect.signature(fn).parameters), fn.__name__
     assert "mu" not in inspect.signature(two_norm_profile).parameters
-    for cls, name in ((QuadratureSpec, "scheme"), (DensityMeasure, "interval_support")):
-        assert name not in {f.name for f in dataclasses.fields(cls)}, cls.__name__
+    # every measure has the same fixed rules: no quadrature settings
+    assert not hasattr(measures, "QuadratureSpec") and not hasattr(measures, "_MAX_JSON_NODES")
+    for cls in (measures.AlphaMeasure, measures.DensityMeasure, measures.SampledDensityMeasure):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert not {"spec", "interval_support"} & fields, cls.__name__
 
 
 SETTINGS = {"seed", "eta", "eps_grid"}
@@ -191,9 +194,9 @@ def test_no_seed_or_eta_flag():
     assert "unrecognized arguments: --seed 1" in run.stderr and "Traceback" not in run.stderr
 
 
-def test_scipy_is_imported_only_by_the_density_kernel_tail():
-    found = []
-    for path in MODULES:
+def test_no_module_imports_scipy():
+    for path in MODULES + [PACKAGE / "__init__.py"]:
+        assert "scipy" not in path.read_text(), path.name
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -201,8 +204,7 @@ def test_scipy_is_imported_only_by_the_density_kernel_tail():
                 names = [node.module or ""]
             else:
                 continue
-            found += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
-    assert found == [("norms.py", "scipy.integrate")]
+            assert not [name for name in names if name.split(".")[0] == "scipy"], path.name
 
 
 def test_no_qmc_thread_knob():
@@ -214,8 +216,8 @@ def test_no_qmc_thread_knob():
 
 SAMPLED = json.dumps({"type": "density", "samples": [[0, 2], [1, 0]]})
 # Every subcommand on an alpha measure, norms at even and non-even p, and
-# sampled-density weights, norms and classify: none of these may load scipy,
-# which only the kernel tail of a density measure imports.
+# sampled-density weights, norms, kernel and classify: none of these may
+# load scipy.
 SCIPY_FREE_ARGV = [
     ["classify", "--c0", "0", "--phi", "[[1,1,0],[2,0.25,0]]", "--alpha", "0", "--N", "16"],
     ["classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--alpha", "1", "--N", "32"],
@@ -236,10 +238,8 @@ SCIPY_FREE_ARGV = [
     ["weights", "--measure-json", SAMPLED, "--nmax", "64"],
     ["norm", "--space", "a", "--p", "1.5", "--measure-json", SAMPLED, "--terms", "[[1,1,0],[6,0.4,0]]"],
     ["classify", "--c0", "1", "--phi", "[[1,1,0],[2,0.2,0]]", "--measure-json", SAMPLED, "--N", "16"],
+    ["kernel", "--measure-json", SAMPLED, "--s-re", "1.5", "--w-re", "1.5", "--N", "16"],
 ]
-# The kernel tail of a density measure integrates with scipy.integrate: the
-# control that the probe sees a scipy import when there is one.
-DENSITY_ARGV = ["kernel", "--measure-json", SAMPLED, "--s-re", "1.5", "--w-re", "1.5", "--N", "16"]
 
 PROBE = """
 import contextlib, io, json, sys
@@ -255,6 +255,9 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     rows.append([" ".join(argv), code, scipy_modules()])
+# the control: the probe sees a scipy import when there is one
+import scipy.integrate
+rows.append(["import scipy.integrate", 0, scipy_modules()])
 print(json.dumps(rows))
 """
 
@@ -262,7 +265,7 @@ print(json.dumps(rows))
 def test_scipy_is_not_imported_off_the_density_paths():
     path = [str(PACKAGE.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     run = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(SCIPY_FREE_ARGV + [DENSITY_ARGV])],
+        [sys.executable, "-c", PROBE, json.dumps(SCIPY_FREE_ARGV)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
@@ -270,18 +273,18 @@ def test_scipy_is_not_imported_off_the_density_paths():
         check=True,
     )
     rows = json.loads(run.stdout)
-    *clean, density = rows
+    *clean, control = rows
     assert len(clean) == len(SCIPY_FREE_ARGV) + 1
     for what, code, modules in clean:
         assert code == 0, what
         assert modules == [], what
-    assert density[1] == 0
-    assert "scipy.integrate" in density[2]
+    assert "scipy.integrate" in control[2]
 
 
 # With scipy unimportable: the QMC fallback, on a 5-dimensional lift whose
 # sigma-nodes mostly fail their only trapezoid grid and on |1 + 2^{-s}|; and
-# a callable and a sampled density, their weights and a non-even A^p norm.
+# a callable and a sampled density, their weights, a non-even A^p norm and
+# a kernel with its tail.
 BLOCKED_SCIPY_PROBE = """
 import sys
 sys.modules["scipy"] = None
@@ -296,7 +299,8 @@ for mu in (
     d.DensityMeasure(h=lambda s: 3.0 * np.exp(-3.0 * s)),
     d.SampledDensityMeasure(samples=[[0.0, 2.0], [1.0, 0.0]]),
 ):
-    print(mu.weights(64)[1], d.norm_ap(g, 1.5, mu))
+    kv = d.kernel(mu, 1.5, 1.5, 16)
+    print(mu.weights(64)[1], d.norm_ap(g, 1.5, mu), kv.value.real, kv.tail)
 """
 
 
@@ -310,7 +314,9 @@ def test_qmc_fallback_runs_without_scipy():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    ap, hp, w_callable, ap_callable, w_sampled, ap_sampled = map(float, run.stdout.split())
+    ap, hp, *density = map(float, run.stdout.split())
+    w_callable, ap_callable, k_callable, tail_callable = density[:4]
+    w_sampled, ap_sampled, k_sampled, tail_sampled = density[4:]
     assert ap == pytest.approx(0.3218, rel=1e-3)
     assert hp == pytest.approx(4.0 / 3.141592653589793, rel=1e-8)
     # w(2) = 3/(3 + 2 log 2) and, for h = 2 - 2 sigma on [0, 1],
@@ -320,3 +326,6 @@ def test_qmc_fallback_runs_without_scipy():
     assert w_sampled == pytest.approx(2.0 * (c - 1.0 + math.exp(-c)) / c**2, rel=1e-12)
     for value in (ap_callable, ap_sampled):
         assert 1.0 < value < 1.4
+    # the kernel at Re z = 3 sums past 1 + 2^{-3}/w(2); its tail is finite
+    for value, tail in ((k_callable, tail_callable), (k_sampled, tail_sampled)):
+        assert 1.0 < value < 2.0 and 0.0 < tail < 1.0

@@ -10,10 +10,9 @@ from dirspaces import (
     DensityMeasure,
     InvalidInputError,
     NumericError,
-    QuadratureSpec,
     SampledDensityMeasure,
 )
-from dirspaces.measures import _gauss_laguerre, _gauss_legendre, measure_from_json
+from dirspaces.measures import _NODES, _gauss_laguerre, _gauss_legendre, measure_from_json
 
 from conftest import exp3_density
 
@@ -248,11 +247,11 @@ def test_sampled_weights_closed_forms():
 def test_sampled_fine_rule_doubles_every_segment():
     sig = np.linspace(0.0, 2.0, 401)
     mu = SampledDensityMeasure(samples=np.column_stack([sig, 1.0 - np.abs(sig - 1.0)]))
-    assert mu.spec.nodes == 128
+    assert _NODES == 128
     coarse, fine = (np.bincount(np.searchsorted(sig, x) - 1, minlength=400) for x, _ in mu._rules)
     assert np.all(coarse == 2) and np.array_equal(fine, 2 * coarse)
-    # and where spec.nodes exceeds the segment count, ceil(nodes / K) per segment
-    mu = SampledDensityMeasure(samples=_random_samples(), spec=QuadratureSpec(nodes=128))
+    # and where _NODES exceeds the segment count, ceil(_NODES / K) per segment
+    mu = SampledDensityMeasure(samples=_random_samples())
     (x1, _), (x2, _) = mu._rules
     assert (x1.size, x2.size) == (19 * 7, 19 * 14)
 
@@ -293,17 +292,6 @@ def test_callable_sigma_max_from_the_fine_rule():
         assert mu._find_sigma_max() == hi
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(InvalidInputError):
-        QuadratureSpec(nodes=1)
-    for tol in (0.0, math.nan, math.inf):
-        # a NaN tolerance would pass every doubling check
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(tol=tol)
-    with pytest.raises(TypeError):
-        QuadratureSpec(scheme="adaptive")
-
-
 def test_measure_from_json_alpha():
     mu = measure_from_json({"type": "alpha", "alpha": 1.0})
     assert isinstance(mu, AlphaMeasure) and mu.alpha == 1.0
@@ -314,10 +302,10 @@ def test_measure_from_json_density():
     # interpolant reproduces it and integrates to 1 exactly
     sig = np.linspace(0.0, 2.0, 401)
     samples = [[float(s), float(1.0 - abs(s - 1.0))] for s in sig]
-    mu = measure_from_json({"type": "density", "samples": samples, "quadrature": {"tol": 1e-6}})
+    mu = measure_from_json({"type": "density", "samples": samples})
     oracle, _ = quad(lambda s: 2.0 ** (-2.0 * s) * (1.0 - abs(s - 1.0)), 0, 2, points=[1.0])
-    assert isinstance(mu, SampledDensityMeasure) and mu.spec.tol == 1e-6
-    assert mu.weight(2) == pytest.approx(oracle, rel=1e-6)
+    assert isinstance(mu, SampledDensityMeasure)
+    assert mu.weight(2) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_measure_from_json_invalid():
@@ -327,6 +315,13 @@ def test_measure_from_json_invalid():
         measure_from_json({})
     with pytest.raises(InvalidInputError):
         measure_from_json({"type": "alpha", "alpha": math.inf})
+    # a key the measure does not read is refused, not ignored
     samples = [[0, 2], [1, 0]]
-    with pytest.raises(InvalidInputError, match="at most 1024"):
-        measure_from_json({"type": "density", "samples": samples, "quadrature": {"nodes": 4096}})
+    for obj in (
+        {"type": "alpha", "alpah": 3},
+        {"type": "alpha", "samples": samples},
+        {"type": "density", "samples": samples, "alpha": 1},
+        {"type": "density", "samples": samples, "quadrature": {"nodes": 64}},
+    ):
+        with pytest.raises(InvalidInputError, match="unknown keys"):
+            measure_from_json(obj)

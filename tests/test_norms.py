@@ -11,10 +11,10 @@ from dirspaces import (
     DensityMeasure,
     DivergenceError,
     InvalidInputError,
+    NumericError,
     PoleError,
-    QuadratureSpec,
 )
-from dirspaces.measures import _gauss_laguerre
+from dirspaces.measures import DOUBLING_TOL, _gauss_laguerre
 from dirspaces.norms import _kernel_tail, _log_upper_gamma, _torus_moments
 
 from conftest import random_polynomial
@@ -89,6 +89,20 @@ def test_one_term_norm_is_its_modulus(p, alpha0, sampled_density):
     assert d.norm_hp(d.from_terms({}, 3), p) == d.norm_ap(d.from_terms({}, 3), p, alpha0) == 0.0
 
 
+@pytest.mark.parametrize("p", [3.0, 60.0, 400.0])
+def test_one_term_a_norm_is_a_weight(p, alpha0, sampled_density):
+    # ||n^{-s}||_{A^p}^p is the integral of n^{-p sigma} d mu, the weight at
+    # n^{p/2}: on alpha(0), 0.7 (1 + (p/2) log 2)^{-1/p}
+    f = d.from_terms({2: 0.7}, 2)
+    ref = 0.7 * (1.0 + 0.5 * p * math.log(2.0)) ** (-1.0 / p)
+    assert d.norm_ap(f, p, alpha0) == pytest.approx(ref, rel=1e-15)
+    w = sampled_density.weight(2.0 ** (p / 2))
+    assert d.norm_ap(f, p, sampled_density) == 0.7 * w ** (1.0 / p)
+    # n^{p/2} past the floats
+    with pytest.raises(NumericError, match="past the floats"):
+        d.norm_ap(f, 4001.0, alpha0)
+
+
 def test_norm_hp_validation():
     with pytest.raises(InvalidInputError):
         d.norm_hp(d.from_terms({1: 1.0}, 4), 0.5)
@@ -131,17 +145,15 @@ def test_contractive_inclusion(alpha0, alpha1, custom_density):
                 assert d.norm_ap(f, p, mu) <= d.norm_hp(f, p) + 1e-9
 
 
-SMALL_RULE = d.AlphaMeasure(1.0, spec=d.QuadratureSpec(nodes=12, tol=1e-6))
-
-
 def test_norm_ap_noneven_matches_per_node_route():
     # Reference: one H^p estimate of the translate f(sigma + .) per node.
     f = d.from_terms({1: 1.0, 2: 0.3 - 0.1j, 6: 0.2j, 11: 0.15}, 11)
     p = 3.0
-    ref = SMALL_RULE.integrate(
+    mu = d.AlphaMeasure(1.0)
+    ref = mu.integrate(
         lambda sig: np.array([d.norm_hp(d.translate(f, s), p) ** p for s in sig])
     ) ** (1.0 / p)
-    assert d.norm_ap(f, p, SMALL_RULE) == pytest.approx(ref, rel=1e-12)
+    assert d.norm_ap(f, p, mu) == pytest.approx(ref, rel=1e-12)
 
 
 def test_norm_ap_noneven_lifts_once(monkeypatch):
@@ -154,7 +166,7 @@ def test_norm_ap_noneven_lifts_once(monkeypatch):
         return d.bohr_lift(f)
 
     monkeypatch.setattr(norms, "bohr_lift", counting_lift)
-    d.norm_ap(d.from_terms({1: 1.0, 6: 0.4j}, 6), 2.5, SMALL_RULE)
+    d.norm_ap(d.from_terms({1: 1.0, 6: 0.4j}, 6), 2.5, d.AlphaMeasure(1.0))
     assert len(calls) == 1
 
 
@@ -284,6 +296,18 @@ def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
     # then only lattice rules, each a 1-D trapezoid rule
     assert len(grids) > 1 and all(len(grid) == 1 for grid in grids[1:])
     assert stderr > 0
+
+
+def test_qmc_stops_at_an_overflowing_spread(monkeypatch):
+    # at p = 10^12 + 1 the shifted means of one sigma-node of the fine rule
+    # are finite but their spread is not; that row can only fail the spread
+    # check, so the call ends after the first lattice of the fine rule
+    grids = _spy_grids(monkeypatch)
+    f = d.from_terms({6: 1.0, 35: 1.0, 143: 0.7j, 323: -0.5}, 323)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="spread inf"):
+        d.norm_ap(f, 1000000000001.0, AlphaMeasure(0.0))
+    # the coarse rule's lattices double up to QMC_POINTS; the fine rule's stop at once
+    assert grids == [(2**m,) for m in range(10, 15)] + [(2**10,)]
 
 
 def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
@@ -476,21 +500,116 @@ def test_point_eval_sum_is_the_kernel_on_the_diagonal(alpha0, alpha1, custom_den
 
 @pytest.mark.parametrize("c", [2.5, 3.0, 4.0])
 def test_density_kernel_tail_closed_form(c):
-    # h = c e^{-c sigma} has w(x) = c/(c + 2 log x), so f(x) = x^{-a}(1 + (2/c) log x)
+    # h = c e^{-c sigma} has w(x) = c/(c + 2 log x), so f(x) = x^{-a}(1 + (2/c) log x),
+    # which decreases past x = 1: the tail over n > N lies between the
+    # integral of f from N + 1 and that from N plus f(N)
     mu = DensityMeasure(h=lambda s: c * np.exp(-c * np.asarray(s, dtype=np.float64)))
-    for a in (2.0, 6.0):
-        for N in (10, 1000):
-            L, e = math.log(N), N ** (1.0 - a)
-            integral = e / (a - 1) + (2 / c) * (e * L / (a - 1) + e / (a - 1) ** 2)
-            ref = integral + N**-a * (1 + (2 / c) * L)
-            assert _kernel_tail(mu, a, N) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    def integral(a, x):
+        L, e = math.log(x), x ** (1.0 - a)
+        return e / (a - 1) + (2 / c) * (e * L / (a - 1) + e / (a - 1) ** 2)
+
+    for a in (1.2, 2.0, 6.0):
+        for N in (1, 10, 1000):
+            upper = integral(a, N) + N**-a * (1 + (2 / c) * math.log(N))
+            assert integral(a, N + 1) <= _kernel_tail(mu, a, N) <= 1.5 * upper
+
+
+def _panel_weight(kind, n):
+    """Closed-form weights of the density tail panel at n >= 2, C = 2 log n."""
+    C = 2.0 * np.log(n)
+    if kind == "box-rise":  # h = sigma/8 on [0, 4]
+        return -np.expm1(-4.0 * C) / (8.0 * C**2) - 4.0 * C * np.exp(-4.0 * C) / (8.0 * C**2)
+    if kind == "triangle":  # h = 2 - 2 sigma on [0, 1]
+        return 2.0 * (C - 1.0 + np.exp(-C)) / C**2
+    return kind / (kind + C)  # h = c e^{-c sigma}
+
+
+_PANEL = [
+    (2.5, DensityMeasure(h=lambda s: 2.5 * np.exp(-2.5 * np.asarray(s)))),
+    (3.0, DensityMeasure(h=lambda s: 3.0 * np.exp(-3.0 * np.asarray(s)))),
+    (4.0, DensityMeasure(h=lambda s: 4.0 * np.exp(-4.0 * np.asarray(s)))),
+    ("triangle", d.SampledDensityMeasure(samples=[[0.0, 2.0], [1.0, 0.0]])),
+    ("box-rise", d.SampledDensityMeasure(samples=[[0.0, 0.0], [4.0, 0.5]])),
+]
+
+
+@pytest.mark.parametrize("kind, mu", _PANEL, ids=["exp2.5", "exp3", "exp4", "triangle", "box-rise"])
+def test_density_kernel_tail_bounds_the_partial_sums(kind, mu):
+    # the tail bound holds the exact terms from N + 1 to 2 10^6, at every
+    # distance from the abscissa; sigma/8 rises before its peak.  From 0.2
+    # past the abscissa it is within 1.5 of the integral of f from N plus
+    # f(N), where an adaptive quadrature finds that integral.
+    from scipy.integrate import quad
+
+    n = np.arange(2, 2 * 10**6 + 1, dtype=np.float64)
+    for da in (0.05, 0.2, 0.5, 1.0, 5.0):
+        a = mu.abscissa + da
+        f = n**-a / _panel_weight(kind, n)
+        suffix = np.cumsum(f[::-1])[::-1]  # suffix[i] = sum of f over n >= i + 2
+        for N in (1, 2, 4, 16, 256, 10_000):
+            tail = _kernel_tail(mu, a, N)
+            assert suffix[N - 1] <= tail
+            integral, _, *failed = quad(
+                lambda x: x**-a / _panel_weight(kind, x),
+                N, np.inf, limit=200, epsabs=0.0, epsrel=1e-10, full_output=1,
+            )
+            if da >= 0.2 and len(failed) < 2:
+                assert tail <= 1.5 * (integral + N**-a / (_panel_weight(kind, N) if N > 1 else 1))
+
+
+def test_density_kernel_tail_fails_only_without_a_close():
+    # supported from sigma = 10: w(x) underflows near 10^15, before the
+    # secant slope turns negative at a = 21.01
+    late = d.SampledDensityMeasure(samples=[[10.0, 0.0], [10.25, 4.0], [10.5, 0.0]])
+    with pytest.raises(NumericError, match="underflows"):
+        _kernel_tail(late, 21.01, 256)
+    n = np.arange(257, 20_001, dtype=np.float64)
+    partial = float(np.sum(n**-22.0 / late.weights_by_quadrature(n)))
+    assert partial <= _kernel_tail(late, 22.0, 256) < 1.5 * partial
+
+
+def test_density_kernel_tail_with_tiny_weights():
+    # h = 4 (1 - |4 sigma - 6|)_+ on [1, 2] has w(x) = (1 - 1/x)^2 / (x log x)^2,
+    # so at a = 3.02 the walk closes past x = e^100, where w(x) < 10^-90.  f
+    # decreases past x = 17, so the tail lies between the integrals of
+    # x^{-1.02} (log x)^2 from N + 1 and, times (1 - 1/N)^{-2}, from N:
+    # Gamma(3, 0.02 log x) / 0.02^3 in closed form.
+    late = d.SampledDensityMeasure(samples=[[1.0, 0.0], [1.5, 2.0], [2.0, 0.0]])
+
+    def integral(x):
+        y = 0.02 * math.log(x)
+        return math.exp(-y) * (y * y + 2.0 * y + 2.0) / 0.02**3
+
+    for N in (16, 256, 10_000):
+        upper = integral(N) / (1.0 - 1.0 / N) ** 2 + N**-3.02 / late.weight(N)
+        assert integral(N + 1) <= _kernel_tail(late, 3.02, N) <= 1.5 * upper
+
+
+def test_density_kernel_tail_stops_at_an_unresolved_weight():
+    # h is the alpha(5) density, so w(x) = (1 + log x)^{-6}.  At x = e^100
+    # the two Gauss-Laguerre rules agree to DOUBLING_TOL absolute, and weight
+    # returns a value 1% off; the walk, which needs them to agree to
+    # DOUBLING_TOL of w(x), stops before it and has no close at a = 1.2.
+    alpha5 = AlphaMeasure(5.0)
+    mu = DensityMeasure(h=alpha5.density)
+    x = math.exp(100.0)
+    w, gap = mu.weight_and_gap(x)
+    assert mu.weight(x) == w and abs(w / alpha5.weight(x) - 1.0) > 1e-3
+    assert DOUBLING_TOL * w < gap < DOUBLING_TOL
+    with pytest.raises(NumericError, match="not resolved"):
+        _kernel_tail(mu, 1.2, 16)
+    # further from the abscissa it closes on resolved weights, above the
+    # exact terms to 2 10^6 and within 1.5 of the Gamma closed form
+    n = np.arange(2, 2 * 10**6 + 1, dtype=np.float64)
+    for a in (1.5, 2.0, 3.0):
+        suffix = np.cumsum((n**-a * (1.0 + np.log(n)) ** 6)[::-1])[::-1]
+        for N in (1, 16, 10_000):
+            assert suffix[N - 1] <= _kernel_tail(mu, a, N) <= 1.5 * _kernel_tail(alpha5, a, N)
 
 
 @pytest.mark.parametrize("nodes", [199, 256, 512])
 def test_large_node_counts(nodes):
-    mu = AlphaMeasure(1.0, spec=QuadratureSpec(nodes=nodes))
-    f = d.from_terms({1: 1.0, 2: 0.5 - 0.25j, 3: 0.3j, 6: -0.2}, 6)
-    assert d.norm_ap(f, 2.0, mu) == pytest.approx(d.norm_a2(f, mu), rel=1e-12)
     for m in (nodes, 2 * nodes):
         x, w = _gauss_laguerre(m, 1.0)
         for k in range(9):

@@ -9,8 +9,11 @@ of n^{-2 sigma} d mu(sigma) drives every A^2 norm and kernel evaluation, so
 weights are memoized per measure.  Each measure builds a coarse rule of
 _NODES nodes and a fine one with twice as many, and every quadrature goes
 through one node-doubled integrate, which accepts a value once the two rules
-agree to DOUBLING_TOL.  The Gauss rules are built here in numpy and cached
-per node count (and alpha).
+agree to DOUBLING_TOL, relative to max(1, |value|).  The weight integrand
+is e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large
+Laguerre nodes n^{-2 sigma} underflows, where np.power is several times
+slower.  The Gauss rules are built here in numpy and cached per node count
+(and alpha).
 """
 
 from __future__ import annotations
@@ -100,6 +103,15 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+def _decay(logs):
+    """sigma -> n^{-2 sigma} for each n with log n in `logs`, shape (..., m)
+    at m nodes, as e^{-2 sigma log n}: every weight reads one np.log table,
+    so weights(N)[n-1], weight(n) and weight_and_gap(n)[0] agree bitwise,
+    and n^{-2 sigma} underflows at most nodes of the Laguerre rules, where
+    np.power takes a slow path and np.exp does not."""
+    return lambda s: np.exp(logs[..., None] * (-2.0 * s))
+
+
 class Measure:
     """Base class; concrete measures implement density() and _gl_nodes(), or
     build their own pair of rules in _rules."""
@@ -145,13 +157,15 @@ class Measure:
         return self.weights_by_quadrature(n)
 
     def weight_and_gap(self, x: float) -> tuple[float, float]:
-        """w_h(x) by the fine rule and its distance to the coarse rule's value,
-        for real x >= 1, with no test of that gap: integrate accepts a gap up
-        to DOUBLING_TOL absolute for weights below 1, so a caller that needs
-        a tiny weight to a relative accuracy judges the gap itself."""
+        """w_h(x) by the fine rule, and its distance to the coarse rule's
+        value, for real x >= 1, with no test of that gap: integrate accepts a
+        gap up to DOUBLING_TOL absolute for weights below 1, so a caller that
+        needs a tiny weight to a relative accuracy judges the gap itself.  On
+        a measure whose weight is by quadrature, the value is weight(x)
+        bitwise."""
         if not x >= 1:
             raise InvalidInputError("weight requires n >= 1")
-        est, ref = self._both_rules(lambda s: np.power(float(x), -2.0 * s))
+        est, ref = self._both_rules(_decay(np.log(np.float64(x))))
         return float(ref), abs(float(ref) - float(est))
 
     def weights(self, N: int) -> np.ndarray:
@@ -177,7 +191,7 @@ class Measure:
         ns = np.asarray(ns, dtype=np.float64)
         if np.any(ns < 1):
             raise InvalidInputError("weight requires n >= 1")
-        return self.integrate(lambda s: np.power(ns[..., None], -2.0 * s))
+        return self.integrate(_decay(np.log(ns)))
 
     @cached_property
     def _rules(self):

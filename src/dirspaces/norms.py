@@ -8,11 +8,13 @@ tensor trapezoid rule over the coordinates the lift uses, while its grid fits
 QMC_REPLICATES * QMC_POINTS = 2^17 points, and where that rule does not
 converge within the budget by randomized quasi-Monte Carlo on QMC_REPLICATES
 random shifts of a rank-1 lattice of up to QMC_POINTS points, whose points
-the same trapezoid kernel evaluates.  The error bar is the doubling residual
-on the first route and the replicate standard error on the second.  A^p
-norms integrate the translated H^p norms against the measure.  Every norm is
-computed on f scaled by a power of two, so that tiny and huge coefficients
-keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
+the same trapezoid kernel evaluates.  That kernel takes the grid in chunks
+that are boxes, and builds their phases and sub-grid masks from one index
+range per axis.  The error bar is the doubling residual on the first route
+and the replicate standard error on the second.  A^p norms integrate the
+translated H^p norms against the measure.  Every norm is computed on f
+scaled by a power of two, so that tiny and huge coefficients keep their
+norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
 refused at or below the measure's abscissa.  Its tail is bounded in closed
 form for the Gamma family, and for density measures from the weights alone,
 by secants of the concave log w_h(e^t).
@@ -290,21 +292,33 @@ def _trapezoid_rules(
     sum_a alpha_a j_a L/grid_a mod L, L the largest grid size, taken from one
     table, and the terms are added one by one in a fixed order, so every
     sigma gets the same bits whatever batch it is in.  Points and sigmas go
-    in chunks, so that no array outgrows terms x QMC_POINTS entries.
+    in chunks, so that no array outgrows terms x QMC_POINTS entries.  The
+    grid sizes and the chunk are powers of two, so a chunk of the points in
+    C order is a box: one index on the leading axes, a run of indices on one
+    axis and every index on the rest.  Its phases and masks are built by
+    broadcasting one range per axis.
     """
     terms, k = alphas.shape
-    size, L = int(grid.prod()), int(grid.max())
+    sizes = grid.tolist()
+    size, L = math.prod(sizes), max(sizes)
     roots = np.exp(2j * np.pi / L * np.arange(L))
     step = min(size, QMC_POINTS)
     rows = max(1, terms * QMC_POINTS // step)
+    # alpha_{t,a} as (terms, 1, ..., 1) arrays that broadcast against the box
+    columns = alphas.T.reshape((k, terms) + (1,) * k)
     sums = np.zeros((3, len(coeffs)))
     for start in range(0, size, step):
-        j = np.unravel_index(np.arange(start, start + step), tuple(grid))
-        phases = np.zeros((terms, step), dtype=np.int64)
-        for axis in range(k):
-            phases += alphas[:, axis, None] * (j[axis] * (L // int(grid[axis])))
-        chars = roots[phases % L]
-        on = [True] + [np.all([ja % stride == 0 for ja in j], axis=0) for stride in (2, 4)]
+        phases = np.zeros((1,) * (k + 1), dtype=np.int64)
+        low = np.zeros((1,) * k, dtype=np.int64)  # j_0 | j_1 | ... mod 4
+        for axis, n_a in enumerate(sizes):
+            below = math.prod(sizes[axis + 1 :])  # flat index step of axis
+            first = start // below % n_a
+            j = np.arange(first, first + min(n_a, max(1, step // below)))
+            j = j.reshape((-1,) + (1,) * (k - 1 - axis))
+            phases = phases + columns[axis] * (j * (L // n_a))
+            low = low | (j & 3)
+        chars = np.take(roots, phases.reshape(terms, step) & (L - 1))
+        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())
         for lo in range(0, len(coeffs), rows):
             c = coeffs[lo : lo + rows]
             values = c[:, :1] * chars[0]

@@ -1,6 +1,6 @@
 """Source hygiene: no unused imports in the package modules, helpers that
-were folded into one implementation stay folded, and no path of the package
-imports scipy."""
+were folded into one implementation stay folded, no path of the package
+imports scipy, and the measures form no weight by np.power."""
 
 import ast
 import inspect
@@ -205,6 +205,23 @@ def test_no_module_imports_scipy():
             else:
                 continue
             assert not [name for name in names if name.split(".")[0] == "scipy"], path.name
+
+
+def test_measures_make_no_power_call():
+    """Weights are e^{-2 sigma log n}, not np.power(n, -2 sigma): at the large
+    Laguerre nodes n^{-2 sigma} underflows, and there pow takes a slow path,
+    several times slower than exp on the same values."""
+    tree = _tree(PACKAGE / "measures.py")
+    power_calls = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "power"
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "np"
+    ]
+    assert power_calls == []
 
 
 def test_no_qmc_thread_knob():

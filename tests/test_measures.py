@@ -133,12 +133,30 @@ def test_gauss_laguerre_large_rules_are_finite():
 
 
 def test_gauss_laguerre_weights_match_per_n_integrate():
+    # the vector and the per-n paths read one np.log table: bitwise equal
     mu = DensityMeasure(h=exp3_density)
     N = 300
-    ref = np.array([mu.integrate(lambda s: np.power(float(n), -2.0 * s)) for n in range(1, N + 1)])
+    ref = np.array([mu.weight(n) for n in range(1, N + 1)])
     assert np.array_equal(mu.weights(N), ref)
     assert np.array_equal(mu.weights_by_quadrature(np.arange(1, N + 1)), ref)
-    assert mu.weight(17) == ref[16]
+    assert np.array_equal([mu.weight_and_gap(n)[0] for n in range(1, N + 1)], ref)
+
+
+def _rate_density(c):
+    return lambda s: c * np.exp(-c * np.asarray(s, dtype=np.float64))
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [DensityMeasure(h=_rate_density(c)) for c in (2.5, 3.0, 4.0)]
+    + [SampledDensityMeasure(samples=[[0.0, 2.0], [1.0, 0.0]])],
+    ids=["exp2.5", "exp3", "exp4", "triangle"],
+)
+def test_weights_within_4_ulps_of_the_power_form(mu):
+    # e^{-2 sigma log n} against n^{-2 sigma} on the same rules; 3 ulps measured
+    ns = np.arange(1, 4097, dtype=np.float64)
+    ref = mu.integrate(lambda s: np.power(ns[..., None], -2.0 * s))
+    assert np.all(np.abs(mu.weights(ns.size) - ref) <= 4 * np.spacing(ref))
 
 
 def test_integrate_vector_integrand(alpha0, custom_density):
@@ -229,10 +247,15 @@ def test_sampled_weights_match_adaptive_quad():
 
 
 def test_sampled_weights_closed_forms():
-    # the triangle on (0, 2) is the uniform density on (0, 1) convolved with itself
+    # the triangle on (0, 2) is the uniform density on (0, 1) convolved with
+    # itself; sampled at 401 points, its coarse rule has 2 nodes a segment and
+    # is 5e-8 off relative at n = 10^4, while the fine rule is not
     ns = np.arange(2, 10_001, dtype=np.float64)
     c = 2.0 * np.log(ns)
-    cases = [([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], (-np.expm1(-2.0 * np.log(ns)) / c) ** 2)]
+    triangle = (-np.expm1(-c) / c) ** 2
+    sig = np.linspace(0.0, 2.0, 401)
+    cases = [([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]], triangle)]
+    cases.append((np.column_stack([sig, 1.0 - np.abs(sig - 1.0)]), triangle))
     for b in (0.25, 1.0, 3.0):
         cases.append(([[0.0, 1.0 / b], [b, 1.0 / b]], -np.expm1(-b * c) / (b * c)))
     for samples, ref in cases:
@@ -242,6 +265,9 @@ def test_sampled_weights_closed_forms():
         assert np.max(np.abs(w[1:] - ref) / ref) < 1e-12
         # weights() integrates blocks of n: bitwise the per-call route
         assert np.array_equal(w[[1, 4999, 9999]], mu.weights_by_quadrature([2, 5000, 10_000]))
+    c = 2.0 * math.log(2.0**20)
+    w = SampledDensityMeasure(samples=cases[1][0]).weights_by_quadrature([2**20])
+    assert w[0] == pytest.approx((-math.expm1(-c) / c) ** 2, rel=1e-12)
 
 
 def test_sampled_fine_rule_doubles_every_segment():

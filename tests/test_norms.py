@@ -273,6 +273,55 @@ def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
     assert 0.0 <= stderr <= 1e-12 * value
 
 
+def _naive_trapezoid_rules(alphas, coeffs, p, grid):
+    """_trapezoid_rules with every point's index from np.unravel_index and
+    the sub-grid masks from np.all, chunk by chunk in the same order."""
+    terms, k = alphas.shape
+    size, L = int(grid.prod()), int(grid.max())
+    roots = np.exp(2j * np.pi / L * np.arange(L))
+    step = min(size, d.norms.QMC_POINTS)
+    rows = max(1, terms * d.norms.QMC_POINTS // step)
+    sums = np.zeros((3, len(coeffs)))
+    for start in range(0, size, step):
+        j = np.unravel_index(np.arange(start, start + step), tuple(grid))
+        phases = np.zeros((terms, step), dtype=np.int64)
+        for axis in range(k):
+            phases += alphas[:, axis, None] * (j[axis] * (L // int(grid[axis])))
+        chars = roots[phases % L]
+        on = [True] + [np.all([ja % stride == 0 for ja in j], axis=0) for stride in (2, 4)]
+        for lo in range(0, len(coeffs), rows):
+            c = coeffs[lo : lo + rows]
+            values = c[:, :1] * chars[0]
+            for t in range(1, terms):
+                values += c[:, t, None] * chars[t]
+            mags = np.abs(values) ** p
+            for rule, mask in enumerate(on):
+                sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
+    return sums * np.array([1, 2**k, 4**k])[:, None] / size
+
+
+def _trapezoid_panel():
+    """Seeded calls: tensor grids on 1 to 4 axes of 2^3 to 2^17 points, the
+    largest in chunks, and one-axis lattice calls as _qmc_moments makes them."""
+    rng = np.random.default_rng(20)
+    for k in range(1, 5):
+        for log_size in (k + 2, 9, 14, 15, 17):
+            cuts = np.sort(rng.choice(np.arange(1, log_size), k - 1, replace=False))
+            grid = 2 ** np.diff(np.concatenate([[0], cuts, [log_size]]))
+            terms = int(rng.integers(2, 6))
+            coeffs = rng.standard_normal((3, terms)) + 1j * rng.standard_normal((3, terms))
+            yield rng.integers(0, 9, (terms, k)), coeffs, float(rng.choice([1.0, 2.7, 3.0])), grid
+    for n in (2**10, 2**14):
+        coeffs = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        yield rng.integers(0, n, (4, 1)), coeffs, 1.5, np.array([n])
+
+
+def test_trapezoid_rules_match_the_naive_grid_bitwise():
+    for alphas, coeffs, p, grid in _trapezoid_panel():
+        expected = _naive_trapezoid_rules(alphas, coeffs, p, grid)
+        assert np.array_equal(d.norms._trapezoid_rules(alphas, coeffs, p, grid), expected), grid
+
+
 def _spy_grids(monkeypatch):
     """The grid of every _trapezoid_rules call, as a list that fills as they run."""
     grids = []

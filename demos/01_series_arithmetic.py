@@ -27,9 +27,13 @@ for s in (2.0, 3.0 + 1.0j):
     direct = np.exp(d.evaluate(f, s))
     print(f"exp(f)({s}) = {d.evaluate(g, s):.10f}  (pointwise {direct:.10f})")
 
-# Bohr lift: 12 = 2^2 * 3 becomes the monomial z1^2 z2
-poly = d.from_terms({1: 1.0, 2: 2.0, 12: -1.0}, N)
+# Bohr lift: 12 = 2^2 * 3 becomes the monomial z1^2 z2 over the primes
+# (2, 3) that occur; 7^{-s} adds the axis of 7 and no axis for 5.
+poly = d.from_terms({1: 1.0, 2: 2.0, 12: -1.0, 7: 0.5j}, N)
 lifted = d.bohr_lift(poly)
-print("monomials of the lift:", sorted(lifted.terms))
+print("primes of the lift:", lifted.primes.tolist())
+for n, row in zip(lifted.indices.tolist(), lifted.exponents.tolist()):
+    print(f"  {n:>2} -> exponents {row}")
+# inverse_lift rebuilds each index as the product of primes^exponents
 back = d.inverse_lift(lifted, N)
 print("round trip exact:", np.array_equal(back.coeffs, poly.coeffs))

@@ -21,10 +21,8 @@ from .series import (
     bohr_lift,
     evaluate,
     from_terms,
-    index_of_monomial,
     inverse_lift,
     linear,
-    monomial_of_index,
     multiply,
     power,
     translate,

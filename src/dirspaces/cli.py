@@ -47,26 +47,40 @@ def _parse_measure(args) -> Measure:
     return AlphaMeasure(alpha=args.alpha)
 
 
+# Largest --N or --nmax, term index or series N.  It is above every size the
+# tests, demos and benchmark use (lemma2's default 10^4 is the largest), and
+# it keeps the per-n weight loops and the sections that these sizes drive
+# bounded.
+_SIZE_CAP = 2**20
+
+
+def _capped(obj):
+    """A series JSON `obj` once its N and each term index are at most
+    _SIZE_CAP, checked before series.from_json allocates its coefficients;
+    a malformed `obj` is left for from_json to reject."""
+    if isinstance(obj, dict) and isinstance(obj.get("terms"), list):
+        sizes = [obj.get("N")] + [t[0] for t in obj["terms"] if isinstance(t, list) and t]
+        if any(isinstance(x, (int, float)) and x > _SIZE_CAP for x in sizes):
+            raise InvalidInputError(f"term indices and N must be at most {_SIZE_CAP}")
+    return obj
+
+
 def _parse_symbol(args) -> Symbol:
     if getattr(args, "symbol_json", None):
-        return symbol_from_json(json.loads(args.symbol_json))
+        obj = json.loads(args.symbol_json)
+        _capped(obj.get("phi") if isinstance(obj, dict) else None)
+        return symbol_from_json(obj)
     if args.phi is None:
         raise InvalidInputError("provide --phi (JSON terms) or --symbol-json")
-    return Symbol(c0=args.c0, phi=series.from_json({"terms": json.loads(args.phi)}))
+    return Symbol(c0=args.c0, phi=series.from_json(_capped({"terms": json.loads(args.phi)})))
 
 
 def _parse_series(args) -> series.DirichletSeries:
     if args.series_json:
-        return series.from_json(json.loads(args.series_json))
+        return series.from_json(_capped(json.loads(args.series_json)))
     if args.terms is None:
         raise InvalidInputError("provide --terms (JSON [[n,re,im],...]) or --series-json")
-    return series.from_json({"terms": json.loads(args.terms), "N": args.N})
-
-
-# Largest --N or --nmax.  It is above every size the tests, demos and
-# benchmark use (lemma2's default 10^4 is the largest), and it keeps the
-# per-n weight loops and the sections that these sizes drive bounded.
-_SIZE_CAP = 2**20
+    return series.from_json(_capped({"terms": json.loads(args.terms), "N": args.N}))
 
 
 def _positive_int(raw: str) -> int:

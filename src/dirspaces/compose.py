@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericError, TruncationError
 from .measures import Measure, measure_tag
-from .primes import factorize
 from .series import DirichletSeries
 from . import series as ds
 from .symbols import Certificate, Symbol, Verdict, check_theorem1, check_theorem2
@@ -226,11 +225,10 @@ def _gram_defect(s: np.ndarray) -> float:
 
 
 def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
-    """r(i) for i = 1..N: i with every prime dividing an index k >= 2 of
-    supp(phi) divided out."""
+    """r(i) for i = 1..N: i with every prime of the Bohr lift of phi (every
+    prime dividing an index of supp(phi)) divided out."""
     r = np.arange(1, N + 1)
-    ks = np.nonzero(sym.phi.coeffs[1:])[0] + 2
-    for p in {p for k in ks.tolist() for p, _ in factorize(k)}:
+    for p in ds.bohr_lift(sym.phi).primes.tolist():
         top = p  # the largest power of p up to N; gcd(r, top) is the p-part of r <= N
         while top * p <= N:
             top *= p
@@ -247,8 +245,10 @@ def _section_spectra(
     n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
     times the semigroup generated by supp(psi), so column n only meets rows
     m with r(m) = r(n)^{c0} (r from _coprime_part) and the section is block
-    diagonal under that grouping.  Each block is taken dense over the rows
-    and columns its entries occupy.  A block with one row or one column has
+    diagonal under that grouping.  x -> x^{c0} is injective and increasing,
+    so the blocks are keyed by r(n) itself (by 1 at c0 = 0), which gives the
+    same blocks in the same order without forming r(n)^{c0}.  Each block is
+    taken dense over the rows and columns its entries occupy.  A block with one row or one column has
     one singular value, the norm of that vector, and one vectorized norm
     takes all of them; the blocks of each other shape, from every size,
     share one batched SVD.  G = M* M has one eigenvalue per column, so each
@@ -256,7 +256,7 @@ def _section_spectra(
     columns and blocks with more columns than rows.
     """
     span = m.N + 1  # above every row index and column position
-    key = _coprime_part(sym, m.N)[np.asarray(m.ns) - 1] ** sym.c0  # <= N, as r(n) <= n
+    key = _coprime_part(sym, m.N)[np.asarray(m.ns) - 1] ** min(sym.c0, 1)  # <= N, as r(n) <= n
     picks = [np.flatnonzero((m.rows <= R) & (m.cols < C)) for R, C in sizes]
     size_of = np.repeat(np.arange(len(sizes)), [p.size for p in picks])
     pick = np.concatenate(picks)

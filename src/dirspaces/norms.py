@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
 from .measures import DOUBLING_TOL, AlphaMeasure, Measure
-from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, index_of_monomial, power
+from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, power
 
 QMC_POINTS = 2**14
 QMC_REPLICATES = 8
@@ -230,13 +230,11 @@ def _torus_moments(
     to _qmc_moments: shifted rank-1 lattices on the same k coordinates and
     terms, with the replicate standard error as its error bar.
     """
-    alphas = np.array(list(lift.terms), dtype=np.int64)
+    alphas, coeffs = lift.exponents, lift.coeffs
     # Translating by sigma scales the coefficient of n^{-s} by n^{-sigma}.
     # Each row is divided by its largest modulus in log scale: at sigma in
     # the hundreds the moduli, and their p-th powers sooner, underflow.
-    coeffs = np.array(list(lift.terms.values()), dtype=np.complex128)
-    ns = np.array([index_of_monomial(m) for m in lift.terms], dtype=np.float64)
-    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(ns)
+    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(lift.indices)
     log_peak = np.max(log_mods, axis=1)
     # numpy divides by a modulus through its reciprocal, which overflows for
     # a subnormal one; such a coefficient is scaled by a power of two first,

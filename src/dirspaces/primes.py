@@ -1,8 +1,9 @@
 """Prime tables and factorization helpers.
 
-A smallest-prime-factor sieve is built once per truncation and cached,
-since factorization sits on every hot path (convolution supports, Bohr
-lifts, basis indices).
+A smallest-prime-factor sieve is built once and cached, the largest table
+asked for so far; `factorize` reads it.  Its one caller in the package is
+the Bohr lift (`series.bohr_lift`), which factorizes each index of a
+support once.
 """
 
 from __future__ import annotations
@@ -49,10 +50,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.append((p, e))
     return out
 
-
-def primes_upto(n_max: int) -> list[int]:
-    """The primes up to n_max, increasing, as Python ints."""
-    if n_max < 2:
-        return []
-    spf = spf_table(n_max)
-    return (np.flatnonzero(spf[2 : n_max + 1] == np.arange(2, n_max + 1)) + 2).tolist()

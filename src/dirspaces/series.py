@@ -4,20 +4,23 @@ A series sum a_n n^{-s} is stored as its coefficient vector a_1..a_N.
 Coefficients beyond the truncation N are unknown, never assumed zero,
 unless the series carries the `exact` flag marking a genuine Dirichlet
 polynomial.  All operations are pure; results are immutable.
+
+The Bohr lift of a polynomial is held as arrays from one factorization of
+its support: the indices, their exponent rows over the primes that occur,
+those primes and the coefficients.  It is the only place in the package
+that factorizes a support; the torus norms and the block structure of the
+finite section both read it.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .primes import factorize, primes_upto, spf_table
-
-BohrMonomial = tuple[int, ...]  # exponents over the first k primes
+from .primes import factorize, spf_table
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,18 @@ class DirichletSeries:
 
 @dataclass(frozen=True)
 class PolytorusPolynomial:
-    """Bohr lift of a Dirichlet polynomial: monomial multi-index -> coefficient."""
+    """Bohr lift of a Dirichlet polynomial: the term c n^{-s} with
+    n = prod p_j^{e_j} becomes c z^e on the polytorus.
 
-    terms: dict[BohrMonomial, complex] = field(default_factory=dict)
-    dimension: int = 0
+    `indices` is the support, ascending; row i of the (terms, k) int64 matrix
+    `exponents` holds the exponents of indices[i] over `primes`, the k primes
+    that divide some index, ascending; `coeffs` holds the coefficients.
+    """
+
+    indices: np.ndarray
+    exponents: np.ndarray
+    primes: np.ndarray
+    coeffs: np.ndarray
 
 
 def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
@@ -270,62 +281,30 @@ def evaluate(f: DirichletSeries, s: complex) -> complex:
     return complex(np.sum(f.coeffs * np.exp(-complex(s) * logs)))
 
 
-def monomial_of_index(n: int) -> BohrMonomial:
-    """Prime-exponent multi-index of n over the first k primes (k minimal)."""
-    if n < 1:
-        raise InvalidInputError("index must be >= 1")
-    if n == 1:
-        return ()
-    fac = factorize(n)
-    plist = primes_upto(fac[-1][0])
-    pos = {p: i for i, p in enumerate(plist)}
-    exps = [0] * len(plist)
-    for p, e in fac:
-        exps[pos[p]] = e
-    return tuple(exps)
-
-
-def index_of_monomial(mono: BohrMonomial) -> int:
-    """Inverse of monomial_of_index: product of p_i^{alpha_i}."""
-    if not mono:
-        return 1
-    plist = primes_upto(_nth_prime_bound(len(mono)))
-    n = 1
-    for e, p in zip(mono, plist):
-        if e < 0:
-            raise InvalidInputError("exponents must be nonnegative")
-        n *= p**e
-    return n
-
-
-def _nth_prime_bound(k: int) -> int:
-    if k < 6:
-        return 13
-    return int(k * (math.log(k) + math.log(math.log(k)))) + 2
-
-
 def bohr_lift(f: DirichletSeries) -> PolytorusPolynomial:
-    """Bohr lift: n^{-s} -> z_1^{alpha_1} ... z_k^{alpha_k} via the factorization of n."""
+    """Bohr lift: n^{-s} -> z^e via the factorization of n, one per index."""
     if not f.exact:
         raise InvalidInputError("bohr_lift requires an exact polynomial")
     spf_table(max(f.truncation, 2))  # fill the cache once; factorize reuses it
-    raw: dict[BohrMonomial, complex] = {}
-    dim = 0
-    for n0 in np.nonzero(f.coeffs)[0]:
-        n = int(n0) + 1
-        mono = monomial_of_index(n)
-        raw[mono] = complex(f.coeffs[n0])
-        dim = max(dim, len(mono))
-    terms = {m + (0,) * (dim - len(m)): c for m, c in raw.items()} if dim else raw
-    return PolytorusPolynomial(terms=terms, dimension=dim)
+    nz = np.flatnonzero(f.coeffs)
+    factors = [dict(factorize(int(n) + 1)) for n in nz]
+    primes = sorted({p for fac in factors for p in fac})
+    exponents = np.array([[fac.get(p, 0) for p in primes] for fac in factors], dtype=np.int64)
+    return PolytorusPolynomial(
+        indices=nz + 1,
+        exponents=exponents.reshape(nz.size, len(primes)),
+        primes=np.array(primes, dtype=np.int64),
+        coeffs=f.coeffs[nz],
+    )
 
 
 def inverse_lift(poly: PolytorusPolynomial, N: int | None = None) -> DirichletSeries:
-    """Drop a polytorus polynomial back to its Dirichlet polynomial."""
-    terms = {index_of_monomial(m): c for m, c in poly.terms.items()}
+    """Drop a polytorus polynomial back to its Dirichlet polynomial: each
+    index is rebuilt as prod primes^exponents."""
+    indices = np.prod(poly.primes**poly.exponents, axis=1).tolist()
     if N is None:
-        N = max(terms, default=1)
-    return from_terms(terms, N)
+        N = max(indices, default=1)
+    return from_terms(dict(zip(indices, poly.coeffs.tolist())), N)
 
 
 def to_json(f: DirichletSeries) -> dict:
@@ -338,10 +317,16 @@ def to_json(f: DirichletSeries) -> dict:
     }
 
 
+def _integer(x) -> int:
+    if isinstance(x, bool) or int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def from_json(obj: dict) -> DirichletSeries:
     try:
-        terms = {int(n): complex(re, im) for n, re, im in obj["terms"]}
-        N = int(obj.get("N") or max(terms, default=1))
+        terms = {_integer(n): complex(re, im) for n, re, im in obj["terms"]}
+        N = _integer(obj.get("N") or max(terms, default=1))
         exact = bool(obj.get("exact", True))
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed series JSON: {e}") from e

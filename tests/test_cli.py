@@ -144,6 +144,39 @@ def test_validation_error_exit_2(capsys):
     assert code == 2
 
 
+HUGE = 10**14  # a term index whose coefficient vector would take 1.6 PB
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--c0", "100000000000000000000", "--phi", "[[1,1,0]]"],
+        ["norm", "--terms", "[[1e20,1,0]]", "--p", "3"],
+        ["norm", "--terms", f"[[{HUGE},1,0]]", "--p", "3"],
+        ["classify", "--phi", f"[[1,1,0],[{HUGE},0.1,0]]"],
+        ["classify", "--symbol-json", f'{{"c0":1,"phi":{{"terms":[[{HUGE},0.1,0]]}}}}'],
+        ["norm", "--series-json", f'{{"N":{HUGE},"terms":[[1,1,0]]}}'],
+        ["norm", "--terms", f"[[{_SIZE_CAP + 1},1,0]]"],
+        # a non-integral, boolean or string index is not read as an integer
+        ["norm", "--terms", "[[2.5,1,0],[1,1,0]]"],
+        ["norm", "--terms", "[[true,1,0]]"],
+        ["norm", "--terms", '[["5",1,0]]'],
+        ["norm", "--series-json", '{"N":2.5,"terms":[[1,1,0]]}'],
+    ],
+)
+def test_huge_or_non_integral_sizes_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_indices_up_to_the_size_cap_are_read(capsys):
+    code, out, _ = run_cli(capsys, "norm", "--terms", f"[[{_SIZE_CAP},1,0]]", "--space", "h")
+    assert code == 0 and json.loads(out)["value"] == 1.0
+    code, out, _ = run_cli(capsys, "norm", "--terms", "[[2.0,1,0],[1,1,0]]", "--space", "h")
+    assert code == 0 and json.loads(out)["value"] == math.sqrt(2.0)
+
+
 def test_numeric_error_exit_3(capsys):
     # kernel at a divergent abscissa pair
     code, _, err = run_cli(

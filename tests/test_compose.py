@@ -96,6 +96,16 @@ def test_compose_basis_huge_c0_is_quick():
         d.compose_basis(sym, 2, 1024)
 
 
+def test_huge_c0_section_equals_c0_1000(alpha1):
+    # the blocks are keyed by r(n), so r(n)^{c0} is never formed
+    huge, large = symbol(2**70, {1: 1.0}), symbol(1000, {1: 1.0})
+    for sym in (huge, large):
+        assert d.isometry_defect(sym, alpha1, 16, require_admissible=False) == d.isometry_defect(
+            large, alpha1, 16, require_admissible=False
+        )
+        assert d.contraction_lower_bound(sym, alpha1, 16, require_admissible=False) == 1.0
+
+
 def test_column_count_is_exact():
     for c0 in range(6):
         for N in list(range(1, 300)) + [2**40, 3**25 - 1, 3**25, 10**18]:

@@ -81,7 +81,14 @@ def test_folded_helpers_stay_gone():
             "_sobol_directions",
             "_dyadic_blocks_decreasing",
         },
-        "series.py": {"_mono_with_table", "_divisor_lists"},
+        "series.py": {
+            "_mono_with_table",
+            "_divisor_lists",
+            "monomial_of_index",
+            "index_of_monomial",
+            "_nth_prime_bound",
+        },
+        "primes.py": {"primes_upto"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
@@ -104,6 +111,25 @@ def test_folded_helpers_stay_gone():
         assert "integrate" not in class_methods(measures, cls), cls
     for cls in ("Measure", "DensityMeasure"):
         assert "_rule" not in class_methods(measures, cls), cls
+
+
+def test_only_the_bohr_lift_factorizes():
+    """The lift's arrays are the one factorization of a support: every
+    other consumer reads them."""
+    callers = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            called = {
+                getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                for n in ast.walk(node)
+                if isinstance(n, ast.Call)
+            }
+            if "factorize" in called:
+                callers.append(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert callers == ["series.bohr_lift"]
+    import dirspaces
+
+    assert not {"monomial_of_index", "index_of_monomial", "BohrMonomial"} & set(vars(dirspaces))
 
 
 def test_spectrum_path_never_reads_the_dense_section():

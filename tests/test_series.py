@@ -110,19 +110,6 @@ def test_multiply_square():
     assert np.count_nonzero(sq.coeffs) == 3
 
 
-def test_primes_upto_matches_trial_division():
-    from dirspaces.primes import primes_upto, spf_table
-
-    def is_prime(n):
-        return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
-
-    spf_table(5000)  # a larger cached table must not leak past n_max
-    for n in (-3, 0, 1, 2, 3, 4, 10, 97, 100, 1000):
-        got = primes_upto(n)
-        assert got == [k for k in range(2, n + 1) if is_prime(k)]
-        assert all(type(p) is int for p in got)
-
-
 def test_multiply_zeta_times_moebius():
     # zeta-partial times Moebius-partial: identity up to N/2, tail above.
     N = 64
@@ -348,18 +335,39 @@ def test_evaluate_multiplicative_at_large_re():
 
 
 def test_bohr_lift_examples():
-    assert d.monomial_of_index(1) == ()
-    assert d.monomial_of_index(2) == (1,)
-    assert d.monomial_of_index(12) == (2, 1)
-    lift = d.bohr_lift(d.from_terms({2: 1.0}, 4))
-    assert lift.terms == {(1,): 1.0}
+    lift = d.bohr_lift(d.from_terms({2: 1.0, 12: -1j}, 12))
+    assert lift.indices.tolist() == [2, 12] and lift.primes.tolist() == [2, 3]
+    assert lift.exponents.tolist() == [[1, 0], [2, 1]] and lift.exponents.dtype == np.int64
+    assert lift.coeffs.tolist() == [1.0, -1j]
+    # only the primes that occur are axes: 11^{-s} lifts to one coordinate
+    assert d.bohr_lift(d.from_terms({11: 1.0}, 11)).exponents.tolist() == [[1]]
     lift1 = d.bohr_lift(d.from_terms({1: 1.0}, 4))
-    assert lift1.terms == {(): 1.0} and lift1.dimension == 0
+    assert lift1.indices.tolist() == [1] and lift1.primes.size == 0
+    assert lift1.exponents.shape == (1, 0) and lift1.coeffs.tolist() == [1.0]
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % p for p in range(2, int(n**0.5) + 1))
 
 
 def test_bohr_round_trip_indices():
-    for n in range(1, 10_001):
-        assert d.index_of_monomial(d.monomial_of_index(n)) == n
+    # every index 1..10^4 lifts to exponents whose product over the primes is the index
+    n_max = 10_000
+    lift = d.bohr_lift(d.from_terms({n: 1.0 for n in range(1, n_max + 1)}, n_max))
+    assert lift.indices.tolist() == list(range(1, n_max + 1))
+    assert np.prod(lift.primes**lift.exponents, axis=1).tolist() == lift.indices.tolist()
+    assert lift.exponents.any(axis=0).all()
+
+
+def test_primes_upto_matches_trial_division():
+    # the lift's primes are the trial-division primes up to n_max
+    from dirspaces.primes import spf_table
+
+    spf_table(50_000)  # a larger cached table must not leak past n_max
+    for n_max in (1, 2, 3, 4, 10, 97, 100, 1000, 10_000):
+        lift = d.bohr_lift(d.from_terms({n: 1.0 for n in range(1, n_max + 1)}, n_max))
+        assert lift.primes.tolist() == [k for k in range(2, n_max + 1) if _is_prime(k)]
+        assert lift.primes.dtype == np.int64
 
 
 def test_bohr_round_trip_polynomials():
@@ -372,7 +380,9 @@ def test_bohr_round_trip_polynomials():
 
 def test_bohr_term_count():
     f = d.from_terms({1: 1.0, 6: 2.0, 8: -1j}, 8)
-    assert len(d.bohr_lift(f).terms) == 3
+    lift = d.bohr_lift(f)
+    assert lift.indices.tolist() == [1, 6, 8] and lift.coeffs.size == 3
+    assert lift.exponents.shape == (3, 2)
 
 
 # ---------- JSON ----------

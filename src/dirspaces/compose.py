@@ -53,16 +53,22 @@ def compose_basis(sym: Symbol, n, N: int):
         raise TruncationError(
             f"image of {top}^(-s) has no support at truncation {N} (needs N >= {top}^{c0})"
         )
-    steps = np.array([i**c0 for i in ns], dtype=np.int64)  # each <= N
-    M = N // int(steps.min())
+    if c0:  # each n^{c0} <= N, so past c0 = 62 every n is 1
+        steps = np.asarray(ns, dtype=np.int64) ** min(c0, 62)
+    else:  # any index, past the int64 range too
+        steps = np.ones(len(ns), dtype=np.int64)
+    tops = N // steps  # column i reads exp up to its own truncation
+    M = int(tops.max())
     psi = np.zeros(M, dtype=np.complex128)
     K = min(M, sym.phi.truncation)
     psi[:K] = sym.phi.coeffs[:K]
     psi[0] = 0.0
-    logn = np.array([math.log(i) for i in ns])
-    idx, G = ds.exp(DirichletSeries(psi, exact=True), M, t=-logn)
+    # math.log, whose bits every call has used: np.log differs on 57 of the first 2^20 n
+    logn = np.fromiter(map(math.log, ns), np.float64, len(ns))
+    # a list: bench/spans.py records this argument in spans written as JSON
+    idx, G = ds.exp(DirichletSeries(psi, exact=True), tops.tolist(), t=-logn)
     # column i keeps the exp coefficients whose dilated index fits in N
-    counts = np.searchsorted(idx, N // steps, side="right")
+    counts = np.searchsorted(idx, tops, side="right")
     cols = np.repeat(np.arange(len(ns)), counts)
     r = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
     scale = np.exp(-complex(sym.c1) * logn)[cols]
@@ -219,11 +225,6 @@ class DefectReport:
         return abs(self.value - self.value_half)
 
 
-def _gram_defect(s: np.ndarray) -> float:
-    # G = M* M has eigenvalues s_i^2, one per column
-    return float(np.max(np.abs(s * s - 1.0)))
-
-
 def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
     """r(i) for i = 1..N: i with every prime of the Bohr lift of phi (every
     prime dividing an index of supp(phi)) divided out."""
@@ -238,69 +239,124 @@ def _coprime_part(sym: Symbol, N: int) -> np.ndarray:
 
 def _section_spectra(
     m: OperatorMatrix, sym: Symbol, sizes: list[tuple[int, int]]
-) -> list[np.ndarray]:
-    """Every singular value of each leading section, the rows up to R of the
-    first C columns, for (R, C) in `sizes`, from one grouping of the entries.
+) -> list[tuple[np.ndarray, float]]:
+    """Every eigenvalue of G = M* M, and the largest singular value of M, for
+    each leading section M, the rows up to R of the first C columns, for
+    (R, C) in `sizes`, from one grouping of the rows and columns.
 
     n^{-Phi} = n^{-c1} n^{-c0 s} exp(-(log n) psi) is supported on n^{c0}
     times the semigroup generated by supp(psi), so column n only meets rows
     m with r(m) = r(n)^{c0} (r from _coprime_part) and the section is block
-    diagonal under that grouping.  x -> x^{c0} is injective and increasing,
-    so the blocks are keyed by r(n) itself (by 1 at c0 = 0), which gives the
-    same blocks in the same order without forming r(n)^{c0}.  Each block is
-    taken dense over the rows and columns its entries occupy.  A block with one row or one column has
-    one singular value, the norm of that vector, and one vectorized norm
-    takes all of them; the blocks of each other shape, from every size,
-    share one batched SVD.  G = M* M has one eigenvalue per column, so each
-    size's values are padded with zeros up to C: that one rule covers empty
-    columns and blocks with more columns than rows.
+    diagonal under that grouping: column n is in group r(n), and row m in
+    group u where u^{c0} = r(m) (all are in group 1 at c0 = 0).  Each
+    size's block of a group takes every column of the group, and the rows
+    of the group that hold an entry of the section, each ranked in order by
+    one stable sort over all the rows or all the columns; an empty column
+    or row only adds a zero eigenvalue.  G has one eigenvalue per column,
+    so each size's values are padded with zeros up to C: that one rule
+    covers empty columns and blocks with more columns than rows.
     """
-    span = m.N + 1  # above every row index and column position
-    key = _coprime_part(sym, m.N)[np.asarray(m.ns) - 1] ** min(sym.c0, 1)  # <= N, as r(n) <= n
+    span = m.N + 1  # above every row index, column position and group
     picks = [np.flatnonzero((m.rows <= R) & (m.cols < C)) for R, C in sizes]
     size_of = np.repeat(np.arange(len(sizes)), [p.size for p in picks])
     pick = np.concatenate(picks)
     rows, cols, values = m.rows[pick], m.cols[pick], m.values[pick]
-    # one block per (size, key); each entry's rank among its block's rows and columns
-    tags, block = np.unique(size_of * span + key[cols], return_inverse=True)
-    at, shape = [], []
-    for x in (rows, cols):
-        pairs, inv = np.unique(block * span + x, return_inverse=True)
-        count = np.bincount(pairs // span, minlength=tags.size)
-        at.append(inv - (np.cumsum(count) - count)[block])
-        shape.append(count)
-    rank = np.minimum(*shape)  # >= 1
-    order = np.lexsort((shape[1], shape[0], rank > 1))  # the vectors, then the rest by shape
-    n_rows, n_cols, rank = shape[0][order], shape[1][order], rank[order]
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    e = np.argsort(slot[block], kind="stable")  # block by block, each in its own order
-    block, row_at, col_at, v = slot[block[e]], at[0][e], at[1][e], values[e]
-    bounds = np.searchsorted(block, np.arange(order.size + 1))  # each block's run of entries
-    hi = int(np.count_nonzero(rank == 1))
-    s = np.empty(int(rank.sum()))  # the singular values of each block in turn
-    if hi:
-        s[:hi] = np.hypot.reduceat(np.abs(v[: bounds[hi]]), bounds[:hi])
-        if np.isnan(s[:hi]).any():  # where an SVD would not converge
-            raise NumericError("section spectrum: the section is not finite")
-    start = np.cumsum(rank) - rank
-    cuts = np.flatnonzero((np.diff(n_rows[hi:]) != 0) | (np.diff(n_cols[hi:]) != 0)) + hi + 1
-    for j0, j1 in zip([hi, *cuts.tolist()], [*cuts.tolist(), rank.size]):
-        if j0 == j1:
-            continue
-        run = slice(bounds[j0], bounds[j1])
-        stack = np.zeros((j1 - j0, n_rows[j0], n_cols[j0]), dtype=np.complex128)
-        stack[block[run] - j0, row_at[run], col_at[run]] = v[run]
-        try:
-            sv = np.linalg.svd(stack, compute_uv=False)
-        except np.linalg.LinAlgError as err:  # as on a section that overflowed
-            raise NumericError(f"section spectrum: {err}") from None
-        s[start[j0] : start[j0] + sv.size] = sv.ravel()
-    keep = np.repeat(tags[order] // span, rank)  # the size of each singular value
+    if not np.isfinite(values).all():
+        raise NumericError("section spectrum: the section is not finite")
+    r = _coprime_part(sym, m.N) if sym.c0 else np.ones(m.N, dtype=np.int64)
+    col_ids, col_group = np.arange(len(m.ns)), r[: len(m.ns)]  # column c is n = c + 1
+    root = np.zeros(span, dtype=np.int64)  # group 0 holds no column
+    root[col_group ** min(sym.c0, 62)] = col_group  # r(n)^{c0} <= n^{c0} <= N
+    held = np.zeros(span, dtype=bool)
+    held[m.rows] = True
+    row_ids = np.flatnonzero(held)  # the rows that hold an entry, ascending
+    row_group = root[r[row_ids - 1]]
+    place = []  # each row's and each column's rank in its group
+    for ids, group in ((row_ids, row_group), (col_ids, col_group)):
+        count = np.bincount(group, minlength=span)
+        order = np.argsort(group, kind="stable")
+        at = np.empty(span, dtype=np.int64)
+        at[ids[order]] = np.arange(order.size) - (np.cumsum(count) - count)[group[order]]
+        place.append(at)
+    # each size's blocks, the groups with both rows and columns, in one order
+    shape = np.array([
+        (np.bincount(row_group[row_ids <= R], minlength=span),
+         np.bincount(col_group[:C], minlength=span))
+        for R, C in sizes
+    ])  # (sizes, 2, span)
+    size_of_block, group_of_block = np.nonzero(shape.min(axis=1))
+    n_rows, n_cols = np.moveaxis(shape[size_of_block, :, group_of_block], 1, 0)
+    rank, length = np.minimum(n_rows, n_cols), np.maximum(n_rows, n_cols)
+    order = np.lexsort((length, rank))  # the vectors, then the rest by shape
+    size_of_block, group_of_block, tall, rank, length = (
+        x[order] for x in (size_of_block, group_of_block, n_rows >= n_cols, rank, length)
+    )
+    slot = np.zeros((len(sizes), span), dtype=np.int64)
+    slot[size_of_block, group_of_block] = np.arange(order.size)
+    block = slot[size_of, col_group[cols]]
+    # each entry's place along its block's long side and across its short side
+    row_at, col_at = place[0][rows], place[1][cols]
+    along = np.where(tall[block], row_at, col_at)
+    across = np.where(tall[block], col_at, row_at)
+    lam, top = _gram_eigenvalues(values, block, along, across, rank, length)
+    keep = np.repeat(size_of_block, rank)  # the size of each eigenvalue
     return [
-        np.concatenate([s[keep == i], np.zeros(C - np.count_nonzero(keep == i))])
+        (
+            np.concatenate([lam[keep == i], np.zeros(C - np.count_nonzero(keep == i))]),
+            float(top[size_of_block == i].max(initial=0.0)),
+        )
         for i, (_, C) in enumerate(sizes)
     ]
+
+
+def _gram_eigenvalues(values, block, along, across, rank, length):
+    """The eigenvalues of each block's Gram, ascending block by block, and
+    each block's largest singular value.  The entry values[j] sits in block
+    block[j] at (along[j], across[j]) on its long side by its short side;
+    the blocks are ordered by (rank, length), so the vectors come first.
+
+    A block with one row or one column has one eigenvalue, the squared norm
+    of that vector.  Every block is scaled by the power of two that brings
+    its largest modulus into [1/2, 1), as norms._homogeneous does, so that
+    its Gram stays in the floats, and the Gram is taken on its short side:
+    B* B and B B* share their nonzero eigenvalues.  Grams of two columns
+    have theirs in closed form, and the Grams of each larger size share one
+    batched eigvalsh.  The largest singular value is read from the scaled
+    eigenvalues, so it stays finite where its square would not.
+    """
+    peak = np.zeros(rank.size)
+    np.maximum.at(peak, block, np.abs(values))
+    shift = np.frexp(peak)[1]  # peak / 2^shift lies in [1/2, 1)
+    pairs = np.ldexp(values.view(np.float64).reshape(-1, 2), -shift[block, None])
+    v = pairs.view(np.complex128).ravel()
+    hi = int(np.count_nonzero(rank == 1))
+    vec = block < hi
+    parts = [np.bincount(block[vec], weights=v.real[vec] ** 2 + v.imag[vec] ** 2, minlength=hi)]
+    # every other block dense, one after another
+    cells = length[hi:] * rank[hi:]
+    base = np.cumsum(cells) - cells
+    b = block[~vec] - hi
+    dense = np.zeros(int(cells.sum()), dtype=np.complex128)
+    dense[base[b] + along[~vec] * rank[hi:][b] + across[~vec]] = v[~vec]
+    grams = {}  # rank -> the Grams of that size, block by block
+    cuts = np.flatnonzero((np.diff(rank[hi:]) != 0) | (np.diff(length[hi:]) != 0)) + 1
+    for j0, j1 in zip([0, *cuts.tolist()], [*cuts.tolist(), cells.size]):
+        if j0 == j1:
+            continue
+        k = int(rank[hi + j0])
+        stack = dense[base[j0] : base[j0] + (j1 - j0) * cells[j0]].reshape(j1 - j0, -1, k)
+        grams.setdefault(k, []).append(stack.conj().transpose(0, 2, 1) @ stack)
+    for k, g in grams.items():
+        g = np.concatenate(g)
+        if k == 2:
+            mid = 0.5 * (g[:, 0, 0].real + g[:, 1, 1].real)
+            rad = np.hypot(0.5 * (g[:, 0, 0].real - g[:, 1, 1].real), np.abs(g[:, 1, 0]))
+            parts.append(np.stack([mid - rad, mid + rad], axis=1).ravel())
+        else:
+            parts.append(np.linalg.eigvalsh(g).ravel())
+    scaled = np.concatenate(parts)
+    top = np.ldexp(np.sqrt(np.maximum(scaled[np.cumsum(rank) - 1], 0.0)), shift)
+    return np.ldexp(scaled, np.repeat(2 * shift, rank)), top
 
 
 def isometry_defect(
@@ -317,9 +373,15 @@ def isometry_defect(
         raise InvalidInputError("need N >= 4 to compare against the N/2 section")
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
     half = N // 2
-    s, s_half = _section_spectra(m, sym, [(N, len(m.ns)), (half, _column_count(sym.c0, half))])
+    (lam, s_max), (lam_half, _) = _section_spectra(
+        m, sym, [(N, len(m.ns)), (half, _column_count(sym.c0, half))]
+    )
+    # the eigenvalues of G are the squared singular values, one per column
     return DefectReport(
-        value=_gram_defect(s), value_half=_gram_defect(s_half), N=N, s_max=float(np.max(s))
+        value=float(np.max(np.abs(lam - 1.0))),
+        value_half=float(np.max(np.abs(lam_half - 1.0))),
+        N=N,
+        s_max=s_max,
     )
 
 
@@ -331,5 +393,5 @@ def contraction_lower_bound(
     The same spectrum pass as isometry_defect, on the N section only.
     """
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
-    (s,) = _section_spectra(m, sym, [(N, len(m.ns))])
-    return float(np.max(s))
+    ((_, s_max),) = _section_spectra(m, sym, [(N, len(m.ns))])
+    return s_max

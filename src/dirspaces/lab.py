@@ -14,10 +14,12 @@ import csv
 import io
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivergenceError, InvalidInputError, PoleError
 from .measures import Measure, measure_tag
 from .norms import norm_hp, point_eval_sum, zeta
-from .series import translate
+from .series import DirichletSeries
 from .symbols import (
     Certificate,
     Lemma1Result,
@@ -89,14 +91,18 @@ class ProfilePoint:
 def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[ProfilePoint]:
     """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}.
 
-    One exp pass serves the whole grid: with sigma0 the smallest sigma,
-    g = 2^{-Phi(sigma0+s)} is the composed basis element of the translate
-    Phi_{sigma0}, and 2^{-Phi(sigma+s)} is its vertical translate by
-    sigma - sigma0 >= 0 (coefficient a_m -> a_m m^{-(sigma - sigma0)}), so
-    each row is the H^p norm of that translate.  Translating only shrinks
-    coefficients, so no row overflows where its own exp pass would not.
-    The value never exceeds 2^{-sigma} (within truncation) and matches it
-    exactly iff Phi is a vertical translation.
+    One exp pass and one norm pass serve the whole grid.  With sigma0 the
+    smallest sigma, g = 2^{-Phi(sigma0+s)} is the composed basis element of
+    the translate Phi_{sigma0}, and 2^{-Phi(sigma+s)} is its vertical
+    translate by sigma - sigma0 >= 0.  g is supported on multiples of
+    2^{c0}, so g = 2^{-c0 s} E(s) with E the series of its coefficients at
+    j 2^{c0}, and |2^{-c0 s}| = 2^{-c0 sigma} on each vertical line: the
+    row at sigma is 2^{-c0 (sigma - sigma0)} times the H^p norm of E
+    translated by sigma - sigma0, and norm_hp takes every such norm from
+    one evaluation of its moment function.  E keeps its constant term under
+    translation, so no row underflows before its value does.  The value
+    never exceeds 2^{-sigma} (within truncation) and matches it exactly iff
+    Phi is a vertical translation.
     """
     if sym.c0 < 1:
         raise InvalidInputError("the norm profile applies to c0 >= 1 symbols")
@@ -106,13 +112,14 @@ def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[Pr
     sigma0 = min(sigmas)
     phi0, _ = translate_symbol(sym, sigma0)  # raises unless every sigma > 0
     g = compose_basis(phi0, 2, N)
+    c0 = int(phi0.c0)
+    step = 2**c0  # <= N, or compose_basis has raised
+    E = DirichletSeries(g.coeffs[step - 1 :: step], exact=True)
+    offsets = np.array(sigmas) - sigma0
+    values = 2.0 ** (-c0 * offsets) * norm_hp(E, p, offsets)
     return [
-        ProfilePoint(
-            sigma=sigma,
-            reference=2.0**-sigma,
-            value=norm_hp(translate(g, sigma - sigma0), p),
-        )
-        for sigma in sigmas
+        ProfilePoint(sigma=sigma, reference=2.0**-sigma, value=float(value))
+        for sigma, value in zip(sigmas, values)
     ]
 
 

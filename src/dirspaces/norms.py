@@ -109,9 +109,11 @@ def _homogeneous(norm):
             return norm(f, *args, **kwargs)
         quotient = np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128)
         out = norm(DirichletSeries(quotient, exact=f.exact), *args, **kwargs)
-        if isinstance(out, tuple):
-            return tuple(x if x is None else float(np.ldexp(x, e)) for x in out)
-        return float(np.ldexp(out, e))
+
+        def back(x):  # x 2^e, an array kept as one
+            return x if x is None else np.ldexp(x, e) if np.ndim(x) else float(np.ldexp(x, e))
+
+        return tuple(map(back, out)) if isinstance(out, tuple) else back(out)
 
     return scaled
 
@@ -132,25 +134,37 @@ def _even_q(p: float) -> int | None:
 
 
 @_homogeneous
-def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[float, float | None]:
+def _norm(
+    f: DirichletSeries, p: float, mu: Measure | None = None, sigmas=None
+) -> tuple[float | np.ndarray, float | None]:
     """(||f||, error bar) in H^p, or in A^p_mu given mu, with no error bar
-    where the value is exact (even p) or not estimated (A^p).
+    where the value is exact (even p) or not estimated (A^p).  Given
+    `sigmas`, all >= 0, in place of mu, the H^p norms of the translates
+    f(sigma + .) instead, as an array, with no error bar.
 
     sigma -> ||f(sigma + .)||^p_{H^p} is built once: at p = 2q the sum of
     |b_m|^2 m^{-2 sigma} over f^q = sum b_m m^{-s}, at other p the torus
-    integral of the Bohr lift.  H^p reads it at sigma = 0, A^p integrates it
-    against mu.  One term a n^{-s} has the norm |a| ||n^{-s}||, with no power
-    of |a| formed: 1 in H^p, and in A^p the p-th root of the integral of
+    integral of the Bohr lift.  H^p reads it at sigma = 0, or at `sigmas` in
+    one evaluation, A^p integrates it against mu.  One term a n^{-s} has the
+    norm |a| ||n^{-s}||, with no power of |a| formed: 1 in H^p (n^{-sigma}
+    for its translate), and in A^p the p-th root of the integral of
     n^{-p sigma} d mu, which is the weight w_h(n^{p/2}).
     """
     if p < 1:
         raise InvalidInputError("p must be >= 1")
     if not f.exact:
         raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
+    if sigmas is not None:
+        sigmas = np.asarray(sigmas, dtype=np.float64)
+        if not np.all(sigmas >= 0):
+            raise InvalidInputError("translation requires sigma >= 0")
     q = _even_q(p)
     support = np.flatnonzero(f.coeffs)
     if support.size <= 1:
         value = float(np.abs(f.coeffs[support]).sum())
+        if sigmas is not None:
+            n = support[0] + 1.0 if support.size else 1.0
+            return value * n**-sigmas, None
         if mu is not None and support.size and support[0] > 0:
             try:
                 x = float(support[0] + 1) ** (p / 2.0)
@@ -177,6 +191,8 @@ def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[floa
         def moments(sig):
             return _torus_moments(lift, p, sig)
 
+    if sigmas is not None:
+        return moments(sigmas)[0] ** (1.0 / p), None
     if mu is not None:
         return mu.integrate(lambda sig: moments(sig)[0]) ** (1.0 / p), None
     (integral,), err = moments(np.zeros(1))
@@ -184,10 +200,12 @@ def _norm(f: DirichletSeries, p: float, mu: Measure | None = None) -> tuple[floa
     return value, (None if err is None else float(err[0]) * value / (p * float(integral)))
 
 
-def norm_hp(f: DirichletSeries, p: float) -> float:
+def norm_hp(f: DirichletSeries, p: float, sigmas=None) -> float | np.ndarray:
     """H^p norm of an exact polynomial: exact via ||f^{p/2}||_2^{2/p} at even
-    integer p, at other p as qmc_norm_hp."""
-    return _norm(f, p)[0]
+    integer p, at other p as qmc_norm_hp.  Given `sigmas`, all >= 0, the
+    norms of the translates f(sigma + .) instead, as an array, from one
+    evaluation of the moment function."""
+    return _norm(f, p, sigmas=sigmas)[0]
 
 
 def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:

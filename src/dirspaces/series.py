@@ -86,7 +86,10 @@ def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
     """Exact polynomial with the given index -> coefficient map, truncated at N."""
     if N < 1:
         raise InvalidInputError("truncation must be >= 1")
-    coeffs = np.zeros(N, dtype=np.complex128)
+    try:
+        coeffs = np.zeros(N, dtype=np.complex128)
+    except (ValueError, MemoryError) as e:  # past numpy's largest dimension, or the memory
+        raise InvalidInputError(f"truncation {N} cannot be allocated: {e}") from None
     for n, c in terms.items():
         if n < 1:
             raise InvalidInputError(f"index {n} is invalid, indices start at 1")
@@ -154,6 +157,11 @@ def _padded(f: DirichletSeries, N: int) -> np.ndarray:
     return out
 
 
+# a - b is a + (-b) exactly, and x * -0.0 is -(x * 0.0)
+_MINUS_PLUS = np.array([-1.0, 1.0])
+_ZERO_MINUS_ZERO = np.array([0.0, -0.0])
+
+
 @functools.lru_cache(maxsize=128)
 def _exp_plan(support: tuple[int, ...], N: int):
     """The schedule of the exp recurrence up to N for supp(f) = `support`
@@ -164,11 +172,11 @@ def _exp_plan(support: tuple[int, ...], N: int):
     exp(f) is exactly 0.  `log_d` is log d for each d in `support`.  With
     b = min(support), an index in (b^{j-1}, b^j] only divides down to
     indices <= b^{j-1}, so one wave computes all of them from the earlier
-    waves.  A wave (lo, hi, ranks, inv_log) fills rows lo..hi-1 of idx,
-    where inv_log is 1 / log idx[row].  Rank r of its sums is a pair
-    (src, slot): row i reads row src[i] at support slot slot[i], for the
-    r-th smallest d in `support` dividing idx[lo + i].  A quotient that the
-    semigroup does not reach reads row len(idx), which stays zero, and a
+    waves.  A wave (lo, hi, src, slot, inv_log) fills rows lo..hi-1 of idx,
+    where inv_log is 1 / log idx[row].  src and slot are (ranks, hi - lo):
+    at rank r, row i reads row src[r, i] at support slot slot[r, i], for
+    the r-th smallest d in `support` dividing idx[lo + i].  A quotient that
+    the semigroup does not reach reads row len(idx), which stays zero, and a
     row with fewer divisors pads with that row at slot len(support), whose
     coefficient is zero.
     """
@@ -201,10 +209,10 @@ def _exp_plan(support: tuple[int, ...], N: int):
             src[rank[hit], hit] = row_of[n[hit] // d]
             slot[rank[hit], hit] = j
             rank[hit] += 1
-        inv_log = 1.0 / logs[n - 1, None]
+        inv_log = 1.0 / logs[n - 1, None, None]
         for arr in (src, slot, inv_log):
             arr.setflags(write=False)  # the cache shares them with every call
-        waves.append((lo, hi, tuple(zip(src[: rank.max()], slot[: rank.max()])), inv_log))
+        waves.append((lo, hi, src[: rank.max()], slot[: rank.max()], inv_log))
         lo, top = hi, top * support[0]
     log_d = logs[np.asarray(support, dtype=np.int64) - 1, None]
     idx.setflags(write=False)  # exp(..., t=...) returns it
@@ -226,10 +234,15 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
     With `t`, a 1-d array of reals, one pass of the recurrence computes the
     whole family exp(t_i f) and returns (idx, G): the reached indices (1
     first, ascending) and G[r, i], the coefficient of exp(t_i f) at idx[r].
-    Without it the result is exp(f) as a series, from the same loop with
-    t = (1,).  The complex products are written out in real arithmetic, in
-    the order numpy's scalar complex arithmetic takes, so each column is
-    bitwise the scalar recurrence of t_i f, whatever the length of `t`.
+    `N` may then be one truncation per member, a sequence as long as `t` in
+    any order.  The recurrence runs up to the largest, and each wave only
+    over the members whose truncation reaches its first index: a member's
+    column is exact at every index up to its truncation, and zero from the
+    first wave that starts past it.  Without `t` the result is exp(f) as a
+    series, from the same loop with t = (1,).  The complex products are
+    written out in real arithmetic, in the order numpy's scalar complex
+    arithmetic takes, so each column is bitwise the scalar recurrence of
+    t_i f, whatever the other members and their truncations.
     """
     if N is None:
         N = f.truncation
@@ -238,28 +251,44 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
     ts = np.ones(1) if t is None else np.asarray(t, dtype=np.float64)
     if ts.ndim != 1:
         raise InvalidInputError("t must be a 1-d array of reals")
+    tops = None
+    if np.ndim(N):
+        tops = np.asarray(N, dtype=np.int64)
+        if t is None or tops.shape != ts.shape or not tops.size or tops.min() < 1:
+            raise InvalidInputError("exp takes one truncation >= 1 per member of t")
+        # the members by decreasing truncation, so that each wave's are a prefix
+        order = np.argsort(-tops, kind="stable")
+        ts, tops, N = ts[order], tops[order], int(tops.max())
     fa = _padded(f, N)
     support = tuple(int(i) + 1 for i in np.nonzero(fa)[0])
     idx, log_d, waves = _exp_plan(support, N)
-    # (t f_d) log d for each support slot, then a zero slot for padding
+    # each wave serves the members whose truncation reaches its first index
+    served = [ts.size] * len(waves)
+    if tops is not None:
+        firsts = idx[[lo for lo, *_ in waves]]
+        served = np.searchsorted(-tops, -firsts, side="right").tolist()
+    # (t f_d) log d for each support slot, then a zero slot for padding, as
+    # (real, imaginary) pairs on the last axis; g likewise at each reached index
     fd = fa[np.asarray(support, dtype=np.int64) - 1, None]
     tr, ti = ts * fd.real, ts * fd.imag
-    ar, ai = np.zeros((len(support) + 1, ts.size)), np.zeros((len(support) + 1, ts.size))
-    ar[:-1] = tr * log_d - ti * 0.0
-    ai[:-1] = tr * 0.0 + ti * log_d
-    gr, gi = np.zeros((idx.size + 1, ts.size)), np.zeros((idx.size + 1, ts.size))
-    gr[0] = 1.0  # g_1 = 1; the last row stays 0
-    for lo, hi, ranks, inv_log in waves:
-        acc_r, acc_i = np.zeros((hi - lo, ts.size)), np.zeros((hi - lo, ts.size))
-        for q, s in ranks:  # the divisors of each index, ascending
-            cr, ci, qr, qi = ar[s], ai[s], gr[q], gi[q]
-            acc_r += cr * qr - ci * qi
-            acc_i += cr * qi + ci * qr
+    a = np.zeros((len(support) + 1, ts.size, 2))
+    a[:-1, :, 0] = tr * log_d - ti * 0.0
+    a[:-1, :, 1] = tr * 0.0 + ti * log_d
+    g = np.zeros((idx.size + 1, ts.size, 2))
+    g[0, :, 0] = 1.0  # g_1 = 1; the last row stays 0
+    for (lo, hi, src, slot, inv_log), k in zip(waves, served):
+        if not k:
+            break
+        c, q = a[slot, :k], g[src, :k]  # (ranks, rows, members, 2)
+        # (c_r q_r - c_i q_i, c_r q_i + c_i q_r) for each divisor, added to 0
+        # rank by rank, as numpy reduces over a leading axis
+        terms = c[..., :1] * q + c[..., 1:] * q[..., ::-1] * _MINUS_PLUS
+        acc = np.add.reduce(terms, axis=0, initial=0.0)
         # numpy's complex division by a real multiplies by its reciprocal
-        gr[lo:hi] = (acc_r + acc_i * 0.0) * inv_log
-        gi[lo:hi] = (acc_i - acc_r * 0.0) * inv_log
-    G = np.empty((idx.size, ts.size), dtype=np.complex128)
-    G.real, G.imag = gr[:-1], gi[:-1]
+        g[lo:hi, :k] = (acc + acc[..., ::-1] * _ZERO_MINUS_ZERO) * inv_log
+    G = g[:-1].view(np.complex128)[..., 0]
+    if tops is not None and np.any(np.diff(order) != 1):
+        G = G[:, np.argsort(order)]  # back to the members' own order
     if t is not None:
         return idx, G
     out = np.zeros(N, dtype=np.complex128)

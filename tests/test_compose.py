@@ -367,26 +367,41 @@ def test_block_spectrum_matches_dense_svd(c0, N, alpha0, alpha1):
             assert rep.s_max == d.contraction_lower_bound(sym, mu, N, require_admissible=False)
 
 
+def _record_eigvalsh(monkeypatch):
+    """The shapes passed to np.linalg.eigvalsh; np.linalg.svd must not run."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the section spectrum takes no SVD")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    return shapes
+
+
 @pytest.mark.parametrize("c0", [0, 1, 2, 3])
 @pytest.mark.parametrize("N", [16, 33, 64, 128])
 def test_spectrum_runs_one_svd_per_block_shape(monkeypatch, c0, N, alpha1):
-    # Over both truncations, one LAPACK call for each shape with both sides
-    # >= 2; blocks of one row or one column never reach it.
-    shapes = []
-    svd = np.linalg.svd
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(a.shape[-2:])
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    # Over both truncations, one LAPACK call (an eigvalsh) for each Gram
+    # size >= 3; vector blocks and Grams of two columns never reach it.
+    shapes = _record_eigvalsh(monkeypatch)
+    calls = 0
     for sym in _spectrum_symbols(c0, N):
         shapes.clear()
         d.isometry_defect(sym, alpha1, N, require_admissible=False)
-        assert len(set(shapes)) == len(shapes)
-        assert all(min(shape) >= 2 for shape in shapes)
+        sides = [shape[-2:] for shape in shapes]
+        assert len(set(sides)) == len(sides)
+        assert all(a == b >= 3 for a, b in sides)
         if sym.phi.degree == 1:  # a translation or a c0 = 0 constant: vectors only
             assert shapes == []
+        calls += len(shapes)
+    if c0 <= 1 and N >= 64:
+        assert calls  # the Grams of three or more columns do reach it
 
 
 @pytest.mark.parametrize("c0", [0, 1, 2, 3])
@@ -405,17 +420,37 @@ def test_section_is_block_diagonal(c0, alpha1):
 
 def test_spectrum_takes_small_blocks(monkeypatch, alpha0):
     # phi = 1 + 0.2 3^{-s}: the blocks are the chains u 3^j (3 not dividing
-    # u), the longest being 1, 3, ..., 243; no SVD sees the whole section.
-    shapes = []
-    svd = np.linalg.svd
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    # u), the longest being 1, 3, ..., 243; no eigvalsh sees the whole
+    # section, and none sees a Gram of fewer than three columns.
+    shapes = _record_eigvalsh(monkeypatch)
     d.isometry_defect(symbol(1, {1: 1.0, 3: 0.2}), alpha0, 256)
-    assert shapes and max(shape[-1] for shape in shapes) <= 6
+    assert shapes and all(3 <= shape[-1] <= 6 for shape in shapes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    c0=st.integers(0, 3),
+    # Re c1 = 800 leaves every column n >= 3 empty: n^{-800} underflows
+    c1=st.builds(complex, st.one_of(st.floats(0.05, 3.0), st.just(800.0)), st.floats(-3.0, 3.0)),
+    tail=_TAIL,
+    N=st.integers(4, 256),
+    mu=st.sampled_from([None, d.AlphaMeasure(0.0), d.AlphaMeasure(1.0)]),
+)
+def test_gram_spectra_match_the_dense_svd(c0, c1, tail, N, mu):
+    # Every eigenvalue of G, against the squared singular values of the
+    # dense section padded with zeros to one per column.  The tolerance is
+    # 1e-14 max(1, lambda_max): each side is backward stable, and on such
+    # sections an SVD taken block by block is up to 15 ulps of
+    # max(1, lambda_max) away from the dense one.
+    sym = symbol(c0, {1: c1, **tail})
+    m = d.operator_matrix(sym, mu, N, require_admissible=False)
+    sizes = [(N, len(m.ns)), (N // 2, compose._column_count(c0, N // 2))]
+    for (lam, s_max), (R, C) in zip(compose._section_spectra(m, sym, sizes), sizes):
+        s = np.linalg.svd(m.entries[:R, :C], compute_uv=False)
+        ref = np.sort(np.concatenate([s * s, np.zeros(C - s.size)]))
+        assert lam.size == C
+        assert np.max(np.abs(np.sort(lam) - ref)) <= 1e-14 * max(1.0, ref[-1])
+        assert abs(s_max - s[0]) <= 1e-14 * max(1.0, s[0])
 
 
 def test_empty_columns_are_zero_singular_values(alpha0):

@@ -1,6 +1,7 @@
 """Source hygiene: no unused imports in the package modules, helpers that
 were folded into one implementation stay folded, no path of the package
-imports scipy, and the measures form no weight by np.power."""
+imports scipy, the measures form no weight by np.power, and compose takes
+no SVD."""
 
 import ast
 import inspect
@@ -248,6 +249,20 @@ def test_measures_make_no_power_call():
         and n.func.value.id == "np"
     ]
     assert power_calls == []
+
+
+def test_section_spectrum_makes_no_svd_call():
+    """The section spectrum is Gram eigenvalues: two-column Grams in closed
+    form, and one batched eigvalsh per larger Gram size, from one call site.
+    np.linalg.svd pays LAPACK's per-matrix overhead on every block, most of
+    which are 2 x 2 to 8 x 8, and no path of compose calls it."""
+    calls = [
+        n.func.attr
+        for n in ast.walk(_tree(PACKAGE / "compose.py"))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+    ]
+    assert "svd" not in calls
+    assert calls.count("eigvalsh") == 1
 
 
 def test_no_qmc_thread_knob():

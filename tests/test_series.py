@@ -75,6 +75,18 @@ def test_from_terms_rejects_nonfinite_coefficient(c):
         d.from_terms({1: 1.0, 2: c}, 4)
 
 
+@pytest.mark.parametrize("N", [10**20, 10**14])
+def test_from_terms_rejects_a_truncation_it_cannot_allocate(N):
+    # numpy raises ValueError past its largest dimension (10^20) and
+    # MemoryError for 1.6 PB (10^14 coefficients)
+    with pytest.raises(InvalidInputError):
+        d.from_terms({1: 1.0}, N)
+    with pytest.raises(InvalidInputError):
+        from_json({"N": N, "terms": [[1, 1.0, 0.0]]})
+    with pytest.raises(InvalidInputError):
+        d.symbol(1, {1: 1.0, N: 0.5})
+
+
 def test_linear():
     two = d.from_terms({2: 1.0}, 8)
     three = d.from_terms({3: 1.0}, 8)
@@ -280,6 +292,39 @@ def test_exp_batch_is_the_family_of_scaled_exps(N, kmax):
         assert np.array_equal(_batch_column(idx, G, i, N), d.exp_series(scaled, N).coeffs)
         _, alone = d.exp_series(f, N, t=t[i : i + 1])
         assert alone.tobytes() == G[:, i : i + 1].tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    terms=st.dictionaries(
+        st.integers(2, 40),
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=4,
+    ),
+    members=st.lists(
+        st.tuples(st.floats(-6.0, 6.0), st.integers(1, 300)), min_size=1, max_size=8
+    ),
+)
+def test_exp_per_member_truncation_matches_the_full_batch(terms, members):
+    # Members in any order: each column is the full batch's, bit for bit, at
+    # every index up to its own truncation.
+    f = d.from_terms(terms, max(terms))
+    t = np.array([ti for ti, _ in members])
+    tops = [top for _, top in members]
+    idx_full, G_full = d.exp_series(f, max(tops), t=t)
+    idx, G = d.exp_series(f, tops, t=t)
+    assert np.array_equal(idx, idx_full) and G.shape == G_full.shape
+    for i, top in enumerate(tops):
+        upto = idx <= top
+        assert G[upto, i].tobytes() == G_full[upto, i].tobytes()
+
+
+def test_exp_takes_one_truncation_per_member():
+    f = d.from_terms({2: 1.0}, 8)
+    for N, t in (([4, 8], None), ([4, 8], [1.0]), ([0, 8], [1.0, 2.0]), ([], [])):
+        with pytest.raises(InvalidInputError):
+            d.exp_series(f, N, t=t)
 
 
 def test_exp_batch_reads_unreached_quotients_as_zero():

@@ -3,21 +3,21 @@ point-evaluation functionals.
 
 H^2 and A^2 norms are exact coefficient sums.  Even-integer H^p norms reduce
 exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}).  Other p
-integrate |f|^p over the polytorus through the Bohr lift: by a node-doubled
-tensor trapezoid rule over the coordinates the lift uses, while its grid fits
-QMC_REPLICATES * QMC_POINTS = 2^17 points, and where that rule does not
-converge within the budget by randomized quasi-Monte Carlo on QMC_REPLICATES
-random shifts of a rank-1 lattice of up to QMC_POINTS points, whose points
-the same trapezoid kernel evaluates.  That kernel takes the grid in chunks
-that are boxes, and builds their phases and sub-grid masks from one index
-range per axis.  The error bar is the doubling residual on the first route
-and the replicate standard error on the second.  A^p norms integrate the
-translated H^p norms against the measure.  Every norm is computed on f
-scaled by a power of two, so that tiny and huge coefficients keep their
-norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
-refused at or below the measure's abscissa.  Its tail is bounded in closed
-form for the Gamma family, and for density measures from the weights alone,
-by secants of the concave log w_h(e^t).
+integrate |f|^p over the polytorus through the Bohr lift, on one axis per
+independent direction of its exponent differences: by a node-doubled tensor
+trapezoid rule while its grid fits QMC_REPLICATES * QMC_POINTS = 2^17
+points, and where that rule does not converge within the budget by
+randomized quasi-Monte Carlo on QMC_REPLICATES random shifts of a rank-1
+lattice of up to QMC_POINTS points, whose points the same trapezoid kernel
+evaluates.  That kernel takes the grid in chunks that are boxes, and builds
+their phases and sub-grid masks from one index range per axis.  The error
+bar is the doubling residual on the first route and the replicate standard
+error on the second.  A^p norms integrate the translated H^p norms against
+the measure.  Every norm is computed on f scaled by a power of two, so that
+tiny and huge coefficients keep their norm.  Kernels and point evaluations
+are one sum of n^{-z}/w_h(n), refused at or below the measure's abscissa.
+Its tail is bounded in closed form for the Gamma family, and for density
+measures from the weights alone, by secants of the concave log w_h(e^t).
 """
 
 from __future__ import annotations
@@ -232,20 +232,22 @@ def _torus_moments(
     |f_sigma|^p is periodic on the polytorus, and analytic where f_sigma has
     no zero, so there the tensor trapezoid rule converges geometrically
     (Trefethen and Weideman, SIAM Rev. 56, 2014).  Terms below rounding at
-    every sigma are left out, and only the k coordinates the other monomials
-    use are integrated; the rest integrate to 1.  Axis a starts on the grid
-    j/M_a with M_a the least power of two above 4 d_a, d_a the largest
-    exponent on it, so that the grids of M_a, M_a/2 and M_a/4 points, which
-    one evaluation gives (see _trapezoid_rules), all integrate |f|^2 exactly.
-    Every M_a doubles while their product fits QMC_REPLICATES * QMC_POINTS
-    points.  A sigma is done, with the gap between the first two rules as
-    its error bar, once that gap is below _TORUS_REL_TOL and the gap between
-    the last two below its square root, as geometric convergence has them:
-    a phase of f that cancels the leading alias of one gap does not cancel
-    it in the other.  A sigma still open at the budget, or whose gap squared
-    once per doubling left would be (f_sigma vanishes on the torus, or k is
-    too large), or whose rule overflows (|f_sigma|^p past the floats), goes
-    to _qmc_moments: shifted rank-1 lattices on the same k coordinates and
+    every sigma are left out, and the rest are integrated on the lattice
+    their exponent differences span, one axis per independent direction,
+    or on the coordinates the lift uses where those give no smaller first
+    grid (see _difference_axes).  Axis a starts on the grid j/M_a with
+    M_a the least power of two above 4 d_a, d_a the largest exponent on it,
+    so that the grids of M_a, M_a/2 and M_a/4 points, which one evaluation
+    gives (see _trapezoid_rules), all integrate |f|^2 exactly.  Every M_a
+    doubles while their product fits QMC_REPLICATES * QMC_POINTS points.  A
+    sigma is done, with the gap between the first two rules as its error
+    bar, once that gap is below _TORUS_REL_TOL and the gap between the last
+    two below its square root, as geometric convergence has them: a phase
+    of f that cancels the leading alias of one gap does not cancel it in
+    the other.  A sigma still open at the budget, or whose gap squared once
+    per doubling left would be (f_sigma vanishes on the torus, or there are
+    too many axes), or whose rule overflows (|f_sigma|^p past the floats),
+    goes to _qmc_moments: shifted rank-1 lattices on the same axes and
     terms, with the replicate standard error as its error bar.
     """
     alphas, coeffs = lift.exponents, lift.coeffs
@@ -268,11 +270,12 @@ def _torus_moments(
     if not alphas.shape[1]:
         # only the constant term, of scaled modulus 1, is left
         return np.exp(p * log_peak), np.zeros(sigmas.size)
+    alphas = _difference_axes(alphas)
     budget, k = QMC_REPLICATES * QMC_POINTS, alphas.shape[1]
     integral, err = np.zeros(sigmas.size), np.zeros(sigmas.size)
     qmc = np.zeros(sigmas.size, dtype=bool)
     todo = np.arange(sigmas.size)
-    grid = np.array([1 << int(4 * d).bit_length() for d in alphas.max(axis=0)])
+    grid = _start_grid(alphas)
     while todo.size and grid.prod() <= budget:
         fine, half, quarter = _trapezoid_rules(alphas, scaled[todo], p, grid)
         gap = np.abs(fine - half)
@@ -297,16 +300,91 @@ def _torus_moments(
     return integral * scale, err * scale
 
 
+def _start_grid(alphas: np.ndarray) -> np.ndarray:
+    """Points per axis of the first trapezoid grid: the least power of two
+    above 4 times the axis's largest exponent."""
+    return np.array([1 << int(4 * d).bit_length() for d in alphas.max(axis=0)])
+
+
+def _difference_axes(alphas: np.ndarray) -> np.ndarray:
+    """The exponents of |sum_t c_t z^{alpha_t}| over one axis per
+    independent direction of the differences alpha_t - alpha_0, or
+    `alphas` itself where those give no smaller start grid.  Cached per
+    exponent matrix; the result is read-only."""
+    return _axes_of(alphas.tobytes(), alphas.shape)
+
+
+@lru_cache(maxsize=256)
+def _axes_of(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """_difference_axes of the int64 exponent matrix with these bytes.
+
+    Integer vectors u_1..u_r, linearly independent, whose integer span holds
+    every difference alpha_t - alpha_0 = sum_i x_{t,i} u_i, give
+    sum_t c_t z^{alpha_t} = z^{alpha_0} sum_t c_t w^{x_t} with
+    w = (z^{u_1}, ..., z^{u_r}).  z -> w maps Haar measure on the k-torus to
+    Haar measure on the r-torus (the character w^m pulls back to
+    z^{sum m_i u_i}, which is trivial only at m = 0), and |z^{alpha_0}| = 1,
+    so |f|^p has the same integral over x as over alpha.  The u_i are the
+    differences themselves, taken smallest first (in l^1, then in term
+    order) wherever they raise the rank, found by exact integer
+    elimination.  The coordinates are solved in floats, rounded, and kept
+    only if they give every difference exactly in integers; each axis is
+    shifted to start at 0, which multiplies f by a character.
+    """
+    alphas = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    axes = alphas
+    diffs = alphas[1:] - alphas[0]
+    basis = _independent_rows(diffs[np.argsort(np.abs(diffs).sum(axis=1), kind="stable")])
+    if len(basis):
+        x = np.rint(np.linalg.lstsq(basis.T, diffs.T)[0]).astype(np.int64).T
+        if np.array_equal(x @ basis, diffs):
+            x = np.vstack([np.zeros((1, len(basis)), dtype=np.int64), x])
+            x -= x.min(axis=0)
+            if _start_grid(x).prod() < _start_grid(alphas).prod():
+                axes = x
+    axes = axes.copy()
+    axes.flags.writeable = False
+    return axes
+
+
+def _independent_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows that raise the rank of the ones before them, by fraction-free
+    Gaussian elimination in Python integers, so the test is exact."""
+    echelon, chosen = [], []
+    for row in rows.tolist():
+        v = row
+        for pivot, e in echelon:
+            if v[pivot]:
+                a, b = e[pivot], v[pivot]
+                v = [a * vi - b * ei for vi, ei in zip(v, e)]
+                g = math.gcd(*v)
+                v = [vi // g for vi in v] if g > 1 else v
+        lead = next((j for j, vj in enumerate(v) if vj), None)
+        if lead is not None:
+            echelon.append((lead, v))
+            chosen.append(row)
+    return np.array(chosen, dtype=np.int64).reshape(len(chosen), rows.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(L: int) -> np.ndarray:
+    """exp(2 pi i j / L) for j < L, read-only: each grid size L is one table."""
+    roots = np.exp(2j * np.pi / L * np.arange(L))
+    roots.flags.writeable = False
+    return roots
+
+
 def _trapezoid_rules(
-    alphas: np.ndarray, coeffs: np.ndarray, p: float, grid: np.ndarray
+    alphas: np.ndarray, coeffs: np.ndarray, p: float, grid: np.ndarray, rules: int = 3
 ) -> np.ndarray:
     """Means of |sum_t c_t z^{alpha_t}|^p over the grids of `grid`, grid/2 and
-    grid/4 points per axis of the k-torus, for each row c of `coeffs`.
+    grid/4 points per axis of the k-torus, for each row c of `coeffs`: the
+    first `rules` of those three, as a (rules, rows) array.
 
     The points j of the first grid whose indices are all multiples of 2, or
     of 4, form the other two.  z^alpha at j/grid is the root of unity of index
     sum_a alpha_a j_a L/grid_a mod L, L the largest grid size, taken from one
-    table, and the terms are added one by one in a fixed order, so every
+    table per L, and the terms are added one by one in a fixed order, so every
     sigma gets the same bits whatever batch it is in.  Points and sigmas go
     in chunks, so that no array outgrows terms x QMC_POINTS entries.  The
     grid sizes and the chunk are powers of two, so a chunk of the points in
@@ -317,12 +395,12 @@ def _trapezoid_rules(
     terms, k = alphas.shape
     sizes = grid.tolist()
     size, L = math.prod(sizes), max(sizes)
-    roots = np.exp(2j * np.pi / L * np.arange(L))
+    roots = _roots_of_unity(L)
     step = min(size, QMC_POINTS)
     rows = max(1, terms * QMC_POINTS // step)
     # alpha_{t,a} as (terms, 1, ..., 1) arrays that broadcast against the box
     columns = alphas.T.reshape((k, terms) + (1,) * k)
-    sums = np.zeros((3, len(coeffs)))
+    sums = np.zeros((rules, len(coeffs)))
     for start in range(0, size, step):
         phases = np.zeros((1,) * (k + 1), dtype=np.int64)
         low = np.zeros((1,) * k, dtype=np.int64)  # j_0 | j_1 | ... mod 4
@@ -334,7 +412,7 @@ def _trapezoid_rules(
             phases = phases + columns[axis] * (j * (L // n_a))
             low = low | (j & 3)
         chars = np.take(roots, phases.reshape(terms, step) & (L - 1))
-        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())
+        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())[:rules]
         for lo in range(0, len(coeffs), rows):
             c = coeffs[lo : lo + rows]
             values = c[:, :1] * chars[0]
@@ -343,7 +421,7 @@ def _trapezoid_rules(
             mags = np.abs(values) ** p
             for rule, mask in enumerate(on):
                 sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
-    return sums * np.array([1, 2**k, 4**k])[:, None] / size
+    return sums * np.array([1, 2**k, 4**k])[:rules, None] / size
 
 
 def _qmc_moments(
@@ -360,13 +438,14 @@ def _qmc_moments(
     monomial z^alpha is the n-th root of unity of index (alpha.z mod n) i, so
     the lattice rule is the 1-D trapezoid rule on those exponents, and a
     shift by Delta multiplies c_t by e^{2 pi i alpha_t.Delta}: every point is
-    evaluated by _trapezoid_rules.  n doubles from 2^10 to QMC_POINTS, and a
-    row is done once its standard error is below _TORUS_REL_TOL of its mean,
-    once its mean or its standard error overflows (each lattice holds the
-    points of the coarser ones, and such a row can only fail the spread
-    check), or at QMC_POINTS.  The error of one shift is a sum of the integrand's
-    Fourier coefficients on the dual lattice with independent uniform
-    phases, so an alias the lattice misses shows as spread between shifts.
+    evaluated by _trapezoid_rules, which sums only that full rule.  n doubles
+    from 2^10 to QMC_POINTS, and a row is done once its standard error is
+    below _TORUS_REL_TOL of its mean, once its mean or its standard error
+    overflows (each lattice holds the points of the coarser ones, and such a
+    row can only fail the spread check), or at QMC_POINTS.  The error of one
+    shift is a sum of the integrand's Fourier coefficients on the dual
+    lattice with independent uniform phases, so an alias the lattice misses
+    shows as spread between shifts.
     """
     terms, k = alphas.shape
     z = _lattice_vector(k)
@@ -377,7 +456,7 @@ def _qmc_moments(
     while todo.size:
         g = (alphas @ z % n)[:, None]
         rows = rotated[todo].reshape(-1, terms)
-        means = _trapezoid_rules(g, rows, p, np.array([n]))[0].reshape(todo.size, -1)
+        means = _trapezoid_rules(g, rows, p, np.array([n]), rules=1)[0].reshape(todo.size, -1)
         mean = np.mean(means, axis=1)
         err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
         # a mean past the floats has a NaN spread
@@ -392,14 +471,38 @@ def _qmc_moments(
     return integral, se
 
 
+# _lattice_search(k) for k = 1, ..., 8, so that no request pays the search.
+_LATTICE_VECTORS = (
+    (4421,),
+    (6151, 5083),
+    (5537, 12463, 6417),
+    (8109, 13785, 10235, 1093),
+    (14779, 11009, 14589, 3269, 12423),
+    (9341, 6629, 16329, 3253, 15507, 1487),
+    (12709, 131, 5061, 16117, 4421, 8355, 14141),
+    (15233, 1031, 11619, 11893, 4441, 1437, 5215, 6473),
+)
+
+
 @lru_cache(maxsize=None)
 def _lattice_vector(k: int) -> np.ndarray:
     """Generating vector of the QMC_POINTS-point rank-1 lattice in k
-    dimensions; the lattices of n < QMC_POINTS points take it mod n.
+    dimensions, read-only: from _LATTICE_VECTORS up to k = 8, and from
+    _lattice_search above."""
+    if k <= len(_LATTICE_VECTORS):
+        z = np.array(_LATTICE_VECTORS[k - 1], dtype=np.int64)
+    else:
+        z = _lattice_search(k)
+    z.flags.writeable = False
+    return z
 
-    Of 64 odd vectors from a fixed-seed generator, the one of least P_2, the
-    worst-case error in the Korobov space of smoothness 1: the mean over the
-    points x of prod_a (1 + 2 pi^2 B_2(x_a)) minus 1, B_2(x) = x^2 - x + 1/6.
+
+def _lattice_search(k: int) -> np.ndarray:
+    """Of 64 odd vectors from a fixed-seed generator, the one of least P_2,
+    the worst-case error in the Korobov space of smoothness 1 of the
+    QMC_POINTS-point rank-1 lattice it generates: the mean over the points x
+    of prod_a (1 + 2 pi^2 B_2(x_a)) minus 1, B_2(x) = x^2 - x + 1/6.  The
+    lattices of n < QMC_POINTS points take it mod n.
     """
     n = QMC_POINTS
     candidates = 2 * np.random.default_rng(0).integers(n // 2, size=(64, k)) + 1
@@ -409,9 +512,7 @@ def _lattice_vector(k: int) -> np.ndarray:
     def p2(z):
         return np.mean(math.prod(factor[i * za % n] for za in z.tolist()))
 
-    z = min(candidates, key=p2)
-    z.flags.writeable = False
-    return z
+    return min(candidates, key=p2)
 
 
 @_homogeneous

@@ -339,8 +339,8 @@ def test_scipy_is_not_imported_off_the_density_paths():
     assert "scipy.integrate" in control[2]
 
 
-# With scipy unimportable: the QMC fallback, on a 5-dimensional lift whose
-# sigma-nodes mostly fail their only trapezoid grid and on |1 + 2^{-s}|; and
+# With scipy unimportable: a non-even A^p norm on a 5-dimensional lift whose
+# differences span 2 directions, and the QMC fallback on |1 + 2^{-s}|; and
 # a callable and a sampled density, their weights, a non-even A^p norm and
 # a kernel with its tail.
 BLOCKED_SCIPY_PROBE = """

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dirspaces as d
 from dirspaces import (
@@ -320,6 +322,102 @@ def test_trapezoid_rules_match_the_naive_grid_bitwise():
     for alphas, coeffs, p, grid in _trapezoid_panel():
         expected = _naive_trapezoid_rules(alphas, coeffs, p, grid)
         assert np.array_equal(d.norms._trapezoid_rules(alphas, coeffs, p, grid), expected), grid
+        # the full rule alone, as the lattice calls take it, keeps its bits
+        full = d.norms._trapezoid_rules(alphas, coeffs, p, grid, rules=1)
+        assert np.array_equal(full, expected[:1]), grid
+
+
+def test_root_tables_are_shared_and_read_only():
+    for L in (1, 8, 2**14):
+        roots = d.norms._roots_of_unity(L)
+        assert roots is d.norms._roots_of_unity(L)
+        assert not roots.flags.writeable
+        assert np.array_equal(roots, np.exp(2j * np.pi / L * np.arange(L)))
+
+
+def test_lattice_vectors_are_the_search_results():
+    # the table holds what the 64-candidate search picks, so no request pays it
+    for k in range(1, 9):
+        z = d.norms._lattice_vector(k)
+        assert not z.flags.writeable and z.dtype == np.int64
+        assert np.array_equal(z, d.norms._lattice_search(k)), k
+
+
+_EXPONENTS = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 5), min_size=k, max_size=k),
+        min_size=1,
+        max_size=6,
+        unique_by=tuple,
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_EXPONENTS)
+def test_difference_axes_are_exact_lattice_coordinates(rows):
+    alphas = np.array(rows, dtype=np.int64)
+    axes = d.norms._difference_axes(alphas)
+    assert not axes.flags.writeable
+    start = d.norms._start_grid
+    # never a larger first grid than the coordinates of the lift
+    assert start(axes).prod() <= start(alphas).prod()
+    if np.array_equal(axes, alphas):
+        return
+    # otherwise a strictly smaller one, over r = rank axes that start at 0
+    assert start(axes).prod() < start(alphas).prod()
+    assert np.all(axes.min(axis=0) == 0)
+    x, diffs = axes[1:] - axes[0], alphas[1:] - alphas[0]
+    r = axes.shape[1]
+    assert np.linalg.matrix_rank(x) == r == np.linalg.matrix_rank(diffs)
+    # each difference is an integer combination of r vectors u_i, exactly
+    u = np.rint(np.linalg.lstsq(x, diffs)[0]).astype(np.int64)
+    assert np.array_equal(x @ u, diffs)
+
+
+def test_difference_axes_keep_the_lift_where_they_do_not_shrink_the_grid():
+    # 2 and 3 have the coordinate 3/2 over 2, so the lift's axis stays
+    alphas = np.array([[0], [2], [3]])
+    assert np.array_equal(d.norms._difference_axes(alphas), alphas)
+    # 1, 2^{-s}, 3^{-s}, 6^{-s}: the differences span both axes
+    alphas = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+    assert np.array_equal(d.norms._difference_axes(alphas), alphas)
+    # 2^{-s} and 3^{-s}: one direction, (-1, 1)
+    assert d.norms._difference_axes(np.array([[1, 0], [0, 1]])).tolist() == [[0], [1]]
+
+
+_PRIMES = (2, 3, 5, 7)
+
+
+@st.composite
+def _dominated_polynomials(draw):
+    """2 to 5 terms over at most 4 primes, with |a_1| above the sum of the
+    other moduli, so |f| has no zero on the torus."""
+    k = draw(st.integers(1, 4))
+    exponents = st.lists(st.integers(0, 2), min_size=k, max_size=k).filter(any)
+    rows = draw(st.lists(exponents, min_size=1, max_size=4, unique_by=tuple))
+    unit = st.floats(-1.0, 1.0)
+    terms = {}
+    for row in rows:
+        terms[math.prod(q**e for q, e in zip(_PRIMES, row))] = complex(draw(unit), draw(unit))
+    tail = sum(abs(c) for c in terms.values())
+    terms[1] = tail * draw(st.floats(1.01, 3.0)) or 1.0
+    return terms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dominated_polynomials(), st.sampled_from([1.5, 2.5, 3.0]))
+def test_difference_axes_give_the_integral_of_the_lift(terms, p):
+    lift = d.bohr_lift(d.from_terms(terms, max(terms)))
+    lattice = []
+    qmc = d.norms._qmc_moments
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(d.norms, "_qmc_moments", lambda *args: lattice.append(1) or qmc(*args))
+        (reduced,), _ = _torus_moments(lift, p, np.zeros(1))
+        mp.setattr(d.norms, "_difference_axes", lambda alphas: alphas)
+        (today,), _ = _torus_moments(lift, p, np.zeros(1))
+    if not lattice:  # both on the trapezoid route, which converges geometrically
+        assert reduced == pytest.approx(today, rel=1e-13, abs=0.0)
 
 
 def _spy_grids(monkeypatch):
@@ -327,24 +425,57 @@ def _spy_grids(monkeypatch):
     grids = []
     rules = d.norms._trapezoid_rules
 
-    def spy(alphas, coeffs, p, grid):
+    def spy(alphas, coeffs, p, grid, **kwargs):
         grids.append(tuple(int(m) for m in grid))
-        return rules(alphas, coeffs, p, grid)
+        return rules(alphas, coeffs, p, grid, **kwargs)
 
     monkeypatch.setattr(d.norms, "_trapezoid_rules", spy)
     return grids
 
 
+# Four terms on four independent directions, slow to converge on the torus.
+_RANK_FOUR = {1: 1.0, 2: 0.3, 3: 0.3, 5: 0.2, 7: 0.15}
+
+
 def test_hopeless_sigma_goes_to_qmc_at_once(monkeypatch):
-    # |0.949 + 0.346 w| on a 4-dimensional lift converges like 0.365^M; the
-    # gap on the first grid, squared for the one doubling that fits in 2^17
-    # points, is still far above the tolerance
+    # |1 + 0.3 w_1 + 0.3 w_2 + 0.2 w_3 + 0.15 w_4| has four independent
+    # directions, so its grids are 4-dimensional; the gap on the first grid,
+    # squared for the one doubling that fits in 2^17 points, is still far
+    # above the tolerance
     grids = _spy_grids(monkeypatch)
-    value, stderr = d.qmc_norm_hp(d.from_terms({60: -0.949j, 61: 0.346}, 61), 1.0)
-    assert grids[0] == (16, 8, 8, 8)
+    f = d.from_terms(_RANK_FOUR, max(_RANK_FOUR))
+    value, stderr = d.qmc_norm_hp(f, 1.0)
+    assert grids[0] == (8, 8, 8, 8)
     # then only lattice rules, each a 1-D trapezoid rule
     assert len(grids) > 1 and all(len(grid) == 1 for grid in grids[1:])
     assert stderr > 0
+
+
+def test_two_terms_integrate_on_one_axis(monkeypatch):
+    # -0.949i 60^{-s} + 0.346 61^{-s} lifts to four coordinates, but |f| is
+    # |0.949 - 0.346i w| with w = z^{alpha(61) - alpha(60)}: the mean of
+    # |a + b w| is (2/pi)(a + b) E(4ab/(a + b)^2), E the complete elliptic
+    # integral of the second kind
+    grids = _spy_grids(monkeypatch)
+    value, stderr = d.qmc_norm_hp(d.from_terms({60: -0.949j, 61: 0.346}, 61), 1.0)
+    a, b = 0.949, 0.346
+    exact = float(2 / mpmath.pi * (a + b) * mpmath.ellipe(4 * a * b / (a + b) ** 2))
+    assert grids and all(len(grid) == 1 for grid in grids)
+    assert value == pytest.approx(exact, rel=1e-14)
+    assert stderr <= 1e-12 * value
+    # inside the band of the scrambled-Sobol estimate it had on the 4-D lift
+    assert abs(value - 0.9807946727186968) <= 5 * 1.333262100829733e-4
+
+
+def test_terms_on_independent_directions_take_one_axis_each(monkeypatch):
+    grids = _spy_grids(monkeypatch)
+    # 1 + c 6^{-s} lifts to the primes 2 and 3, and runs 1-D grids
+    d.qmc_norm_hp(d.from_terms({1: 1.0, 6: 0.4j}, 6), 3.0)
+    assert grids and all(len(grid) == 1 for grid in grids)
+    # three terms on the primes 2, 5 and 11 run 2-D grids
+    grids.clear()
+    d.qmc_norm_hp(d.from_terms({1: 1.0, 10: -0.1, 11: 0.3 - 0.1j}, 11), 2.5)
+    assert grids and all(len(grid) == 2 for grid in grids)
 
 
 def test_qmc_stops_at_an_overflowing_spread(monkeypatch):
@@ -355,8 +486,11 @@ def test_qmc_stops_at_an_overflowing_spread(monkeypatch):
     f = d.from_terms({6: 1.0, 35: 1.0, 143: 0.7j, 323: -0.5}, 323)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="spread inf"):
         d.norm_ap(f, 1000000000001.0, AlphaMeasure(0.0))
-    # the coarse rule's lattices double up to QMC_POINTS; the fine rule's stop at once
-    assert grids == [(2**m,) for m in range(10, 15)] + [(2**10,)]
+    # each rule first runs the 3-D grids of its three directions up to the
+    # budget; the coarse rule's lattices then double up to QMC_POINTS, and
+    # the fine rule's stop at once
+    tensor = [(8, 8, 8), (16, 16, 16), (32, 32, 32)]
+    assert grids == tensor + [(2**m,) for m in range(10, 15)] + tensor + [(2**10,)]
 
 
 def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
@@ -373,7 +507,9 @@ def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
 
 
 # Inputs that go to QMC, with the estimate and standard error of the
-# scrambled-Sobol route that the shifted lattices replaced.
+# scrambled-Sobol route that the shifted lattices replaced.  The _RANK_FOUR
+# row is from scipy.stats.qmc.Sobol on its four prime coordinates: eight
+# scrambles (seeds 0 to 7) of 2^14 points each.
 _SOBOL_PANEL = [
     ({6: 1, 35: 1, 143: 0.7j, 323: -0.5}, 1.5, 1.580701994262521, 2.5060143174485654e-4),
     (
@@ -382,7 +518,7 @@ _SOBOL_PANEL = [
         1.7635791248153534,
         3.1245737784287925e-4,
     ),
-    ({60: -0.949j, 61: 0.346}, 1.0, 0.9807946727186968, 1.333262100829733e-4),
+    (_RANK_FOUR, 1.0, 1.0624532272968559, 3.878432300949975e-6),
     ({1: 1, 2: 1, 3: 1}, 1.0, 1.57459735268306, 5.016993428484622e-7),
 ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .symbols import (
     halfplane_lower_bound,
     is_vertical_translation,
     lemma1_region,
-    translate_symbol,
 )
 from .compose import admissibility_certificate, compose_basis, isometry_defect
 
@@ -89,16 +89,13 @@ class ProfilePoint:
 
 
 def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[ProfilePoint]:
-    """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}.
+    """Profile of ||2^{-Phi(sigma+.)}||_{H^p} against 2^{-sigma}, for finite sigma > 0.
 
-    One exp pass and one norm pass serve the whole grid.  With sigma0 the
-    smallest sigma, g = 2^{-Phi(sigma0+s)} is the composed basis element of
-    the translate Phi_{sigma0}, and 2^{-Phi(sigma+s)} is its vertical
-    translate by sigma - sigma0 >= 0.  g is supported on multiples of
-    2^{c0}, so g = 2^{-c0 s} E(s) with E the series of its coefficients at
-    j 2^{c0}, and |2^{-c0 s}| = 2^{-c0 sigma} on each vertical line: the
-    row at sigma is 2^{-c0 (sigma - sigma0)} times the H^p norm of E
-    translated by sigma - sigma0, and norm_hp takes every such norm from
+    One exp pass and one norm pass serve the whole grid.  g = 2^{-Phi} is
+    supported on multiples of 2^{c0}, so g = 2^{-c0 s} E(s) with E the
+    series of its coefficients at j 2^{c0}, and |2^{-c0 s}| = 2^{-c0 sigma}
+    on each vertical line: the row at sigma is 2^{-c0 sigma} times the H^p
+    norm of E translated by sigma, and norm_hp takes every such norm from
     one evaluation of its moment function.  E keeps its constant term under
     translation, so no row underflows before its value does.  The value
     never exceeds 2^{-sigma} (within truncation) and matches it exactly iff
@@ -107,16 +104,15 @@ def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[Pr
     if sym.c0 < 1:
         raise InvalidInputError("the norm profile applies to c0 >= 1 symbols")
     sigmas = [float(sigma) for sigma in sigma_grid]
+    if not all(0 < sigma < math.inf for sigma in sigmas):
+        raise InvalidInputError("translation requires a finite sigma > 0")
     if not sigmas:
         return []
-    sigma0 = min(sigmas)
-    phi0, _ = translate_symbol(sym, sigma0)  # raises unless every sigma > 0
-    g = compose_basis(phi0, 2, N)
-    c0 = int(phi0.c0)
+    g = compose_basis(sym, 2, N)
+    c0 = int(sym.c0)
     step = 2**c0  # <= N, or compose_basis has raised
     E = DirichletSeries(g.coeffs[step - 1 :: step], exact=True)
-    offsets = np.array(sigmas) - sigma0
-    values = 2.0 ** (-c0 * offsets) * norm_hp(E, p, offsets)
+    values = 2.0 ** (-c0 * np.array(sigmas)) * norm_hp(E, p, sigmas)
     return [
         ProfilePoint(sigma=sigma, reference=2.0**-sigma, value=float(value))
         for sigma, value in zip(sigmas, values)

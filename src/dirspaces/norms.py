@@ -3,43 +3,32 @@ point-evaluation functionals.
 
 H^2 and A^2 norms are exact coefficient sums.  Even-integer H^p norms reduce
 exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}).  Other p
-integrate |f|^p over the polytorus through the Bohr lift, on one axis per
-independent direction of its exponent differences: by a node-doubled tensor
-trapezoid rule while its grid fits QMC_REPLICATES * QMC_POINTS = 2^17
-points, and where that rule does not converge within the budget by
-randomized quasi-Monte Carlo on QMC_REPLICATES random shifts of a rank-1
-lattice of up to QMC_POINTS points, whose points the same trapezoid kernel
-evaluates.  That kernel takes the grid in chunks that are boxes, and builds
-their phases and sub-grid masks from one index range per axis.  The error
-bar is the doubling residual on the first route and the replicate standard
-error on the second.  A^p norms integrate the translated H^p norms against
-the measure.  Every norm is computed on f scaled by a power of two, so that
-tiny and huge coefficients keep their norm.  Kernels and point evaluations
-are one sum of n^{-z}/w_h(n), refused at or below the measure's abscissa.
-Its tail is bounded in closed form for the Gamma family, and for density
-measures from the weights alone, by secants of the concave log w_h(e^t).
+integrate |f|^p over the polytorus through the Bohr lift (see torus).  A^p
+norms integrate the translated H^p norms against the measure.  Every norm is
+computed on f scaled by a power of two, so that tiny and huge coefficients
+keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
+refused at or below the measure's abscissa.  Its tail is bounded in closed
+form for the Gamma family, and for density measures from the weights alone,
+by secants of the concave log w_h(e^t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
+from . import torus
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
 from .measures import DOUBLING_TOL, AlphaMeasure, Measure
-from .series import DirichletSeries, PolytorusPolynomial, bohr_lift, power
+from .series import DirichletSeries, bohr_lift, power
 
-QMC_POINTS = 2**14
-QMC_REPLICATES = 8
-QMC_MAX_REL_SPREAD = 0.2
+# The benchmark's spans (bench/spans.py) size a qmc_norm_hp call from these.
+QMC_POINTS, QMC_REPLICATES = torus.QMC_POINTS, torus.QMC_REPLICATES
 # Even-p norms form f^{p/2} by convolution only up to this many coefficients.
 _POWER_CAP = 4_000_000
-# A torus integral is done once the trapezoid rules on the grids of M and M/2
-# points per axis agree to this relative gap (see _torus_moments).
-_TORUS_REL_TOL = 1e-12
 # The density kernel tail walks N, r N, r^2 N, ... with this r (see
 # _secant_tail), and takes each weight within DOUBLING_TOL of the one computed,
 # once the coarse and fine rules agree to that, relative to the weight.
@@ -189,7 +178,7 @@ def _norm(
         lift = bohr_lift(f)
 
         def moments(sig):
-            return _torus_moments(lift, p, sig)
+            return torus._torus_moments(lift, p, sig)
 
     if sigmas is not None:
         return moments(sigmas)[0] ** (1.0 / p), None
@@ -211,308 +200,15 @@ def norm_hp(f: DirichletSeries, p: float, sigmas=None) -> float | np.ndarray:
 def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
     """Estimate of the H^p norm with its error bar, for any p >= 1.
 
-    Integrates |D(f)|^p over the polytorus (see _torus_moments): by a
-    node-doubled tensor trapezoid rule where it converges within 2^17 points,
-    and then `stderr` is the gap between its last two grids; otherwise on
-    QMC_REPLICATES random shifts of one rank-1 lattice, and then it is the
-    standard error of the mean of the shifted rules, whose spread is the
-    alias error of the lattice.  Either is propagated through the 1/p-th
-    root.  At even p the value is exact and `stderr` is 0.
+    At even p the value is exact and `stderr` is 0.  At other p it is the
+    torus integral of the Bohr lift (see torus), and `stderr` is that
+    integral's error bar (the gap between the two finest trapezoid rules,
+    or the standard error of the shifted lattice rules) propagated through
+    the 1/p-th root.  Raises NumericError where the lattice rules do not
+    converge.
     """
     value, stderr = _norm(f, p)
     return value, stderr or 0.0
-
-
-def _torus_moments(
-    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """||f_sigma||_{H^p}^p for each sigma, with its error bar, where
-    f_sigma = f(sigma + .) and `lift` is the Bohr lift of f.
-
-    |f_sigma|^p is periodic on the polytorus, and analytic where f_sigma has
-    no zero, so there the tensor trapezoid rule converges geometrically
-    (Trefethen and Weideman, SIAM Rev. 56, 2014).  Terms below rounding at
-    every sigma are left out, and the rest are integrated on the lattice
-    their exponent differences span, one axis per independent direction,
-    or on the coordinates the lift uses where those give no smaller first
-    grid (see _difference_axes).  Axis a starts on the grid j/M_a with
-    M_a the least power of two above 4 d_a, d_a the largest exponent on it,
-    so that the grids of M_a, M_a/2 and M_a/4 points, which one evaluation
-    gives (see _trapezoid_rules), all integrate |f|^2 exactly.  Every M_a
-    doubles while their product fits QMC_REPLICATES * QMC_POINTS points.  A
-    sigma is done, with the gap between the first two rules as its error
-    bar, once that gap is below _TORUS_REL_TOL and the gap between the last
-    two below its square root, as geometric convergence has them: a phase
-    of f that cancels the leading alias of one gap does not cancel it in
-    the other.  A sigma still open at the budget, or whose gap squared once
-    per doubling left would be (f_sigma vanishes on the torus, or there are
-    too many axes), or whose rule overflows (|f_sigma|^p past the floats),
-    goes to _qmc_moments: shifted rank-1 lattices on the same axes and
-    terms, with the replicate standard error as its error bar.
-    """
-    alphas, coeffs = lift.exponents, lift.coeffs
-    # Translating by sigma scales the coefficient of n^{-s} by n^{-sigma}.
-    # Each row is divided by its largest modulus in log scale: at sigma in
-    # the hundreds the moduli, and their p-th powers sooner, underflow.
-    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(lift.indices)
-    log_peak = np.max(log_mods, axis=1)
-    # numpy divides by a modulus through its reciprocal, which overflows for
-    # a subnormal one; such a coefficient is scaled by a power of two first,
-    # which keeps its phase, and the others keep their bits.
-    phases = coeffs.copy()
-    phases[np.abs(coeffs) < np.finfo(np.float64).tiny] *= 2.0**64
-    scaled = phases / np.abs(phases) * np.exp(log_mods - log_peak[:, None])
-    # Terms of modulus below eps / (p * terms) of the largest move each
-    # integral by less than a rounding error.
-    live = np.any(np.abs(scaled) >= np.finfo(np.float64).eps / (p * len(alphas)), axis=0)
-    alphas, scaled = alphas[live], scaled[:, live]
-    alphas = alphas[:, alphas.any(axis=0)]
-    if not alphas.shape[1]:
-        # only the constant term, of scaled modulus 1, is left
-        return np.exp(p * log_peak), np.zeros(sigmas.size)
-    alphas = _difference_axes(alphas)
-    budget, k = QMC_REPLICATES * QMC_POINTS, alphas.shape[1]
-    integral, err = np.zeros(sigmas.size), np.zeros(sigmas.size)
-    qmc = np.zeros(sigmas.size, dtype=bool)
-    todo = np.arange(sigmas.size)
-    grid = _start_grid(alphas)
-    while todo.size and grid.prod() <= budget:
-        fine, half, quarter = _trapezoid_rules(alphas, scaled[todo], p, grid)
-        gap = np.abs(fine - half)
-        done = (
-            (fine > 0)
-            & (gap <= _TORUS_REL_TOL * fine)
-            & (np.abs(half - quarter) <= math.sqrt(_TORUS_REL_TOL) * fine)
-        )
-        integral[todo[done]], err[todo[done]] = fine[done], gap[done]
-        # Each doubling squares the gap of a geometric rule; a sigma whose gap
-        # would still be above the tolerance at the budget goes to QMC now,
-        # as does one whose rule overflows: every finer grid holds this one.
-        left = int(math.log2(budget / grid.prod())) // k
-        stuck = ~done & (((gap / fine) ** (2.0**left) > _TORUS_REL_TOL) | np.isinf(fine))
-        qmc[todo[stuck]] = True
-        todo = todo[~done & ~stuck]
-        grid = 2 * grid
-    qmc[todo] = True
-    if qmc.any():
-        integral[qmc], err[qmc] = _qmc_moments(alphas, scaled[qmc], p)
-    scale = np.exp(p * log_peak)
-    return integral * scale, err * scale
-
-
-def _start_grid(alphas: np.ndarray) -> np.ndarray:
-    """Points per axis of the first trapezoid grid: the least power of two
-    above 4 times the axis's largest exponent."""
-    return np.array([1 << int(4 * d).bit_length() for d in alphas.max(axis=0)])
-
-
-def _difference_axes(alphas: np.ndarray) -> np.ndarray:
-    """The exponents of |sum_t c_t z^{alpha_t}| over one axis per
-    independent direction of the differences alpha_t - alpha_0, or
-    `alphas` itself where those give no smaller start grid.  Cached per
-    exponent matrix; the result is read-only."""
-    return _axes_of(alphas.tobytes(), alphas.shape)
-
-
-@lru_cache(maxsize=256)
-def _axes_of(data: bytes, shape: tuple[int, int]) -> np.ndarray:
-    """_difference_axes of the int64 exponent matrix with these bytes.
-
-    Integer vectors u_1..u_r, linearly independent, whose integer span holds
-    every difference alpha_t - alpha_0 = sum_i x_{t,i} u_i, give
-    sum_t c_t z^{alpha_t} = z^{alpha_0} sum_t c_t w^{x_t} with
-    w = (z^{u_1}, ..., z^{u_r}).  z -> w maps Haar measure on the k-torus to
-    Haar measure on the r-torus (the character w^m pulls back to
-    z^{sum m_i u_i}, which is trivial only at m = 0), and |z^{alpha_0}| = 1,
-    so |f|^p has the same integral over x as over alpha.  The u_i are the
-    differences themselves, taken smallest first (in l^1, then in term
-    order) wherever they raise the rank, found by exact integer
-    elimination.  The coordinates are solved in floats, rounded, and kept
-    only if they give every difference exactly in integers; each axis is
-    shifted to start at 0, which multiplies f by a character.
-    """
-    alphas = np.frombuffer(data, dtype=np.int64).reshape(shape)
-    axes = alphas
-    diffs = alphas[1:] - alphas[0]
-    basis = _independent_rows(diffs[np.argsort(np.abs(diffs).sum(axis=1), kind="stable")])
-    if len(basis):
-        x = np.rint(np.linalg.lstsq(basis.T, diffs.T)[0]).astype(np.int64).T
-        if np.array_equal(x @ basis, diffs):
-            x = np.vstack([np.zeros((1, len(basis)), dtype=np.int64), x])
-            x -= x.min(axis=0)
-            if _start_grid(x).prod() < _start_grid(alphas).prod():
-                axes = x
-    axes = axes.copy()
-    axes.flags.writeable = False
-    return axes
-
-
-def _independent_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows that raise the rank of the ones before them, by fraction-free
-    Gaussian elimination in Python integers, so the test is exact."""
-    echelon, chosen = [], []
-    for row in rows.tolist():
-        v = row
-        for pivot, e in echelon:
-            if v[pivot]:
-                a, b = e[pivot], v[pivot]
-                v = [a * vi - b * ei for vi, ei in zip(v, e)]
-                g = math.gcd(*v)
-                v = [vi // g for vi in v] if g > 1 else v
-        lead = next((j for j, vj in enumerate(v) if vj), None)
-        if lead is not None:
-            echelon.append((lead, v))
-            chosen.append(row)
-    return np.array(chosen, dtype=np.int64).reshape(len(chosen), rows.shape[1])
-
-
-@lru_cache(maxsize=None)
-def _roots_of_unity(L: int) -> np.ndarray:
-    """exp(2 pi i j / L) for j < L, read-only: each grid size L is one table."""
-    roots = np.exp(2j * np.pi / L * np.arange(L))
-    roots.flags.writeable = False
-    return roots
-
-
-def _trapezoid_rules(
-    alphas: np.ndarray, coeffs: np.ndarray, p: float, grid: np.ndarray, rules: int = 3
-) -> np.ndarray:
-    """Means of |sum_t c_t z^{alpha_t}|^p over the grids of `grid`, grid/2 and
-    grid/4 points per axis of the k-torus, for each row c of `coeffs`: the
-    first `rules` of those three, as a (rules, rows) array.
-
-    The points j of the first grid whose indices are all multiples of 2, or
-    of 4, form the other two.  z^alpha at j/grid is the root of unity of index
-    sum_a alpha_a j_a L/grid_a mod L, L the largest grid size, taken from one
-    table per L, and the terms are added one by one in a fixed order, so every
-    sigma gets the same bits whatever batch it is in.  Points and sigmas go
-    in chunks, so that no array outgrows terms x QMC_POINTS entries.  The
-    grid sizes and the chunk are powers of two, so a chunk of the points in
-    C order is a box: one index on the leading axes, a run of indices on one
-    axis and every index on the rest.  Its phases and masks are built by
-    broadcasting one range per axis.
-    """
-    terms, k = alphas.shape
-    sizes = grid.tolist()
-    size, L = math.prod(sizes), max(sizes)
-    roots = _roots_of_unity(L)
-    step = min(size, QMC_POINTS)
-    rows = max(1, terms * QMC_POINTS // step)
-    # alpha_{t,a} as (terms, 1, ..., 1) arrays that broadcast against the box
-    columns = alphas.T.reshape((k, terms) + (1,) * k)
-    sums = np.zeros((rules, len(coeffs)))
-    for start in range(0, size, step):
-        phases = np.zeros((1,) * (k + 1), dtype=np.int64)
-        low = np.zeros((1,) * k, dtype=np.int64)  # j_0 | j_1 | ... mod 4
-        for axis, n_a in enumerate(sizes):
-            below = math.prod(sizes[axis + 1 :])  # flat index step of axis
-            first = start // below % n_a
-            j = np.arange(first, first + min(n_a, max(1, step // below)))
-            j = j.reshape((-1,) + (1,) * (k - 1 - axis))
-            phases = phases + columns[axis] * (j * (L // n_a))
-            low = low | (j & 3)
-        chars = np.take(roots, phases.reshape(terms, step) & (L - 1))
-        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())[:rules]
-        for lo in range(0, len(coeffs), rows):
-            c = coeffs[lo : lo + rows]
-            values = c[:, :1] * chars[0]
-            for t in range(1, terms):
-                values += c[:, t, None] * chars[t]
-            mags = np.abs(values) ** p
-            for rule, mask in enumerate(on):
-                sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
-    return sums * np.array([1, 2**k, 4**k])[:rules, None] / size
-
-
-def _qmc_moments(
-    alphas: np.ndarray, coeffs: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized QMC estimates of the means of |sum_t c_t z^{alpha_t}|^p
-    over the k-torus, for each row c of `coeffs`, with their replicate
-    standard errors.
-
-    The rule is the rank-1 lattice {i z / n : i < n} (Dick, Kuo and Sloan,
-    Acta Numer. 22, 2013), z from _lattice_vector, under QMC_REPLICATES
-    uniform random shifts from a fixed-seed generator, so every call gives
-    the same bits.  At the point i z / n the
-    monomial z^alpha is the n-th root of unity of index (alpha.z mod n) i, so
-    the lattice rule is the 1-D trapezoid rule on those exponents, and a
-    shift by Delta multiplies c_t by e^{2 pi i alpha_t.Delta}: every point is
-    evaluated by _trapezoid_rules, which sums only that full rule.  n doubles
-    from 2^10 to QMC_POINTS, and a row is done once its standard error is
-    below _TORUS_REL_TOL of its mean, once its mean or its standard error
-    overflows (each lattice holds the points of the coarser ones, and such a
-    row can only fail the spread check), or at QMC_POINTS.  The error of one
-    shift is a sum of the integrand's Fourier coefficients on the dual
-    lattice with independent uniform phases, so an alias the lattice misses
-    shows as spread between shifts.
-    """
-    terms, k = alphas.shape
-    z = _lattice_vector(k)
-    shifts = np.random.default_rng(0).random((QMC_REPLICATES, k))
-    rotated = coeffs[:, None, :] * np.exp(2j * np.pi * (alphas @ shifts.T)).T
-    integral, se = np.zeros(len(coeffs)), np.zeros(len(coeffs))
-    todo, n = np.arange(len(coeffs)), 2**10
-    while todo.size:
-        g = (alphas @ z % n)[:, None]
-        rows = rotated[todo].reshape(-1, terms)
-        means = _trapezoid_rules(g, rows, p, np.array([n]), rules=1)[0].reshape(todo.size, -1)
-        mean = np.mean(means, axis=1)
-        err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
-        # a mean past the floats has a NaN spread
-        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS) | ~np.isfinite(err)
-        for i, s in zip(mean[done].tolist(), err[done].tolist()):
-            if i <= 0:
-                raise NumericError("QMC integral estimate is nonpositive")
-            if s > QMC_MAX_REL_SPREAD * i:
-                raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
-        integral[todo[done]], se[todo[done]] = mean[done], err[done]
-        todo, n = todo[~done], 2 * n
-    return integral, se
-
-
-# _lattice_search(k) for k = 1, ..., 8, so that no request pays the search.
-_LATTICE_VECTORS = (
-    (4421,),
-    (6151, 5083),
-    (5537, 12463, 6417),
-    (8109, 13785, 10235, 1093),
-    (14779, 11009, 14589, 3269, 12423),
-    (9341, 6629, 16329, 3253, 15507, 1487),
-    (12709, 131, 5061, 16117, 4421, 8355, 14141),
-    (15233, 1031, 11619, 11893, 4441, 1437, 5215, 6473),
-)
-
-
-@lru_cache(maxsize=None)
-def _lattice_vector(k: int) -> np.ndarray:
-    """Generating vector of the QMC_POINTS-point rank-1 lattice in k
-    dimensions, read-only: from _LATTICE_VECTORS up to k = 8, and from
-    _lattice_search above."""
-    if k <= len(_LATTICE_VECTORS):
-        z = np.array(_LATTICE_VECTORS[k - 1], dtype=np.int64)
-    else:
-        z = _lattice_search(k)
-    z.flags.writeable = False
-    return z
-
-
-def _lattice_search(k: int) -> np.ndarray:
-    """Of 64 odd vectors from a fixed-seed generator, the one of least P_2,
-    the worst-case error in the Korobov space of smoothness 1 of the
-    QMC_POINTS-point rank-1 lattice it generates: the mean over the points x
-    of prod_a (1 + 2 pi^2 B_2(x_a)) minus 1, B_2(x) = x^2 - x + 1/6.  The
-    lattices of n < QMC_POINTS points take it mod n.
-    """
-    n = QMC_POINTS
-    candidates = 2 * np.random.default_rng(0).integers(n // 2, size=(64, k)) + 1
-    i, x = np.arange(n), np.arange(n) / n
-    factor = 1.0 + 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
-
-    def p2(z):
-        return np.mean(math.prod(factor[i * za % n] for za in z.tolist()))
-
-    return min(candidates, key=p2)
 
 
 @_homogeneous
@@ -648,8 +344,10 @@ def _log_upper_gamma(s: float, x: float) -> float:
     Below x = s + 1, Gamma(s) minus the series of the lower function: there
     Gamma(s, x) >= Gamma(s, s + 1) >= e^{-2} Gamma(s), so the difference
     keeps its digits.  Above it, the continued fraction by the modified
-    Lentz method (Numerical Recipes, gser and gcf).
+    Lentz method (Numerical Recipes, gser and gcf).  Gamma(s, inf) = 0.
     """
+    if x == math.inf:
+        return -math.inf
     eps, tiny = 1e-16, 1e-300
     if x < s + 1.0:
         term = total = 1.0 / s

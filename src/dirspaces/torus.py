@@ -1,0 +1,321 @@
+"""Integrals of |f|^p over the Bohr polytorus: the H^p norms at p not an even
+integer, of f and of its vertical translates f(sigma + .).
+
+_torus_moments is the one entry.  The derivation, stated here once:
+
+- Translating by sigma scales the coefficient of n^{-s} by n^{-sigma}, so
+  one Bohr lift serves every sigma.  Each sigma's coefficients are divided
+  by their largest modulus in log scale, and a term whose scaled modulus is
+  below eps / (p * terms) at every sigma moves no integral by more than a
+  rounding error, so it is left out, with every coordinate only it uses.
+- Axes.  With integer vectors u_1..u_r, linearly independent, whose integer
+  span holds every difference alpha_t - alpha_0 = sum_i x_{t,i} u_i,
+  sum_t c_t z^{alpha_t} = z^{alpha_0} sum_t c_t w^{x_t} for
+  w = (z^{u_1}, ..., z^{u_r}).  z -> w carries Haar measure on the k-torus
+  to Haar measure on the r-torus (the character w^m pulls back to
+  z^{sum m_i u_i}, which is trivial only at m = 0), and |z^{alpha_0}| = 1,
+  so |f|^p has the same integral over the x as over the alpha.  The u_i
+  are the differences themselves, smallest first, wherever they raise the
+  rank, and each axis is shifted to start at 0, which multiplies f by a
+  character.  Where they give no smaller first grid, the lift's own
+  coordinates stay: 1 + c 6^{-s} is a 1-D integral, and three terms on
+  three primes a 2-D one.
+- Tensor trapezoid rule.  |f_sigma|^p is periodic, and analytic where
+  f_sigma has no zero, so there the tensor trapezoid rule converges
+  geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).  Axis a
+  starts on the grid j / M_a, M_a the least power of two above 4 d_a with
+  d_a its largest exponent, so that the grids of M_a, M_a / 2 and M_a / 4
+  points all integrate |f|^2 exactly; the points of the first grid whose
+  indices are all even, or all multiples of 4, form the other two, so one
+  evaluation gives the three rules.  Every M_a doubles while the grid fits
+  QMC_REPLICATES * QMC_POINTS = 2^17 points.  A sigma is done, with the gap
+  between the first two rules as its error bar, once that gap is below
+  _TORUS_REL_TOL of the value and the gap between the last two below its
+  square root, as geometric convergence has them: a phase of f that
+  cancels the leading alias of one gap does not cancel it in the other.
+- Shifted rank-1 lattices.  A sigma still open at the budget, or whose gap,
+  squared once per doubling left, would stay above the tolerance (f_sigma
+  vanishes on the torus, or there are too many axes), or whose rule
+  overflows, is integrated on QMC_REPLICATES uniform random shifts of the
+  rank-1 lattice {i z / n : i < n} (Dick, Kuo and Sloan, Acta Numer. 22,
+  2013) on the same axes and terms, n doubling from 2^10 to QMC_POINTS.
+  At the point i z / n, z^alpha is the n-th root of unity of index
+  (alpha.z mod n) i, so the lattice rule is the 1-D trapezoid rule on
+  those exponents, and a shift by Delta multiplies c_t by
+  e^{2 pi i alpha_t.Delta}: the trapezoid kernel evaluates every point.
+  The error of one shift is a sum of the integrand's Fourier coefficients
+  on the dual lattice with independent uniform phases, so an alias the
+  lattice misses shows as spread between the shifts, and the error bar is
+  their standard error.  z is, per dimension, the odd vector of least
+  worst-case error P_2 in the Korobov space of smoothness 1 among 64
+  fixed-seed candidates; the shifts come from a fixed-seed generator, so
+  every call gives the same bits.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .errors import NumericError
+from .series import PolytorusPolynomial
+
+QMC_POINTS = 2**14
+QMC_REPLICATES = 8
+QMC_MAX_REL_SPREAD = 0.2
+# A torus integral is done once the trapezoid rules on the grids of M and M/2
+# points per axis agree to this relative gap.
+_TORUS_REL_TOL = 1e-12
+
+
+def _torus_moments(
+    lift: PolytorusPolynomial, p: float, sigmas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """||f_sigma||_{H^p}^p for each sigma, with its error bar, where
+    f_sigma = f(sigma + .) and `lift` is the Bohr lift of f: the gap between
+    the two finest trapezoid rules, or the replicate standard error of the
+    shifted lattices.  Raises NumericError where the lattice estimate is
+    not positive or its spread is above QMC_MAX_REL_SPREAD of it.
+    """
+    alphas, coeffs = lift.exponents, lift.coeffs
+    # Each row is divided by its largest modulus in log scale: at sigma in
+    # the hundreds the moduli, and their p-th powers sooner, underflow.
+    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(lift.indices)
+    log_peak = np.max(log_mods, axis=1)
+    # numpy divides by a modulus through its reciprocal, which overflows for
+    # a subnormal one; such a coefficient is scaled by a power of two first,
+    # which keeps its phase, and the others keep their bits.
+    phases = coeffs.copy()
+    phases[np.abs(coeffs) < np.finfo(np.float64).tiny] *= 2.0**64
+    scaled = phases / np.abs(phases) * np.exp(log_mods - log_peak[:, None])
+    live = np.any(np.abs(scaled) >= np.finfo(np.float64).eps / (p * len(alphas)), axis=0)
+    alphas, scaled = alphas[live], scaled[:, live]
+    alphas = alphas[:, alphas.any(axis=0)]
+    if not alphas.shape[1]:
+        # only the constant term, of scaled modulus 1, is left
+        return np.exp(p * log_peak), np.zeros(sigmas.size)
+    alphas = _difference_axes(alphas)
+    budget, k = QMC_REPLICATES * QMC_POINTS, alphas.shape[1]
+    integral, err = np.zeros(sigmas.size), np.zeros(sigmas.size)
+    qmc = np.zeros(sigmas.size, dtype=bool)
+    todo = np.arange(sigmas.size)
+    grid = _start_grid(alphas)
+    while todo.size and grid.prod() <= budget:
+        fine, half, quarter = _trapezoid_rules(alphas, scaled[todo], p, grid)
+        gap = np.abs(fine - half)
+        done = (
+            (fine > 0)
+            & (gap <= _TORUS_REL_TOL * fine)
+            & (np.abs(half - quarter) <= math.sqrt(_TORUS_REL_TOL) * fine)
+        )
+        integral[todo[done]], err[todo[done]] = fine[done], gap[done]
+        # Each doubling squares the gap of a geometric rule; a sigma whose gap
+        # would still be above the tolerance at the budget goes to QMC now,
+        # as does one whose rule overflows: every finer grid holds this one.
+        left = int(math.log2(budget / grid.prod())) // k
+        stuck = ~done & (((gap / fine) ** (2.0**left) > _TORUS_REL_TOL) | np.isinf(fine))
+        qmc[todo[stuck]] = True
+        todo = todo[~done & ~stuck]
+        grid = 2 * grid
+    qmc[todo] = True
+    if qmc.any():
+        integral[qmc], err[qmc] = _qmc_moments(alphas, scaled[qmc], p)
+    scale = np.exp(p * log_peak)
+    return integral * scale, err * scale
+
+
+def _start_grid(alphas: np.ndarray) -> np.ndarray:
+    """Points per axis of the first trapezoid grid: the least power of two
+    above 4 times the axis's largest exponent."""
+    return np.array([1 << int(4 * d).bit_length() for d in alphas.max(axis=0)])
+
+
+def _difference_axes(alphas: np.ndarray) -> np.ndarray:
+    """The exponents of |sum_t c_t z^{alpha_t}| over one axis per
+    independent direction of the differences alpha_t - alpha_0, or
+    `alphas` itself where those give no smaller start grid.  Cached per
+    exponent matrix; the result is read-only."""
+    return _axes_of(alphas.tobytes(), alphas.shape)
+
+
+@lru_cache(maxsize=256)
+def _axes_of(data: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """_difference_axes of the int64 exponent matrix with these bytes.
+
+    The basis is the differences taken smallest first (in l^1, then in term
+    order), found by exact integer elimination.  The coordinates are solved
+    in floats, rounded, and kept only if they give every difference exactly
+    in integers.
+    """
+    alphas = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    axes = alphas
+    diffs = alphas[1:] - alphas[0]
+    basis = _independent_rows(diffs[np.argsort(np.abs(diffs).sum(axis=1), kind="stable")])
+    if len(basis):
+        x = np.rint(np.linalg.lstsq(basis.T, diffs.T)[0]).astype(np.int64).T
+        if np.array_equal(x @ basis, diffs):
+            x = np.vstack([np.zeros((1, len(basis)), dtype=np.int64), x])
+            x -= x.min(axis=0)
+            if _start_grid(x).prod() < _start_grid(alphas).prod():
+                axes = x
+    axes = axes.copy()
+    axes.flags.writeable = False
+    return axes
+
+
+def _independent_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows that raise the rank of the ones before them, by fraction-free
+    Gaussian elimination in Python integers, so the test is exact."""
+    echelon, chosen = [], []
+    for row in rows.tolist():
+        v = row
+        for pivot, e in echelon:
+            if v[pivot]:
+                a, b = e[pivot], v[pivot]
+                v = [a * vi - b * ei for vi, ei in zip(v, e)]
+                g = math.gcd(*v)
+                v = [vi // g for vi in v] if g > 1 else v
+        lead = next((j for j, vj in enumerate(v) if vj), None)
+        if lead is not None:
+            echelon.append((lead, v))
+            chosen.append(row)
+    return np.array(chosen, dtype=np.int64).reshape(len(chosen), rows.shape[1])
+
+
+@lru_cache(maxsize=None)
+def _roots_of_unity(L: int) -> np.ndarray:
+    """exp(2 pi i j / L) for j < L, read-only: each grid size L is one table."""
+    roots = np.exp(2j * np.pi / L * np.arange(L))
+    roots.flags.writeable = False
+    return roots
+
+
+def _trapezoid_rules(
+    alphas: np.ndarray, coeffs: np.ndarray, p: float, grid: np.ndarray, rules: int = 3
+) -> np.ndarray:
+    """Means of |sum_t c_t z^{alpha_t}|^p over the grids of `grid`, grid/2 and
+    grid/4 points per axis of the k-torus, for each row c of `coeffs`: the
+    first `rules` of those three, as a (rules, rows) array.
+
+    z^alpha at j/grid is the root of unity of index sum_a alpha_a j_a L/grid_a
+    mod L, L the largest grid size, taken from one table per L, and the
+    terms are added one by one in a fixed order, so every sigma gets the
+    same bits whatever batch it is in.  Points and sigmas go in chunks, so
+    that no array outgrows terms x QMC_POINTS entries.  The grid sizes and
+    the chunk are powers of two, so a chunk of the points in C order is a
+    box: one index on the leading axes, a run of indices on one axis and
+    every index on the rest.  Its phases and masks are built by
+    broadcasting one range per axis.
+    """
+    terms, k = alphas.shape
+    sizes = grid.tolist()
+    size, L = math.prod(sizes), max(sizes)
+    roots = _roots_of_unity(L)
+    step = min(size, QMC_POINTS)
+    rows = max(1, terms * QMC_POINTS // step)
+    # alpha_{t,a} as (terms, 1, ..., 1) arrays that broadcast against the box
+    columns = alphas.T.reshape((k, terms) + (1,) * k)
+    sums = np.zeros((rules, len(coeffs)))
+    for start in range(0, size, step):
+        phases = np.zeros((1,) * (k + 1), dtype=np.int64)
+        low = np.zeros((1,) * k, dtype=np.int64)  # j_0 | j_1 | ... mod 4
+        for axis, n_a in enumerate(sizes):
+            below = math.prod(sizes[axis + 1 :])  # flat index step of axis
+            first = start // below % n_a
+            j = np.arange(first, first + min(n_a, max(1, step // below)))
+            j = j.reshape((-1,) + (1,) * (k - 1 - axis))
+            phases = phases + columns[axis] * (j * (L // n_a))
+            low = low | (j & 3)
+        chars = np.take(roots, phases.reshape(terms, step) & (L - 1))
+        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())[:rules]
+        for lo in range(0, len(coeffs), rows):
+            c = coeffs[lo : lo + rows]
+            values = c[:, :1] * chars[0]
+            for t in range(1, terms):
+                values += c[:, t, None] * chars[t]
+            mags = np.abs(values) ** p
+            for rule, mask in enumerate(on):
+                sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
+    return sums * np.array([1, 2**k, 4**k])[:rules, None] / size
+
+
+def _qmc_moments(
+    alphas: np.ndarray, coeffs: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized QMC estimates of the means of |sum_t c_t z^{alpha_t}|^p
+    over the k-torus, for each row c of `coeffs`, with their replicate
+    standard errors.
+
+    A row is done once its standard error is below _TORUS_REL_TOL of its
+    mean, once its mean or its standard error overflows (each lattice holds
+    the points of the coarser ones, and such a row can only fail the spread
+    check), or at QMC_POINTS.
+    """
+    terms, k = alphas.shape
+    z = _lattice_vector(k)
+    shifts = np.random.default_rng(0).random((QMC_REPLICATES, k))
+    rotated = coeffs[:, None, :] * np.exp(2j * np.pi * (alphas @ shifts.T)).T
+    integral, se = np.zeros(len(coeffs)), np.zeros(len(coeffs))
+    todo, n = np.arange(len(coeffs)), 2**10
+    while todo.size:
+        g = (alphas @ z % n)[:, None]
+        rows = rotated[todo].reshape(-1, terms)
+        means = _trapezoid_rules(g, rows, p, np.array([n]), rules=1)[0].reshape(todo.size, -1)
+        mean = np.mean(means, axis=1)
+        err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
+        # a mean past the floats has a NaN spread
+        done = (err <= _TORUS_REL_TOL * mean) | (n >= QMC_POINTS) | ~np.isfinite(err)
+        for i, s in zip(mean[done].tolist(), err[done].tolist()):
+            if i <= 0:
+                raise NumericError("QMC integral estimate is nonpositive")
+            if s > QMC_MAX_REL_SPREAD * i:
+                raise NumericError(f"QMC did not converge: integral {i!r} with spread {s!r}")
+        integral[todo[done]], se[todo[done]] = mean[done], err[done]
+        todo, n = todo[~done], 2 * n
+    return integral, se
+
+
+# _lattice_search(k) for k = 1, ..., 8, so that no request pays the search.
+_LATTICE_VECTORS = (
+    (4421,),
+    (6151, 5083),
+    (5537, 12463, 6417),
+    (8109, 13785, 10235, 1093),
+    (14779, 11009, 14589, 3269, 12423),
+    (9341, 6629, 16329, 3253, 15507, 1487),
+    (12709, 131, 5061, 16117, 4421, 8355, 14141),
+    (15233, 1031, 11619, 11893, 4441, 1437, 5215, 6473),
+)
+
+
+@lru_cache(maxsize=None)
+def _lattice_vector(k: int) -> np.ndarray:
+    """Generating vector of the QMC_POINTS-point rank-1 lattice in k
+    dimensions, read-only: from _LATTICE_VECTORS up to k = 8, and from
+    _lattice_search above."""
+    if k <= len(_LATTICE_VECTORS):
+        z = np.array(_LATTICE_VECTORS[k - 1], dtype=np.int64)
+    else:
+        z = _lattice_search(k)
+    z.flags.writeable = False
+    return z
+
+
+def _lattice_search(k: int) -> np.ndarray:
+    """Of 64 odd vectors from a fixed-seed generator, the one of least P_2,
+    the worst-case error in the Korobov space of smoothness 1 of the
+    QMC_POINTS-point rank-1 lattice it generates: the mean over the points x
+    of prod_a (1 + 2 pi^2 B_2(x_a)) minus 1, B_2(x) = x^2 - x + 1/6.  The
+    lattices of n < QMC_POINTS points take it mod n.
+    """
+    n = QMC_POINTS
+    candidates = 2 * np.random.default_rng(0).integers(n // 2, size=(64, k)) + 1
+    i, x = np.arange(n), np.arange(n) / n
+    factor = 1.0 + 2.0 * np.pi**2 * (x * x - x + 1.0 / 6.0)
+
+    def p2(z):
+        return np.mean(math.prod(factor[i * za % n] for za in z.tolist()))
+
+    return min(candidates, key=p2)

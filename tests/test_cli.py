@@ -416,6 +416,22 @@ def test_bad_inputs_exit_cleanly(capsys, argv, expected):
         json.loads(out, parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma2", "--alpha", "0", "--sigmas", "4,1e308", "--N", "10"],
+        ["kernel", "--alpha", "1", "--s-re", "1", "--w-re", "1e308", "--N", "4"],
+    ],
+)
+def test_kernel_tail_at_a_huge_real_part(capsys, argv):
+    # (a - 1)(1 + log N) overflows to inf in the Gamma tail, and Gamma(s, inf) = 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    point = report["profile"][-1] if "profile" in report else report
+    assert point["value"] in (1.0, [1.0, 0.0]) and point["tail"] == 0.0
+
+
 def test_unknown_command_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -133,6 +133,44 @@ def test_only_the_bohr_lift_factorizes():
     assert not {"monomial_of_index", "index_of_monomial", "BohrMonomial"} & set(vars(dirspaces))
 
 
+def test_the_torus_lives_in_one_module():
+    """Only torus defines or calls the trapezoid, lattice and axes helpers,
+    and norms reaches torus through one call."""
+    helpers = {
+        "_start_grid",
+        "_difference_axes",
+        "_axes_of",
+        "_independent_rows",
+        "_roots_of_unity",
+        "_trapezoid_rules",
+        "_qmc_moments",
+        "_lattice_vector",
+        "_lattice_search",
+    }
+    for path in MODULES:
+        tree = _tree(path)
+        defined = top_level_names(tree)
+        called = {
+            getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+        }
+        if path.name == "torus.py":
+            assert helpers | {"_torus_moments"} <= defined
+        else:
+            assert not (helpers | {"_torus_moments"}) & defined, path.name
+            assert not helpers & called, path.name
+    into_torus = [
+        n.func.attr
+        for n in ast.walk(_tree(PACKAGE / "norms.py"))
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and isinstance(n.func.value, ast.Name)
+        and n.func.value.id == "torus"
+    ]
+    assert into_torus == ["_torus_moments"]
+
+
 def test_spectrum_path_never_reads_the_dense_section():
     # The spectrum is taken from the section's triplets; the dense N x k
     # array is built only for the callers that read `.entries`.
@@ -181,7 +219,7 @@ def test_no_setting_the_code_works_out_for_itself():
     import importlib
 
     import dirspaces
-    from dirspaces.norms import _qmc_moments, _torus_moments
+    from dirspaces.torus import _qmc_moments, _torus_moments
 
     fns = [_qmc_moments, _torus_moments]
     modules = [dirspaces] + [importlib.import_module(f"dirspaces.{p.stem}") for p in MODULES]

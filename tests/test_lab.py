@@ -143,7 +143,7 @@ def test_two_norm_profile_matches_per_sigma_builds(sym, grid, p, N):
 def test_two_norm_profile_edge_grids():
     sym = symbol(1, {1: 1.0, 2: 0.3})
     assert d.two_norm_profile(sym, 2.0, [], 32) == []
-    for grid in ([0.0], [1.0, 0.0, 0.5], [2.0, -1.0]):
+    for grid in ([0.0], [1.0, 0.0, 0.5], [2.0, -1.0], [0.5, math.nan], [1.0, math.inf]):
         with pytest.raises(InvalidInputError):
             d.two_norm_profile(sym, 2.0, grid, 32)
         argv = ["profile", "--c0", "1", "--phi", "[[1,1,0],[2,0.3,0]]"]

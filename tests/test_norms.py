@@ -17,7 +17,8 @@ from dirspaces import (
     PoleError,
 )
 from dirspaces.measures import DOUBLING_TOL, _gauss_laguerre
-from dirspaces.norms import _kernel_tail, _log_upper_gamma, _torus_moments
+from dirspaces.norms import _kernel_tail, _log_upper_gamma
+from dirspaces.torus import _torus_moments
 
 from conftest import random_polynomial
 
@@ -264,7 +265,7 @@ def _no_qmc(*args):
 
 
 def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
-    monkeypatch.setattr(d.norms, "_qmc_moments", _no_qmc)
+    monkeypatch.setattr(d.torus, "_qmc_moments", _no_qmc)
     f = d.from_terms({1: 1.0, 6: 0.4j}, 6)
     mu = AlphaMeasure(0.0)
     assert d.norm_a2(f, mu) < d.norm_ap(f, 2.5, mu) < d.norm_ap(f, 4.0, mu)
@@ -281,8 +282,8 @@ def _naive_trapezoid_rules(alphas, coeffs, p, grid):
     terms, k = alphas.shape
     size, L = int(grid.prod()), int(grid.max())
     roots = np.exp(2j * np.pi / L * np.arange(L))
-    step = min(size, d.norms.QMC_POINTS)
-    rows = max(1, terms * d.norms.QMC_POINTS // step)
+    step = min(size, d.torus.QMC_POINTS)
+    rows = max(1, terms * d.torus.QMC_POINTS // step)
     sums = np.zeros((3, len(coeffs)))
     for start in range(0, size, step):
         j = np.unravel_index(np.arange(start, start + step), tuple(grid))
@@ -321,16 +322,16 @@ def _trapezoid_panel():
 def test_trapezoid_rules_match_the_naive_grid_bitwise():
     for alphas, coeffs, p, grid in _trapezoid_panel():
         expected = _naive_trapezoid_rules(alphas, coeffs, p, grid)
-        assert np.array_equal(d.norms._trapezoid_rules(alphas, coeffs, p, grid), expected), grid
+        assert np.array_equal(d.torus._trapezoid_rules(alphas, coeffs, p, grid), expected), grid
         # the full rule alone, as the lattice calls take it, keeps its bits
-        full = d.norms._trapezoid_rules(alphas, coeffs, p, grid, rules=1)
+        full = d.torus._trapezoid_rules(alphas, coeffs, p, grid, rules=1)
         assert np.array_equal(full, expected[:1]), grid
 
 
 def test_root_tables_are_shared_and_read_only():
     for L in (1, 8, 2**14):
-        roots = d.norms._roots_of_unity(L)
-        assert roots is d.norms._roots_of_unity(L)
+        roots = d.torus._roots_of_unity(L)
+        assert roots is d.torus._roots_of_unity(L)
         assert not roots.flags.writeable
         assert np.array_equal(roots, np.exp(2j * np.pi / L * np.arange(L)))
 
@@ -338,9 +339,9 @@ def test_root_tables_are_shared_and_read_only():
 def test_lattice_vectors_are_the_search_results():
     # the table holds what the 64-candidate search picks, so no request pays it
     for k in range(1, 9):
-        z = d.norms._lattice_vector(k)
+        z = d.torus._lattice_vector(k)
         assert not z.flags.writeable and z.dtype == np.int64
-        assert np.array_equal(z, d.norms._lattice_search(k)), k
+        assert np.array_equal(z, d.torus._lattice_search(k)), k
 
 
 _EXPONENTS = st.integers(1, 6).flatmap(
@@ -357,9 +358,9 @@ _EXPONENTS = st.integers(1, 6).flatmap(
 @given(_EXPONENTS)
 def test_difference_axes_are_exact_lattice_coordinates(rows):
     alphas = np.array(rows, dtype=np.int64)
-    axes = d.norms._difference_axes(alphas)
+    axes = d.torus._difference_axes(alphas)
     assert not axes.flags.writeable
-    start = d.norms._start_grid
+    start = d.torus._start_grid
     # never a larger first grid than the coordinates of the lift
     assert start(axes).prod() <= start(alphas).prod()
     if np.array_equal(axes, alphas):
@@ -378,12 +379,12 @@ def test_difference_axes_are_exact_lattice_coordinates(rows):
 def test_difference_axes_keep_the_lift_where_they_do_not_shrink_the_grid():
     # 2 and 3 have the coordinate 3/2 over 2, so the lift's axis stays
     alphas = np.array([[0], [2], [3]])
-    assert np.array_equal(d.norms._difference_axes(alphas), alphas)
+    assert np.array_equal(d.torus._difference_axes(alphas), alphas)
     # 1, 2^{-s}, 3^{-s}, 6^{-s}: the differences span both axes
     alphas = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-    assert np.array_equal(d.norms._difference_axes(alphas), alphas)
+    assert np.array_equal(d.torus._difference_axes(alphas), alphas)
     # 2^{-s} and 3^{-s}: one direction, (-1, 1)
-    assert d.norms._difference_axes(np.array([[1, 0], [0, 1]])).tolist() == [[0], [1]]
+    assert d.torus._difference_axes(np.array([[1, 0], [0, 1]])).tolist() == [[0], [1]]
 
 
 _PRIMES = (2, 3, 5, 7)
@@ -410,11 +411,11 @@ def _dominated_polynomials(draw):
 def test_difference_axes_give_the_integral_of_the_lift(terms, p):
     lift = d.bohr_lift(d.from_terms(terms, max(terms)))
     lattice = []
-    qmc = d.norms._qmc_moments
+    qmc = d.torus._qmc_moments
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(d.norms, "_qmc_moments", lambda *args: lattice.append(1) or qmc(*args))
+        mp.setattr(d.torus, "_qmc_moments", lambda *args: lattice.append(1) or qmc(*args))
         (reduced,), _ = _torus_moments(lift, p, np.zeros(1))
-        mp.setattr(d.norms, "_difference_axes", lambda alphas: alphas)
+        mp.setattr(d.torus, "_difference_axes", lambda alphas: alphas)
         (today,), _ = _torus_moments(lift, p, np.zeros(1))
     if not lattice:  # both on the trapezoid route, which converges geometrically
         assert reduced == pytest.approx(today, rel=1e-13, abs=0.0)
@@ -423,13 +424,13 @@ def test_difference_axes_give_the_integral_of_the_lift(terms, p):
 def _spy_grids(monkeypatch):
     """The grid of every _trapezoid_rules call, as a list that fills as they run."""
     grids = []
-    rules = d.norms._trapezoid_rules
+    rules = d.torus._trapezoid_rules
 
     def spy(alphas, coeffs, p, grid, **kwargs):
         grids.append(tuple(int(m) for m in grid))
         return rules(alphas, coeffs, p, grid, **kwargs)
 
-    monkeypatch.setattr(d.norms, "_trapezoid_rules", spy)
+    monkeypatch.setattr(d.torus, "_trapezoid_rules", spy)
     return grids
 
 
@@ -499,7 +500,7 @@ def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):
     grids = _spy_grids(monkeypatch)
     value, stderr = d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 1.0}, 2), 1.0)
     # the shifted lattices double up to QMC_POINTS without meeting the tolerance
-    assert grids[-1] == (d.norms.QMC_POINTS,)
+    assert grids[-1] == (d.torus.QMC_POINTS,)
     assert stderr > 0
     assert abs(value - 4.0 / math.pi) <= 5 * stderr
     # the lattice route's estimate and standard error, bit for bit
@@ -528,6 +529,54 @@ def test_lattice_fallback_is_no_looser_than_sobol(terms, p, sobol, sobol_stderr)
     value, stderr = d.qmc_norm_hp(d.from_terms(terms, max(terms)), p)
     assert 0 < stderr <= sobol_stderr
     assert abs(value - sobol) <= 5 * math.hypot(stderr, sobol_stderr)
+
+
+# One input per route, with qmc_norm_hp's value and stderr and the A^{1.5}
+# norm on alpha(0), bit for bit: one term, even p, a tensor grid on the
+# lift's own axes, one on the reduced axis of 1 + c 6^{-s}, and the
+# shifted lattices.
+_ROUTE_PINS = [
+    ({6: 0.7 - 0.2j}, 3.0, "0x1.74bddb3926321p-1", "0x0.0p+0", "0x1.a67ec4d775bfbp-2"),
+    (
+        {1: 1.0, 2: 0.3 - 0.1j, 3: 0.2j},
+        4.0,
+        "0x1.1f5bfa40b592cp+0",
+        "0x0.0p+0",
+        "0x1.07763209ec536p+0",
+    ),
+    (
+        {1: 1.0, 2: 0.3, 3: 0.2j, 6: 0.1 - 0.1j},
+        3.0,
+        "0x1.197939f357701p+0",
+        "0x1.a78552dbff8f3p-52",
+        "0x1.07afd88f9eb23p+0",
+    ),
+    (
+        {1: 1.0, 6: 0.4j},
+        3.0,
+        "0x1.1be1b5d56c6afp+0",
+        "0x1.1593c7d25b5ecp-54",
+        "0x1.057b316eae71dp+0",
+    ),
+    (
+        _RANK_FOUR,
+        1.0,
+        "0x1.0ffce49a8b5cep+0",
+        "0x1.1734f4b5ba589p-21",
+        "0x1.0b59b6f60bbafp+0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "terms, p, value, stderr, ap",
+    _ROUTE_PINS,
+    ids=["one-term", "even-p", "lift-axes", "reduced-axes", "lattice"],
+)
+def test_route_outputs_keep_their_bits(terms, p, value, stderr, ap, alpha0):
+    f = d.from_terms(terms, max(terms))
+    assert d.qmc_norm_hp(f, p) == (float.fromhex(value), float.fromhex(stderr))
+    assert d.norm_ap(f, 1.5, alpha0) == float.fromhex(ap)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])

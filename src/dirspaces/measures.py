@@ -14,6 +14,25 @@ is e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large
 Laguerre nodes n^{-2 sigma} underflows, where np.power is several times
 slower.  The Gauss rules are built here in numpy and cached per node count
 (and alpha).
+
+Each measure also bounds the tail over n > N of the kernel sum of
+f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
+family 1/w_h(x) = (1 + log x)^{alpha+1}, and log f(e^t) is concave, so f is
+unimodal and the tail is at most the integral of f from N upward,
+e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)), plus the peak of
+f on [N, inf), at log x* = (alpha+1)/a - 1.  Other measures bound it from
+their weights alone, at x_k = N r^k, r = _TAIL_RATIO, by secants of
+g(t) = log(e^t f(e^t)) = (1 - a) t - log w_h(e^t), which is concave, since
+w_h(e^t) is a Laplace transform in t.  Hence:
+- the slope s_k of the secant of g over [log x_{k-1}, log x_k] is at least
+  g' past log x_k;
+- each of the floor(x_k) - floor(x_{k-1}) integers n in (x_{k-1}, x_k] has
+  f(n) <= x_{k-1}^{-a}/w_h(x_k), as w_h decreases;
+- where s_k < 0, f decreases past x_k, so the sum over n > x_k is at most
+  f(x_k) plus the integral of f from x_k, which is at most
+  e^{g(log x_k)}/|s_k| = x_k f(x_k)/|s_k|.
+The bound is the least, over the k with s_k < 0, of the blocks up to x_k
+plus f(x_k) (1 + x_k/|s_k|).
 """
 
 from __future__ import annotations
@@ -26,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericError
+from .errors import DivergenceError, InvalidInputError, NumericError
 
 _NORMALIZATION_TOL = 1e-8
 # Nodes of the coarse rule of every measure; the fine rule has twice as many.
@@ -40,6 +59,11 @@ _BLOCK = 2**20
 # Mantissa bound for the Laguerre recurrence: past it a node's values move
 # into its log scale, so rules stay finite at thousands of nodes.
 _RESCALE_AT = 2.0**500
+# The density kernel tail walks N, r N, r^2 N, ... with this r (see
+# Measure.kernel_tail), and takes each weight within DOUBLING_TOL of the one
+# computed, once the coarse and fine rules agree to that, relative to the weight.
+_TAIL_RATIO = 2.0**0.25
+_LOG_LO, _LOG_HI = math.log1p(-DOUBLING_TOL), math.log1p(DOUBLING_TOL)
 
 
 def _laguerre_ratio(n: int, a: float, x: np.ndarray):
@@ -106,7 +130,7 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _decay(logs):
     """sigma -> n^{-2 sigma} for each n with log n in `logs`, shape (..., m)
     at m nodes, as e^{-2 sigma log n}: every weight reads one np.log table,
-    so weights(N)[n-1], weight(n) and weight_and_gap(n)[0] agree bitwise,
+    so weights(N)[n-1], weight(n) and the kernel tail's weights agree bitwise,
     and n^{-2 sigma} underflows at most nodes of the Laguerre rules, where
     np.power takes a slow path and np.exp does not."""
     return lambda s: np.exp(logs[..., None] * (-2.0 * s))
@@ -156,17 +180,56 @@ class Measure:
         """w_h(n) = integral of n^{-2 sigma} d mu(sigma); n real >= 1 allowed."""
         return self.weights_by_quadrature(n)
 
-    def weight_and_gap(self, x: float) -> tuple[float, float]:
-        """w_h(x) by the fine rule, and its distance to the coarse rule's
-        value, for real x >= 1, with no test of that gap: integrate accepts a
-        gap up to DOUBLING_TOL absolute for weights below 1, so a caller that
-        needs a tiny weight to a relative accuracy judges the gap itself.  On
-        a measure whose weight is by quadrature, the value is weight(x)
-        bitwise."""
-        if not x >= 1:
-            raise InvalidInputError("weight requires n >= 1")
-        est, ref = self._both_rules(_decay(np.log(np.float64(x))))
-        return float(ref), abs(float(ref) - float(est))
+    def kernel_tail(self, a: float, N: int) -> float:
+        """Bound on the sum over n > N of n^{-a}/w_h(n), for a above the
+        abscissa, from the weights at x_k = N r^k (see the module docstring).
+
+        The walk starts at x_{-1} = N/r where N > 1 (at x_0 = 1 where N = 1),
+        and stops once the blocks alone reach the least total, since a later
+        total only adds blocks, or once x_k leaves the floats or a weight
+        fails, underflows or has coarse and fine rules further apart than
+        DOUBLING_TOL of it: integrate accepts a gap up to DOUBLING_TOL
+        absolute for weights below 1, so the walk judges the gap itself.
+        Each weight is taken DOUBLING_TOL low or high, relative to it,
+        whichever makes the bound larger.  Raises NumericError if no x_k
+        closes before the walk stops.
+        """
+        total, best, failure = 0.0, math.inf, None
+        start = -1 if N > 1 else 0
+        # r^k = 2^{k/4} is finite below k = 4 * 1024
+        for k in range(start, 4 * 1024):
+            x = N * _TAIL_RATIO**k
+            if not math.isfinite(x):
+                break
+            try:
+                est, ref = self._both_rules(_decay(np.log(np.float64(x))))
+            except NumericError as e:
+                failure = str(e)
+                break
+            w, gap = float(ref), abs(float(ref) - float(est))
+            if not w >= np.finfo(np.float64).tiny:
+                failure = f"weight w_h({x:g}) of the kernel tail underflows"
+                break
+            if gap > DOUBLING_TOL * w:
+                failure = f"weight w_h({x:g}) of the kernel tail is not resolved: {w!r} +- {gap!r}"
+                break
+            log_lo = math.log(w) + _LOG_LO
+            if k > 0:
+                n_block = math.floor(x) - math.floor(x_prev)
+                total += n_block * math.exp(-a * math.log(x_prev) - log_lo)
+            if k > start:
+                slope = (1.0 - a) + (log_hi - log_lo) / math.log(x / x_prev)
+                if slope < 0:
+                    rest = math.exp(-a * math.log(x) - log_lo) * (1.0 + x / -slope)
+                    best = min(best, total + rest)
+            if total >= best:
+                break
+            x_prev, log_hi = x, math.log(w) + _LOG_HI
+        if best < math.inf:
+            return best
+        raise NumericError(
+            failure or f"the kernel tail bound does not close at Re z = {a!r} within the floats"
+        )
 
     def weights(self, N: int) -> np.ndarray:
         """Memoized vector (w_h(1), ..., w_h(N))."""
@@ -235,6 +298,66 @@ class AlphaMeasure(Measure):
     def _weight_vector(self, N: int) -> np.ndarray:
         # the scalar closed form, so weights(N)[n-1] == weight(n) bitwise
         return np.array([self.weight(n) for n in range(1, N + 1)])
+
+    def kernel_tail(self, a: float, N: int) -> float:
+        """The integral of f from N plus its peak on [N, inf), in closed
+        form (see the module docstring)."""
+        b = self.alpha + 1.0
+        log_integral = (
+            (a - 1.0)
+            - (b + 1.0) * math.log(a - 1.0)
+            + _log_upper_gamma(b + 1.0, (a - 1.0) * (1.0 + math.log(N)))
+        )
+        u = max(math.log(N), b / a - 1.0)
+        log_peak = -a * u + b * math.log1p(u)
+        try:
+            val = math.exp(log_integral) + math.exp(log_peak)
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise DivergenceError(f"kernel tail overflows at abscissa {a!r}")
+        return val
+
+
+def _log_upper_gamma(s: float, x: float) -> float:
+    """log Gamma(s, x), the upper incomplete gamma function, for s >= 1, x > 0.
+
+    Below x = s + 1, Gamma(s) minus the series of the lower function: there
+    Gamma(s, x) >= Gamma(s, s + 1) >= e^{-2} Gamma(s), so the difference
+    keeps its digits.  Above it, the continued fraction by the modified
+    Lentz method (Numerical Recipes, gser and gcf).  Gamma(s, inf) = 0.
+    """
+    if x == math.inf:
+        return -math.inf
+    eps, tiny = 1e-16, 1e-300
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        for k in range(1, 100_000):
+            term *= x / (s + k)
+            total += term
+            if term < total * eps:
+                break
+        else:
+            raise NumericError(f"incomplete gamma series did not converge at s={s!r}, x={x!r}")
+        lower = math.exp(s * math.log(x) - x - math.lgamma(s) + math.log(total))
+        return math.lgamma(s) + math.log1p(-lower)
+    b = x + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 100_000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = d if abs(d) > tiny else tiny
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        d = 1.0 / d
+        h *= d * c
+        if abs(d * c - 1.0) < eps:
+            break
+    else:
+        raise NumericError(f"incomplete gamma fraction did not converge at s={s!r}, x={x!r}")
+    return s * math.log(x) - x + math.log(h)
 
 
 def alpha_weight(alpha: float, n) -> float:

@@ -7,9 +7,8 @@ integrate |f|^p over the polytorus through the Bohr lift (see torus).  A^p
 norms integrate the translated H^p norms against the measure.  Every norm is
 computed on f scaled by a power of two, so that tiny and huge coefficients
 keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
-refused at or below the measure's abscissa.  Its tail is bounded in closed
-form for the Gamma family, and for density measures from the weights alone,
-by secants of the concave log w_h(e^t).
+refused at or below the measure's abscissa, with the measure's bound on
+its tail (Measure.kernel_tail).
 """
 
 from __future__ import annotations
@@ -22,18 +21,13 @@ import numpy as np
 
 from . import torus
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import DOUBLING_TOL, AlphaMeasure, Measure
+from .measures import Measure
 from .series import DirichletSeries, bohr_lift, power
 
 # The benchmark's spans (bench/spans.py) size a qmc_norm_hp call from these.
 QMC_POINTS, QMC_REPLICATES = torus.QMC_POINTS, torus.QMC_REPLICATES
 # Even-p norms form f^{p/2} by convolution only up to this many coefficients.
 _POWER_CAP = 4_000_000
-# The density kernel tail walks N, r N, r^2 N, ... with this r (see
-# _secant_tail), and takes each weight within DOUBLING_TOL of the one computed,
-# once the coarse and fine rules agree to that, relative to the weight.
-_TAIL_RATIO = 2.0**0.25
-_LOG_LO, _LOG_HI = math.log1p(-DOUBLING_TOL), math.log1p(DOUBLING_TOL)
 
 # Bernoulli numbers B_2, B_4, ..., B_18 for the Euler-Maclaurin tail.
 _BERNOULLI = (
@@ -77,7 +71,6 @@ class FunctionalNormEstimate:
     point: complex
     tail: float = 0.0
     lower: float | None = None
-    stderr: float | None = None
 
 
 def _homogeneous(norm):
@@ -128,8 +121,8 @@ def _norm(
 ) -> tuple[float | np.ndarray, float | None]:
     """(||f||, error bar) in H^p, or in A^p_mu given mu, with no error bar
     where the value is exact (even p) or not estimated (A^p).  Given
-    `sigmas`, all >= 0, in place of mu, the H^p norms of the translates
-    f(sigma + .) instead, as an array, with no error bar.
+    `sigmas`, all finite and >= 0, in place of mu, the H^p norms of the
+    translates f(sigma + .) instead, as an array, with no error bar.
 
     sigma -> ||f(sigma + .)||^p_{H^p} is built once: at p = 2q the sum of
     |b_m|^2 m^{-2 sigma} over f^q = sum b_m m^{-s}, at other p the torus
@@ -145,8 +138,8 @@ def _norm(
         raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
     if sigmas is not None:
         sigmas = np.asarray(sigmas, dtype=np.float64)
-        if not np.all(sigmas >= 0):
-            raise InvalidInputError("translation requires sigma >= 0")
+        if not np.all((sigmas >= 0) & (sigmas < math.inf)):
+            raise InvalidInputError("translation requires a finite sigma >= 0")
     q = _even_q(p)
     support = np.flatnonzero(f.coeffs)
     if support.size <= 1:
@@ -191,9 +184,9 @@ def _norm(
 
 def norm_hp(f: DirichletSeries, p: float, sigmas=None) -> float | np.ndarray:
     """H^p norm of an exact polynomial: exact via ||f^{p/2}||_2^{2/p} at even
-    integer p, at other p as qmc_norm_hp.  Given `sigmas`, all >= 0, the
-    norms of the translates f(sigma + .) instead, as an array, from one
-    evaluation of the moment function."""
+    integer p, at other p as qmc_norm_hp.  Given `sigmas`, all finite and
+    >= 0, the norms of the translates f(sigma + .) instead, as an array, from
+    one evaluation of the moment function."""
     return _norm(f, p, sigmas=sigmas)[0]
 
 
@@ -250,138 +243,11 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
     return complex(np.sum(f.coeffs[:N] * np.conjugate(g.coeffs[:N]) * w))
 
 
-def _kernel_tail(mu: Measure, a: float, N: int) -> float:
-    """Bound on the tail sum over n > N of f(n) = n^{-a}/w_h(n), for a above
-    mu.abscissa, where the sum converges.
-
-    For the Gamma family 1/w_h(x) = (1 + log x)^{alpha+1}, and log f(e^t) is
-    concave, so f is unimodal and the tail is at most the integral of f from
-    N upward, e^{a-1} (a-1)^{-(alpha+2)} Gamma(alpha+2, (a-1)(1 + log N)),
-    plus the peak of f on [N, inf), at log x* = (alpha+1)/a - 1.  Other
-    measures bound it from their weights alone (see _secant_tail).
-    """
-    if not isinstance(mu, AlphaMeasure):
-        return _secant_tail(mu, a, N)
-    b = mu.alpha + 1.0
-    log_integral = (
-        (a - 1.0)
-        - (b + 1.0) * math.log(a - 1.0)
-        + _log_upper_gamma(b + 1.0, (a - 1.0) * (1.0 + math.log(N)))
-    )
-    u = max(math.log(N), b / a - 1.0)
-    log_peak = -a * u + b * math.log1p(u)
-    try:
-        val = math.exp(log_integral) + math.exp(log_peak)
-    except OverflowError:
-        val = math.inf
-    if not math.isfinite(val):
-        raise DivergenceError(f"kernel tail overflows at abscissa {a!r}")
-    return val
-
-
-def _secant_tail(mu: Measure, a: float, N: int) -> float:
-    """Bound on the sum over n > N of f(n) = n^{-a}/w_h(n), from the weights
-    of mu at x_k = N r^k, r = _TAIL_RATIO.
-
-    g(t) = log(e^t f(e^t)) = (1 - a) t - log w_h(e^t) is concave, since
-    w_h(e^t) is a Laplace transform in t.  Hence:
-    - the slope s_k of the secant of g over [log x_{k-1}, log x_k] is at
-      least g' past log x_k;
-    - each of the floor(x_k) - floor(x_{k-1}) integers n in (x_{k-1}, x_k]
-      has f(n) <= x_{k-1}^{-a}/w_h(x_k), as w_h decreases;
-    - where s_k < 0, f decreases past x_k, so the sum over n > x_k is at most
-      f(x_k) plus the integral of f from x_k, which is at most
-      e^{g(log x_k)}/|s_k| = x_k f(x_k)/|s_k|.
-    The bound is the least, over the k with s_k < 0, of the blocks up to x_k
-    plus f(x_k) (1 + x_k/|s_k|).  The walk starts at x_{-1} = N/r where
-    N > 1 (at x_0 = 1 where N = 1), and stops once the blocks alone reach
-    the least total, since a later total only adds blocks, or once x_k
-    leaves the floats or a weight fails, underflows or has coarse and fine
-    rules further apart than DOUBLING_TOL of it.  Each weight is taken
-    DOUBLING_TOL low or high, relative to it, whichever makes the bound
-    larger.  Raises NumericError if no x_k closes before the walk stops.
-    """
-    total, best, failure = 0.0, math.inf, None
-    start = -1 if N > 1 else 0
-    # r^k = 2^{k/4} is finite below k = 4 * 1024
-    for k in range(start, 4 * 1024):
-        x = N * _TAIL_RATIO**k
-        if not math.isfinite(x):
-            break
-        try:
-            w, gap = mu.weight_and_gap(x)
-        except NumericError as e:
-            failure = str(e)
-            break
-        if not w >= np.finfo(np.float64).tiny:
-            failure = f"weight w_h({x:g}) of the kernel tail underflows"
-            break
-        if gap > DOUBLING_TOL * w:
-            failure = f"weight w_h({x:g}) of the kernel tail is not resolved: {w!r} +- {gap!r}"
-            break
-        log_lo = math.log(w) + _LOG_LO
-        if k > 0:
-            n_block = math.floor(x) - math.floor(x_prev)
-            total += n_block * math.exp(-a * math.log(x_prev) - log_lo)
-        if k > start:
-            slope = (1.0 - a) + (log_hi - log_lo) / math.log(x / x_prev)
-            if slope < 0:
-                rest = math.exp(-a * math.log(x) - log_lo) * (1.0 + x / -slope)
-                best = min(best, total + rest)
-        if total >= best:
-            break
-        x_prev, log_hi = x, math.log(w) + _LOG_HI
-    if best < math.inf:
-        return best
-    raise NumericError(
-        failure or f"the kernel tail bound does not close at Re z = {a!r} within the floats"
-    )
-
-
-def _log_upper_gamma(s: float, x: float) -> float:
-    """log Gamma(s, x), the upper incomplete gamma function, for s >= 1, x > 0.
-
-    Below x = s + 1, Gamma(s) minus the series of the lower function: there
-    Gamma(s, x) >= Gamma(s, s + 1) >= e^{-2} Gamma(s), so the difference
-    keeps its digits.  Above it, the continued fraction by the modified
-    Lentz method (Numerical Recipes, gser and gcf).  Gamma(s, inf) = 0.
-    """
-    if x == math.inf:
-        return -math.inf
-    eps, tiny = 1e-16, 1e-300
-    if x < s + 1.0:
-        term = total = 1.0 / s
-        for k in range(1, 100_000):
-            term *= x / (s + k)
-            total += term
-            if term < total * eps:
-                break
-        else:
-            raise NumericError(f"incomplete gamma series did not converge at s={s!r}, x={x!r}")
-        lower = math.exp(s * math.log(x) - x - math.lgamma(s) + math.log(total))
-        return math.lgamma(s) + math.log1p(-lower)
-    b = x + 1.0 - s
-    c, d = 1.0 / tiny, 1.0 / b
-    h = d
-    for i in range(1, 100_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        d = d if abs(d) > tiny else tiny
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        d = 1.0 / d
-        h *= d * c
-        if abs(d * c - 1.0) < eps:
-            break
-    else:
-        raise NumericError(f"incomplete gamma fraction did not converge at s={s!r}, x={x!r}")
-    return s * math.log(x) - x + math.log(h)
-
-
 def _weighted_sum(mu: Measure, z: complex, N: int) -> tuple[complex, float]:
     """Partial sum over n <= N of n^{-z}/w_h(n), and a bound on the rest.
     The sum converges exactly for Re z above mu.abscissa."""
+    if not N >= 1:
+        raise InvalidInputError("the truncation N must be >= 1")
     z = complex(z)
     if z.real <= mu.abscissa:
         raise DivergenceError(
@@ -390,7 +256,7 @@ def _weighted_sum(mu: Measure, z: complex, N: int) -> tuple[complex, float]:
         )
     wh = mu.weights(N)
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
-    return complex(np.sum(np.exp(-z * logs) / wh)), _kernel_tail(mu, z.real, N)
+    return complex(np.sum(np.exp(-z * logs) / wh)), mu.kernel_tail(z.real, N)
 
 
 def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:

@@ -298,7 +298,7 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
 
 def translate(f: DirichletSeries, sigma: float) -> DirichletSeries:
     """Vertical translate f(sigma + s): coefficient a_n -> a_n n^{-sigma}."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise InvalidInputError("translation requires sigma >= 0")
     n = np.arange(1, f.truncation + 1, dtype=np.float64)
     return DirichletSeries(f.coeffs * n**-sigma, exact=f.exact)

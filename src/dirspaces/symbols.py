@@ -180,12 +180,15 @@ def _refutation_grid(sym: Symbol) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _min_re_phi(sym: Symbol, sigmas: np.ndarray, ts: np.ndarray) -> tuple[float, complex]:
-    ks = np.arange(1, sym.phi.truncation + 1, dtype=np.float64)
-    logs = np.log(ks)
+    """The least Re phi over the (sigma, t) grid and the point where it is
+    reached, summed over the nonzero coefficients only, so that the cost
+    follows the support of phi and not its truncation."""
+    support = np.flatnonzero(sym.phi.coeffs)
+    logs = np.log(support + 1.0)
     # Re phi(sigma + i t) over the grid, vectorized: (n_sigma, n_t)
     decay = np.exp(-np.outer(sigmas, logs))  # (n_sigma, K)
     osc = np.exp(-1j * np.outer(ts, logs))  # (n_t, K)
-    vals = np.real(np.einsum("sk,tk,k->st", decay, osc, sym.phi.coeffs))
+    vals = np.real(np.einsum("sk,tk,k->st", decay, osc, sym.phi.coeffs[support]))
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     return float(vals[i, j]), complex(sigmas[i], ts[j])
 
@@ -262,11 +265,11 @@ def schwarz_margin(sym: Symbol, sigma: float, s: complex) -> float:
     Nonnegative for admissible symbols with c0 >= 1; zero exactly when Phi is
     a vertical translation.
     """
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise InvalidInputError("sigma must be finite and positive")
     s = complex(s)
-    if s.real <= 0:
-        raise InvalidInputError("s must lie in the right half-plane")
+    if not (0 < s.real < math.inf and math.isfinite(s.imag)):
+        raise InvalidInputError("s must be a finite point of the right half-plane")
     val = sym(sigma + s)
     return (val.real - sigma) - (sigma * (sym.c0 - 1) + s.real)
 

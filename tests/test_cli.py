@@ -120,6 +120,26 @@ def test_check_symbol(capsys):
     assert json.loads(out)["theorem2"]["verdict"] == "CertifiedYes"
 
 
+@pytest.mark.parametrize("c0, check", [(0, "theorem2"), (1, "theorem1")])
+def test_check_symbol_refutes_at_a_huge_index(c0, check):
+    # The refutation grid evaluates phi on its support: summed up to the
+    # truncation 2^20, the (t, k) array alone would take about 9.7 GB.  The
+    # address space is capped so that such a regression fails, not the host.
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["check-symbol", "--c0", str(c0), "--phi", "[[1,0.5,0],[1048576,0.9,0]]"]
+    run = subprocess.run(
+        [sys.executable, "-m", "dirspaces.cli", *argv],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+    )
+    assert run.returncode == 0, run.stderr
+    cert = json.loads(run.stdout)[check]
+    assert (cert["verdict"], cert["method"]) == ("CertifiedNo", "grid-witness")
+
+
 def test_lemma2_csv(capsys):
     code, out, _ = run_cli(
         capsys, "lemma2", "--alpha", "0", "--sigmas", "10", "--N", "1024", "--csv"

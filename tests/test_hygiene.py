@@ -81,6 +81,9 @@ def test_folded_helpers_stay_gone():
             "_scrambled_sobol",
             "_sobol_directions",
             "_dyadic_blocks_decreasing",
+            "_kernel_tail",
+            "_secant_tail",
+            "_log_upper_gamma",
         },
         "series.py": {
             "_mono_with_table",
@@ -102,6 +105,20 @@ def test_folded_helpers_stay_gone():
     for name in ("kernel", "point_eval_sum"):
         assert calls(functions[name], "_weighted_sum"), name
     assert len(calls(norms, "_weighted_sum")) == 2
+    # the kernel's tail is the measure's: norms names no measure class and
+    # asks for the tail once, in the weighted sum
+    names = {n.id for n in ast.walk(norms) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(norms) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert "AlphaMeasure" not in names
+    def tail_calls(tree):
+        return [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "kernel_tail"
+        ]
+
+    assert len(tail_calls(norms)) == 1
+    assert tail_calls(functions["_weighted_sum"]) == tail_calls(norms)
     for node in ast.walk(norms):
         if isinstance(node, ast.Compare) and any(isinstance(op, ast.LtE) for op in node.ops):
             literals = [c.value for c in node.comparators if isinstance(c, ast.Constant)]
@@ -112,6 +129,8 @@ def test_folded_helpers_stay_gone():
         assert "integrate" not in class_methods(measures, cls), cls
     for cls in ("Measure", "DensityMeasure"):
         assert "_rule" not in class_methods(measures, cls), cls
+    for cls in (n.name for n in measures.body if isinstance(n, ast.ClassDef)):
+        assert "weight_and_gap" not in class_methods(measures, cls), cls
 
 
 def test_only_the_bohr_lift_factorizes():

@@ -16,11 +16,10 @@ from dirspaces import (
     NumericError,
     PoleError,
 )
-from dirspaces.measures import DOUBLING_TOL, _gauss_laguerre
-from dirspaces.norms import _kernel_tail, _log_upper_gamma
+from dirspaces.measures import DOUBLING_TOL, _decay, _gauss_laguerre, _log_upper_gamma
 from dirspaces.torus import _torus_moments
 
-from conftest import random_polynomial
+from conftest import BUMP_SAMPLES, exp3_density, random_polynomial
 
 
 # ---------- zeta ----------
@@ -109,6 +108,15 @@ def test_one_term_a_norm_is_a_weight(p, alpha0, sampled_density):
 def test_norm_hp_validation():
     with pytest.raises(InvalidInputError):
         d.norm_hp(d.from_terms({1: 1.0}, 4), 0.5)
+
+
+def test_norm_hp_refuses_a_non_finite_translation():
+    # inf * log 1 is NaN: an infinite sigma gave a NaN norm at p = 2 and 3
+    for f in (d.from_terms({1: 1.0, 2: 0.5}, 2), d.from_terms({3: 1.0}, 3)):
+        for p in (2.0, 3.0):
+            for sigmas in ([math.inf], [math.nan], [0.5, math.inf]):
+                with pytest.raises(InvalidInputError, match="finite sigma >= 0"):
+                    d.norm_hp(f, p, sigmas)
 
 
 # ---------- A^p ----------
@@ -652,7 +660,7 @@ def test_alpha_kernel_tail_closed_form():
                 for N in (1, 2, 4, 100, 10_000):
                     peak_at = max(N, math.exp((alpha + 1) / a - 1))
                     ref = _alpha_tail_integral(alpha, a, N) + _alpha_summand(alpha, a, peak_at)
-                    assert _kernel_tail(mu, a, N) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+                    assert mu.kernel_tail(a, N) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 10.0, 20.0])
@@ -662,7 +670,7 @@ def test_alpha_kernel_tail_bounds_the_sum(alpha, a, N):
     with mpmath.workdps(20):
         f = lambda n: _alpha_summand(alpha, a, n)
         true = float(mpmath.nsum(f, [N + 1, mpmath.inf], method="euler-maclaurin"))
-    tail = _kernel_tail(AlphaMeasure(alpha), a, N)
+    tail = AlphaMeasure(alpha).kernel_tail(a, N)
     assert true <= tail
     # alpha >= 10 puts the peak x* of f past N, where f(N) is not the largest
     # term of the tail; there the terms near the peak dominate and the bound
@@ -680,7 +688,80 @@ def test_alpha_kernel_tail_bounds_a_narrow_peak():
     with mpmath.workdps(30):
         true = mpmath.fsum(_alpha_summand(alpha, a, n) for n in range(N + 1, 400))
         assert _alpha_tail_integral(alpha, a, N) + _alpha_summand(alpha, a, N) < 0.9 * true
-    assert float(true) <= _kernel_tail(AlphaMeasure(alpha), a, N)
+    assert float(true) <= AlphaMeasure(alpha).kernel_tail(a, N)
+
+
+# One input per tail route, Gamma closed form and secant walk: kernel
+# (value, tail) and point_eval_sum (value, tail) as float.hex.
+_TAIL_PINS = {
+    "gamma-alpha0": (
+        lambda: AlphaMeasure(0.0), 0.8 + 2.0j, 0.7 - 0.5j, 3.0, 64,
+        ["0x1.4563e81bf8764p-2", "0x1.a14994c299c56p-2", "0x1.ccbf7a3ba22d8p+0",
+         "0x1.6645c590f03fap+0", "0x1.747c7d13588d4p-11"],
+    ),
+    "gamma-alpha1": (
+        lambda: AlphaMeasure(1.0), 1.1 - 1.0j, 0.6 + 3.0j, 2.5, 128,
+        ["0x1.43ccf226c0881p-1", "0x1.89b8636a7baecp-2", "0x1.5248af8e049a1p+1",
+         "0x1.56d7f526304a2p+1", "0x1.46e271aa0f588p-6"],
+    ),
+    "secant-exp3": (
+        lambda: DensityMeasure(h=exp3_density), 0.9 + 1.0j, 0.8 - 2.0j, 2.0, 32,
+        ["0x1.2603cfbc40f96p-1", "0x1.7d1a5aa353fcdp-3", "0x1.2fb5b921a585bp-1",
+         "0x1.12da1dc7f0496p+1", "0x1.111e52b4a2654p-3"],
+    ),
+    "secant-bump": (
+        lambda: d.SampledDensityMeasure(samples=BUMP_SAMPLES), 1.3 + 0.5j, 1.2 - 4.0j, 3.5, 64,
+        ["0x1.31fd9f32297d3p-1", "-0x1.50434f8da711ep-1", "0x1.c243846fb62adp+3",
+         "0x1.04c6a4bf82faap+1", "0x1.162679401e083p-5"],
+    ),
+}
+
+
+@pytest.mark.parametrize("route", _TAIL_PINS)
+def test_tail_routes_keep_their_bits(route):
+    make, s, w, sigma, N, pinned = _TAIL_PINS[route]
+    mu = make()
+    kv = d.kernel(mu, s, w, N)
+    value, tail = d.norms.point_eval_sum(mu, sigma, N)
+    assert [x.hex() for x in (kv.value.real, kv.value.imag, kv.tail, value, tail)] == pinned
+
+
+# The stops of the tail bound: the Gamma form past the floats, and a walk
+# that meets an underflowing or an unresolved weight before it closes.
+_TAIL_STOPS = {
+    "overflow": (
+        lambda: AlphaMeasure(20.0), 1.0 + 2.0**-52, 4,
+        DivergenceError, "kernel tail overflows at abscissa 1.0000000000000002",
+    ),
+    "underflow": (
+        lambda: d.SampledDensityMeasure(samples=[[10.0, 0.0], [10.25, 4.0], [10.5, 0.0]]),
+        21.01, 256,
+        NumericError, "weight w_h(1.89353e+15) of the kernel tail underflows",
+    ),
+    "unresolved": (
+        lambda: DensityMeasure(h=AlphaMeasure(5.0).density), 1.2, 16,
+        NumericError,
+        "weight w_h(2.09715e+06) of the kernel tail is not resolved: "
+        "7.056627369166236e-08 +- 7.596942550972764e-16",
+    ),
+}
+
+
+@pytest.mark.parametrize("stop", _TAIL_STOPS)
+def test_tail_stops_keep_their_messages(stop):
+    make, sigma, N, error, message = _TAIL_STOPS[stop]
+    with pytest.raises(error) as info:
+        d.norms.point_eval_sum(make(), sigma, N)
+    assert str(info.value) == message
+
+
+def test_weighted_sum_needs_a_truncation(alpha0, custom_density):
+    # N = 0 left the Gamma tail a math domain error
+    for mu in (alpha0, custom_density):
+        with pytest.raises(InvalidInputError, match="N must be >= 1"):
+            d.norms.point_eval_sum(mu, 3.0, 0)
+        with pytest.raises(InvalidInputError, match="N must be >= 1"):
+            d.kernel(mu, 1.5, 1.5, 0)
 
 
 def test_kernel_tail_diverges_at_abscissa_one(alpha0, custom_density):
@@ -746,7 +827,7 @@ def test_density_kernel_tail_closed_form(c):
     for a in (1.2, 2.0, 6.0):
         for N in (1, 10, 1000):
             upper = integral(a, N) + N**-a * (1 + (2 / c) * math.log(N))
-            assert integral(a, N + 1) <= _kernel_tail(mu, a, N) <= 1.5 * upper
+            assert integral(a, N + 1) <= mu.kernel_tail(a, N) <= 1.5 * upper
 
 
 def _panel_weight(kind, n):
@@ -782,7 +863,7 @@ def test_density_kernel_tail_bounds_the_partial_sums(kind, mu):
         f = n**-a / _panel_weight(kind, n)
         suffix = np.cumsum(f[::-1])[::-1]  # suffix[i] = sum of f over n >= i + 2
         for N in (1, 2, 4, 16, 256, 10_000):
-            tail = _kernel_tail(mu, a, N)
+            tail = mu.kernel_tail(a, N)
             assert suffix[N - 1] <= tail
             integral, _, *failed = quad(
                 lambda x: x**-a / _panel_weight(kind, x),
@@ -797,10 +878,10 @@ def test_density_kernel_tail_fails_only_without_a_close():
     # secant slope turns negative at a = 21.01
     late = d.SampledDensityMeasure(samples=[[10.0, 0.0], [10.25, 4.0], [10.5, 0.0]])
     with pytest.raises(NumericError, match="underflows"):
-        _kernel_tail(late, 21.01, 256)
+        late.kernel_tail(21.01, 256)
     n = np.arange(257, 20_001, dtype=np.float64)
     partial = float(np.sum(n**-22.0 / late.weights_by_quadrature(n)))
-    assert partial <= _kernel_tail(late, 22.0, 256) < 1.5 * partial
+    assert partial <= late.kernel_tail(22.0, 256) < 1.5 * partial
 
 
 def test_density_kernel_tail_with_tiny_weights():
@@ -817,7 +898,7 @@ def test_density_kernel_tail_with_tiny_weights():
 
     for N in (16, 256, 10_000):
         upper = integral(N) / (1.0 - 1.0 / N) ** 2 + N**-3.02 / late.weight(N)
-        assert integral(N + 1) <= _kernel_tail(late, 3.02, N) <= 1.5 * upper
+        assert integral(N + 1) <= late.kernel_tail(3.02, N) <= 1.5 * upper
 
 
 def test_density_kernel_tail_stops_at_an_unresolved_weight():
@@ -828,18 +909,19 @@ def test_density_kernel_tail_stops_at_an_unresolved_weight():
     alpha5 = AlphaMeasure(5.0)
     mu = DensityMeasure(h=alpha5.density)
     x = math.exp(100.0)
-    w, gap = mu.weight_and_gap(x)
+    coarse, fine = mu._both_rules(_decay(np.log(np.float64(x))))
+    w, gap = float(fine), abs(float(fine) - float(coarse))
     assert mu.weight(x) == w and abs(w / alpha5.weight(x) - 1.0) > 1e-3
     assert DOUBLING_TOL * w < gap < DOUBLING_TOL
     with pytest.raises(NumericError, match="not resolved"):
-        _kernel_tail(mu, 1.2, 16)
+        mu.kernel_tail(1.2, 16)
     # further from the abscissa it closes on resolved weights, above the
     # exact terms to 2 10^6 and within 1.5 of the Gamma closed form
     n = np.arange(2, 2 * 10**6 + 1, dtype=np.float64)
     for a in (1.5, 2.0, 3.0):
         suffix = np.cumsum((n**-a * (1.0 + np.log(n)) ** 6)[::-1])[::-1]
         for N in (1, 16, 10_000):
-            assert suffix[N - 1] <= _kernel_tail(mu, a, N) <= 1.5 * _kernel_tail(alpha5, a, N)
+            assert suffix[N - 1] <= mu.kernel_tail(a, N) <= 1.5 * alpha5.kernel_tail(a, N)
 
 
 @pytest.mark.parametrize("nodes", [199, 256, 512])

@@ -355,6 +355,14 @@ def test_translate():
         d.translate(f, -0.1)
 
 
+def test_translate_refuses_a_nan_sigma():
+    # sigma = inf is the limit that keeps a_1 alone; NaN was a NaN series
+    g = d.from_terms({1: 2.0, 3: 1.0}, 4)
+    assert d.translate(g, math.inf) == d.from_terms({1: 2.0}, 4)
+    with pytest.raises(InvalidInputError, match="sigma >= 0"):
+        d.translate(g, math.nan)
+
+
 def test_evaluate():
     assert d.evaluate(d.from_terms({1: 1.0}, 4), 3 + 2j) == pytest.approx(1.0)
     assert d.evaluate(d.from_terms({2: 1.0}, 4), 1.0) == pytest.approx(0.5)

@@ -7,7 +7,7 @@ import pytest
 
 import dirspaces as d
 from dirspaces import InvalidInputError, Symbol, Verdict, symbol
-from dirspaces.symbols import symbol_from_json
+from dirspaces.symbols import _min_re_phi, _refutation_grid, symbol_from_json
 
 from conftest import GALLERY
 
@@ -20,6 +20,15 @@ def grid_min_re_phi(sym, sigmas, ts):
             val = (sym(complex(sig, t)) - sym.c0 * complex(sig, t)).real
             best = min(best, val)
     return best
+
+
+def dense_re_phi(sym, sigmas, ts):
+    """Re phi over the (sigma, t) grid, summed over every index up to the
+    truncation, zeros included."""
+    logs = np.log(np.arange(1, sym.phi.truncation + 1, dtype=np.float64))
+    decay = np.exp(-np.outer(sigmas, logs))
+    osc = np.exp(-1j * np.outer(ts, logs))
+    return np.real(np.einsum("sk,tk,k->st", decay, osc, sym.phi.coeffs))
 
 
 # ---------- construction / vertical translations ----------
@@ -158,6 +167,24 @@ def test_check_theorem1_refuted_by_phase_targeting():
     assert val < -0.4  # close to the infimum -1/2
 
 
+def test_min_re_phi_matches_the_dense_grid():
+    # the refutation sums over the support of phi; the dense sum up to the
+    # truncation is its oracle, to rounding in the order of the sum
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        T = int(rng.integers(8, 101))
+        ks = rng.choice(np.arange(1, T), size=int(rng.integers(0, 5)), replace=False)
+        terms = {int(k): complex(*rng.uniform(-1, 1, 2)) for k in ks}
+        terms[T] = complex(*rng.uniform(-1, 1, 2))
+        sym = symbol(int(rng.integers(0, 3)), terms)
+        sigmas, ts = _refutation_grid(sym)
+        low, witness = _min_re_phi(sym, sigmas, ts)
+        dense = dense_re_phi(sym, sigmas, ts)
+        at = dense[list(sigmas).index(witness.real), list(ts).index(witness.imag)]
+        assert low == pytest.approx(dense.min(), rel=0.0, abs=1e-13)
+        assert at == pytest.approx(dense.min(), rel=0.0, abs=1e-13)
+
+
 def test_check_theorem1_requires_c0():
     with pytest.raises(InvalidInputError):
         d.check_theorem1(symbol(0, 1.0))
@@ -238,6 +265,17 @@ def test_schwarz_margin_examples():
     assert d.schwarz_margin(symbol(1, 1.0), 1.0, 1.0) == pytest.approx(1.0)
     # constant-plus-linear: (c0-1) Re s + Re phi(sigma+s)
     assert d.schwarz_margin(symbol(2, {2: 1.0}), 1.0, 1.0) == pytest.approx(1.0 + 0.25)
+
+
+def test_schwarz_margin_refuses_non_finite_points():
+    sym = symbol(1, 1.0)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="sigma must be finite"):
+            d.schwarz_margin(sym, sigma, 1.0)
+    nan, inf = math.nan, math.inf
+    for s in (complex(nan, 0.0), complex(inf, 0.0), complex(1.0, inf), complex(1.0, nan)):
+        with pytest.raises(InvalidInputError, match="finite point"):
+            d.schwarz_margin(sym, 1.0, s)
 
 
 def test_schwarz_margin_nonnegative_on_grid():

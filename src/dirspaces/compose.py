@@ -217,7 +217,6 @@ class DefectReport:
 
     value: float
     value_half: float
-    N: int
     s_max: float
 
     @property
@@ -380,7 +379,6 @@ def isometry_defect(
     return DefectReport(
         value=float(np.max(np.abs(lam - 1.0))),
         value_half=float(np.max(np.abs(lam_half - 1.0))),
-        N=N,
         s_max=s_max,
     )
 

@@ -383,7 +383,6 @@ class DensityMeasure(Measure):
     """
 
     h: Callable[[np.ndarray], np.ndarray] = None  # type: ignore[assignment]
-    name: str = "density"
 
     def __post_init__(self):
         if self.h is None:
@@ -515,7 +514,7 @@ def measure_tag(mu: Measure) -> str:
     if isinstance(mu, AlphaMeasure):
         return f"alpha({mu.alpha:g})"
     if isinstance(mu, DensityMeasure):
-        return mu.name
+        return "density"
     if isinstance(mu, SampledDensityMeasure):
         return "sampled-density"
     return "H2" if mu is None else type(mu).__name__

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .primes import factorize, spf_table
+from .primes import factorize
 
 
 @dataclass(frozen=True)
@@ -314,14 +314,17 @@ def bohr_lift(f: DirichletSeries) -> PolytorusPolynomial:
     """Bohr lift: n^{-s} -> z^e via the factorization of n, one per index."""
     if not f.exact:
         raise InvalidInputError("bohr_lift requires an exact polynomial")
-    spf_table(max(f.truncation, 2))  # fill the cache once; factorize reuses it
     nz = np.flatnonzero(f.coeffs)
-    factors = [dict(factorize(int(n) + 1)) for n in nz]
-    primes = sorted({p for fac in factors for p in fac})
-    exponents = np.array([[fac.get(p, 0) for p in primes] for fac in factors], dtype=np.int64)
+    factors = [factorize(int(n) + 1) for n in nz]
+    primes = sorted({p for fac in factors for p, _ in fac})
+    column = {p: j for j, p in enumerate(primes)}
+    exponents = np.zeros((nz.size, len(primes)), dtype=np.int64)
+    for i, fac in enumerate(factors):
+        for p, e in fac:
+            exponents[i, column[p]] = e
     return PolytorusPolynomial(
         indices=nz + 1,
-        exponents=exponents.reshape(nz.size, len(primes)),
+        exponents=exponents,
         primes=np.array(primes, dtype=np.int64),
         coeffs=f.coeffs[nz],
     )

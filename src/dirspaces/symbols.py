@@ -24,6 +24,9 @@ GRID_T_MAX = 40.0
 GRID_T_STEPS = 401
 # lemma1_region certifies Phi(C_{1/2-eps}) inside C_{1/2+eta} at this eps.
 LEMMA1_EPS = 0.02
+# The refutation grid forms its oscillating factors in blocks of t whose
+# (t, term) arrays hold about this many entries.
+_GRID_BLOCK = 2**20
 
 
 class Verdict(Enum):
@@ -182,13 +185,19 @@ def _refutation_grid(sym: Symbol) -> tuple[np.ndarray, np.ndarray]:
 def _min_re_phi(sym: Symbol, sigmas: np.ndarray, ts: np.ndarray) -> tuple[float, complex]:
     """The least Re phi over the (sigma, t) grid and the point where it is
     reached, summed over the nonzero coefficients only, so that the cost
-    follows the support of phi and not its truncation."""
+    follows the support of phi and not its truncation.  The oscillating
+    factors are formed a block of t at a time, and the whole grid is filled
+    before the argmin, so ties break as on one block."""
     support = np.flatnonzero(sym.phi.coeffs)
     logs = np.log(support + 1.0)
+    coeffs = sym.phi.coeffs[support]
     # Re phi(sigma + i t) over the grid, vectorized: (n_sigma, n_t)
     decay = np.exp(-np.outer(sigmas, logs))  # (n_sigma, K)
-    osc = np.exp(-1j * np.outer(ts, logs))  # (n_t, K)
-    vals = np.real(np.einsum("sk,tk,k->st", decay, osc, sym.phi.coeffs[support]))
+    vals = np.empty((sigmas.size, ts.size))
+    step = max(1, _GRID_BLOCK // max(support.size, 1))
+    for lo in range(0, ts.size, step):
+        osc = np.exp(-1j * np.outer(ts[lo : lo + step], logs))  # (step, K)
+        vals[:, lo : lo + step] = np.real(np.einsum("sk,tk,k->st", decay, osc, coeffs))
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
     return float(vals[i, j]), complex(sigmas[i], ts[j])
 

@@ -34,7 +34,7 @@ def alpha1():
 
 @pytest.fixture(scope="session")
 def custom_density():
-    return DensityMeasure(h=exp3_density, name="3exp(-3s)")
+    return DensityMeasure(h=exp3_density)
 
 
 # Zero on [0, 1/2], then a triangle of height 2 on [1/2, 3/2]: a sampled

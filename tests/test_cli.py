@@ -190,6 +190,17 @@ def test_huge_or_non_integral_sizes_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["0", "-1", "0.5"])
+@pytest.mark.parametrize(
+    "c0, phi",
+    [("0", "[[1,2,0]]"), ("1", "[[1,1,0],[2,0.5,0]]"), ("0", "[[1,1,0],[2,1,0]]")],
+    ids=["c0=0", "c0=1", "refuted"],
+)
+def test_classify_refuses_p_below_one(capsys, c0, phi, p):
+    code, out, err = run_cli(capsys, "classify", "--c0", c0, "--phi", phi, "--p", p, "--N", "16")
+    assert (code, out, err) == (2, "", "error: p must be >= 1\n")
+
+
 def test_indices_up_to_the_size_cap_are_read(capsys):
     code, out, _ = run_cli(capsys, "norm", "--terms", f"[[{_SIZE_CAP},1,0]]", "--space", "h")
     assert code == 0 and json.loads(out)["value"] == 1.0

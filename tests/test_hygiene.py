@@ -92,7 +92,7 @@ def test_folded_helpers_stay_gone():
             "index_of_monomial",
             "_nth_prime_bound",
         },
-        "primes.py": {"primes_upto"},
+        "primes.py": {"primes_upto", "spf_table"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
@@ -150,6 +150,55 @@ def test_only_the_bohr_lift_factorizes():
     import dirspaces
 
     assert not {"monomial_of_index", "index_of_monomial", "BohrMonomial"} & set(vars(dirspaces))
+
+
+_MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Lock", "RLock"}
+
+
+def module_state(tree: ast.Module) -> list[str]:
+    """Module-level bindings of a dict, list or set, or of a lock."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        if isinstance(value, ast.Call):
+            func = value.func
+            mutable = (getattr(func, "id", None) or getattr(func, "attr", None)) in _MUTABLE_CALLS
+        else:
+            mutable = isinstance(
+                value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+            )
+        if mutable:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_module_state():
+    tree = ast.parse(
+        "import threading\n_A: dict[int, int] = {}\n_B = threading.Lock()\n"
+        "_C = [1]\n_D = set()\n_E = (1, 2)\n_F = 2**20\n"
+    )
+    assert module_state(tree) == ["line 2", "line 3", "line 4", "line 5"]
+
+
+def test_no_module_keeps_state():
+    """No module holds a table or a lock at module level, and only measures
+    imports threading, for the lock of its per-measure weight memo."""
+    importers = []
+    for path in MODULES + [PACKAGE / "__init__.py"]:
+        tree = _tree(path)
+        assert module_state(tree) == [], path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "threading" in names:
+                importers.append(path.name)
+    assert importers == ["measures.py"]
 
 
 def test_the_torus_lives_in_one_module():
@@ -211,6 +260,7 @@ def test_dead_knobs_stay_gone():
     import dataclasses
 
     from dirspaces import measures
+    from dirspaces.compose import DefectReport
     from dirspaces.lab import two_norm_profile
     from dirspaces.norms import norm_hp, qmc_norm_hp
     from dirspaces.primes import factorize
@@ -227,6 +277,9 @@ def test_dead_knobs_stay_gone():
     for cls in (measures.AlphaMeasure, measures.DensityMeasure, measures.SampledDensityMeasure):
         fields = {f.name for f in dataclasses.fields(cls)}
         assert not {"spec", "interval_support"} & fields, cls.__name__
+    # a callable density carries no tag, and a defect report no truncation
+    assert "name" not in {f.name for f in dataclasses.fields(measures.DensityMeasure)}
+    assert "N" not in {f.name for f in dataclasses.fields(DefectReport)}
 
 
 SETTINGS = {"seed", "eta", "eps_grid"}

@@ -58,6 +58,18 @@ def test_prop1_bound_validation(alpha0):
         d.prop1_bound(symbol(0, 0.4), alpha0, 2.0, 12.0, 256)
 
 
+@pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan])
+def test_prop1_bound_and_classify_refuse_p_below_one(alpha0, monkeypatch, p):
+    with pytest.raises(InvalidInputError, match=r"^p must be >= 1$"):
+        d.prop1_bound(symbol(0, 1.0), alpha0, p, 12.0, 256)
+    # classify refuses p before it builds a section or reads the symbol
+    for name in ("isometry_defect", "admissibility_certificate", "prop1_bound"):
+        monkeypatch.setattr(lab, name, lambda *a, **k: pytest.fail("p was not refused first"))
+    for sym in (symbol(0, 1.0), symbol(1, {1: 1.0, 2: 0.5}), symbol(1, -1.0)):
+        with pytest.raises(InvalidInputError, match=r"^p must be >= 1$"):
+            d.classify(sym, alpha0, 16, p=p)
+
+
 # ---------- two-norm profile ----------
 
 

@@ -414,13 +414,94 @@ def test_bohr_round_trip_indices():
 
 def test_primes_upto_matches_trial_division():
     # the lift's primes are the trial-division primes up to n_max
-    from dirspaces.primes import spf_table
-
-    spf_table(50_000)  # a larger cached table must not leak past n_max
     for n_max in (1, 2, 3, 4, 10, 97, 100, 1000, 10_000):
         lift = d.bohr_lift(d.from_terms({n: 1.0 for n in range(1, n_max + 1)}, n_max))
         assert lift.primes.tolist() == [k for k in range(2, n_max + 1) if _is_prime(k)]
         assert lift.primes.dtype == np.int64
+
+
+def _trial_factors(n):
+    """{p: e} of n by trial division over every q with q^2 <= n."""
+    fac, q = {}, 2
+    while q * q <= n:
+        while n % q == 0:
+            fac[q] = fac.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
+    return fac
+
+
+def _reference_lift(terms):
+    """The lift's four arrays from one factor dict per index, each exponent
+    row read as [fac.get(p, 0) for p in primes]."""
+    indices = sorted(terms)
+    factors = [_trial_factors(n) for n in indices]
+    primes = sorted({p for fac in factors for p in fac})
+    exponents = np.zeros((len(indices), len(primes)), dtype=np.int64)
+    for i, fac in enumerate(factors):
+        exponents[i] = [fac.get(p, 0) for p in primes]
+    return (
+        np.array(indices, dtype=np.int64),
+        exponents,
+        np.array(primes, dtype=np.int64),
+        np.array([terms[n] for n in indices], dtype=np.complex128),
+    )
+
+
+def _assert_lift_is_reference(terms, N):
+    lift = d.bohr_lift(d.from_terms(terms, N))
+    got = (lift.indices, lift.exponents, lift.primes, lift.coeffs)
+    for a, b in zip(got, _reference_lift(terms)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 64, 1000, 2**20]).flatmap(
+        lambda N: st.tuples(
+            st.dictionaries(
+                st.integers(1, N),
+                st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+                min_size=1,
+                max_size=50,
+            ),
+            st.just(N),
+        )
+    )
+)
+def test_bohr_lift_matches_a_per_index_reference(case):
+    terms, N = case
+    _assert_lift_is_reference(terms, N)
+
+
+def test_bohr_lift_matches_the_reference_on_large_supports():
+    _assert_lift_is_reference({n: 1.0 for n in range(1, 10_001)}, 10_000)
+    # 2^20, the prime 1048573 and 1048575 = 3 5^2 11 31 41 at the CLI cap
+    _assert_lift_is_reference({2**20: 1.0, 1048573: -2j, 1048575: 0.5}, 2**20)
+    _assert_lift_is_reference({1: 1.0}, 2**20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(1, 2**20), st.sampled_from([1, 2, 1024, 1048573, 2**20])))
+def test_factorize_is_a_prime_factorization(n):
+    from dirspaces.primes import factorize
+
+    fac = factorize(n)
+    ps = [p for p, _ in fac]
+    assert all(a < b for a, b in zip(ps, ps[1:]))
+    assert all(_is_prime(p) and e >= 1 for p, e in fac)
+    assert math.prod(p**e for p, e in fac) == n
+
+
+def test_factorize_refuses_n_below_one():
+    from dirspaces.primes import factorize
+
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            factorize(n)
 
 
 def test_bohr_round_trip_polynomials():

@@ -185,6 +185,30 @@ def test_min_re_phi_matches_the_dense_grid():
         assert at == pytest.approx(dense.min(), rel=0.0, abs=1e-13)
 
 
+def test_min_re_phi_in_blocks_keeps_its_bits(monkeypatch):
+    # blocks of t, down to one t at a time, give the (low, witness) of one block
+    from dirspaces import symbols
+
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        T = int(rng.integers(8, 101))
+        ks = rng.choice(np.arange(1, T), size=int(rng.integers(0, 6)), replace=False)
+        terms = {int(k): complex(*rng.uniform(-1, 1, 2)) for k in ks}
+        terms[T] = complex(*rng.uniform(-1, 1, 2))
+        sym = symbol(int(rng.integers(0, 3)), terms)
+        sigmas, ts = _refutation_grid(sym)
+        monkeypatch.setattr(symbols, "_GRID_BLOCK", 2**62)
+        low, witness = _min_re_phi(sym, sigmas, ts)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(symbols, "_GRID_BLOCK", block)
+            low_b, witness_b = _min_re_phi(sym, sigmas, ts)
+            assert low_b.hex() == low.hex()
+            assert (witness_b.real.hex(), witness_b.imag.hex()) == (
+                witness.real.hex(),
+                witness.imag.hex(),
+            )
+
+
 def test_check_theorem1_requires_c0():
     with pytest.raises(InvalidInputError):
         d.check_theorem1(symbol(0, 1.0))

@@ -1,9 +1,9 @@
 """Weights w_h(n), Hardy-space and Bergman-space norms.
 
 Compares the closed-form weights of the Gamma-type measures with quadrature,
-computes H^p norms by the exact convolution route (even p) and randomized
-quasi-Monte Carlo (other p), and checks the Parseval identity of the weighted
-coefficient norm against the translate-then-integrate route.
+computes H^p norms by the exact convolution route (even p) and the torus
+integral (other p), and A^p norms: by the weights at the support of f^(p/2)
+at even p, and by integrating the translated H^p norms over sigma at p = 3.
 """
 
 import numpy as np
@@ -25,12 +25,13 @@ f = d.from_terms({1: 1.0, 2: 1.0}, 64)
 print(f"\n||1 + 2^-s||_H2      = {d.norm_h2(f):.6f}  (sqrt 2 = {np.sqrt(2):.6f})")
 print(f"||1 + 2^-s||_H4      = {d.norm_hp(f, 4.0):.6f}  (6^(1/4) = {6 ** 0.25:.6f})")
 value, stderr = d.qmc_norm_hp(f, 3.0)
-print(f"||1 + 2^-s||_H3      = {value:.6f} +- {stderr:.1e}  (QMC)")
+print(f"||1 + 2^-s||_H3      = {value:.6f} +- {stderr:.1e}  (torus integral)")
 
+g = d.from_terms({1: 1.0, 2: 0.5}, 2)
 for mu in (mu0, mu1):
-    a2 = d.norm_a2(f, mu)
-    ap = d.norm_ap(f, 2.0, mu)
-    print(f"||1 + 2^-s||_A2[{mu.alpha:g}] = {a2:.6f}  (integral route {ap:.6f})")
+    a2, a3, a4 = (d.norm_ap(g, p, mu) for p in (2.0, 3.0, 4.0))
+    print(f"||1 + 2^-s/2||_Ap[{mu.alpha:g}] at p = 2, 3, 4: {a2:.6f} <= {a3:.6f} <= {a4:.6f}"
+          f"  (A^2 by norm_a2 {d.norm_a2(g, mu):.6f}, A^3 by the sigma-integral)")
 
 # point evaluations: the bound S(sigma) for A^1 functionals and the H^p functional norm
 for sigma in (2.0, 6.0, 12.0):

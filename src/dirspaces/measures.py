@@ -5,15 +5,16 @@ Three variants: the closed-form Gamma-type family with density
 callable, integrated by Gauss-Laguerre rules; and sampled densities, the
 linear interpolant of samples (sigma_i, h_i), integrated by composite
 Gauss-Legendre rules over the sample segments.  The weight w_h(n) = integral
-of n^{-2 sigma} d mu(sigma) drives every A^2 norm and kernel evaluation, so
-weights are memoized per measure.  Each measure builds a coarse rule of
-_NODES nodes and a fine one with twice as many, and every quadrature goes
-through one node-doubled integrate, which accepts a value once the two rules
-agree to DOUBLING_TOL, relative to max(1, |value|).  The weight integrand
-is e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large
-Laguerre nodes n^{-2 sigma} underflows, where np.power is several times
-slower.  The Gauss rules are built here in numpy and cached per node count
-(and alpha).
+of n^{-2 sigma} d mu(sigma) drives every A^2 norm, even-p A^p norm and
+kernel evaluation, so weights(N) is memoized per measure; weights_at reads
+the weights at any array of n outside that memo.  Each measure builds a
+coarse rule of _NODES nodes and a fine one with twice as many, and every
+quadrature goes through one node-doubled integrate, which accepts a value
+once the two rules agree to DOUBLING_TOL, relative to max(1, |value|).  The
+weight integrand is e^{-2 sigma log n}, one np.exp of a table of np.log n:
+at the large Laguerre nodes n^{-2 sigma} underflows, where np.power is
+several times slower.  The Gauss rules are built here in numpy and cached
+per node count (and alpha).
 
 Each measure also bounds the tail over n > N of the kernel sum of
 f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
@@ -237,16 +238,17 @@ class Measure:
             cached = self._weight_cache
             if cached is not None and cached.size >= N:
                 return cached[:N]
-            w = self._weight_vector(N)
+            w = self.weights_at(np.arange(1, N + 1))
             object.__setattr__(self, "_weight_cache", w)
             return w
 
-    def _weight_vector(self, N: int) -> np.ndarray:
-        """(w_h(1), ..., w_h(N)) computed afresh, for weights() to memoize, in
-        blocks of n that bound the size of the integrand arrays."""
-        ns = np.arange(1, N + 1)
+    def weights_at(self, ns) -> np.ndarray:
+        """w_h(n) for every n in ns, computed afresh, outside the memo of
+        weights(): by quadrature, in blocks of n that bound the size of the
+        integrand arrays."""
+        ns = np.asarray(ns)
         step = max(1, _BLOCK // self._rules[1][0].size)
-        blocks = range(0, max(N, 1), step)
+        blocks = range(0, max(ns.size, 1), step)
         return np.concatenate([self.weights_by_quadrature(ns[lo : lo + step]) for lo in blocks])
 
     def weights_by_quadrature(self, ns) -> np.ndarray:
@@ -295,9 +297,10 @@ class AlphaMeasure(Measure):
         # closed form 1/(log n + 1)^{alpha+1}
         return alpha_weight(self.alpha, n)
 
-    def _weight_vector(self, N: int) -> np.ndarray:
-        # the scalar closed form, so weights(N)[n-1] == weight(n) bitwise
-        return np.array([self.weight(n) for n in range(1, N + 1)])
+    def weights_at(self, ns) -> np.ndarray:
+        # the scalar closed form, so weights_at(ns), weights(N)[n-1] and
+        # weight(n) agree bitwise
+        return np.array([self.weight(n) for n in np.asarray(ns).tolist()], dtype=np.float64)
 
     def kernel_tail(self, a: float, N: int) -> float:
         """The integral of f from N plus its peak on [N, inf), in closed

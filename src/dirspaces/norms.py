@@ -4,7 +4,10 @@ point-evaluation functionals.
 H^2 and A^2 norms are exact coefficient sums.  Even-integer H^p norms reduce
 exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}).  Other p
 integrate |f|^p over the polytorus through the Bohr lift (see torus).  A^p
-norms integrate the translated H^p norms against the measure.  Every norm is
+norms integrate the translated H^p norms against the measure: at p = 2q, by
+Fubini, that integral is sum |b_m|^2 w_h(m) over f^q = sum b_m m^{-s}, with
+the weights read at the support of f^q only; at other p, the measure's
+quadrature of the torus integrals.  Every norm is
 computed on f scaled by a power of two, so that tiny and huge coefficients
 keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
 refused at or below the measure's abscissa, with the measure's bound on
@@ -127,12 +130,13 @@ def _norm(
     sigma -> ||f(sigma + .)||^p_{H^p} is built once: at p = 2q the sum of
     |b_m|^2 m^{-2 sigma} over f^q = sum b_m m^{-s}, at other p the torus
     integral of the Bohr lift.  H^p reads it at sigma = 0, or at `sigmas` in
-    one evaluation, A^p integrates it against mu.  One term a n^{-s} has the
+    one evaluation.  A^p integrates it against mu, which at p = 2q is
+    sum |b_m|^2 w_h(m), read from mu.weights_at.  One term a n^{-s} has the
     norm |a| ||n^{-s}||, with no power of |a| formed: 1 in H^p (n^{-sigma}
     for its translate), and in A^p the p-th root of the integral of
     n^{-p sigma} d mu, which is the weight w_h(n^{p/2}).
     """
-    if p < 1:
+    if not p >= 1:
         raise InvalidInputError("p must be >= 1")
     if not f.exact:
         raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
@@ -161,8 +165,10 @@ def _norm(
         fq = power(f, q, D**q)
         mags = np.abs(fq.coeffs) ** 2
         nz = np.nonzero(mags)[0]
-        logs = np.log(nz + 1.0)
         mags = mags[nz]
+        if mu is not None:  # Fubini: m^{-2 sigma} integrates to w_h(m)
+            return float(mags @ mu.weights_at(nz + 1)) ** (1.0 / p), None
+        logs = np.log(nz + 1.0)
 
         def moments(sig):
             return np.exp(-2.0 * np.outer(sig, logs)) @ mags, None
@@ -214,8 +220,9 @@ def norm_a2(f: DirichletSeries, mu: Measure) -> float:
 
 
 def norm_ap(f: DirichletSeries, p: float, mu: Measure) -> float:
-    """(integral of ||f_sigma||_{H^p}^p d mu(sigma))^{1/p}: the translate-then-
-    integrate route, independent of norm_a2, so the two cross-check at p = 2."""
+    """(integral of ||f_sigma||_{H^p}^p d mu(sigma))^{1/p}.  At p = 2q it is
+    (sum |b_m|^2 w_h(m))^{1/p} over f^q = sum b_m m^{-s}, so at p = 2 it is
+    norm_a2; at other p the measure's quadrature of the translated H^p norms."""
     return _norm(f, p, mu)[0]
 
 
@@ -268,7 +275,7 @@ def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:
 def point_eval_norm_hp(s: complex, p: float) -> FunctionalNormEstimate:
     """||delta_s|| on H^p: zeta(2 Re s)^{1/p} (exact)."""
     s = complex(s)
-    if p < 1:
+    if not p >= 1:
         raise InvalidInputError("p must be >= 1")
     if s.real <= 0.5:
         raise PoleError("point evaluation is unbounded for Re s <= 1/2")
@@ -303,7 +310,7 @@ def point_eval_ratio_alpha(alpha: float, p: float, s: complex) -> FunctionalNorm
     s = complex(s)
     if alpha <= -1:
         raise InvalidInputError("alpha must exceed -1")
-    if p < 1:
+    if not p >= 1:
         raise InvalidInputError("p must be >= 1")
     if s.real <= 0.5:
         raise PoleError("ratio has a pole at Re s = 1/2")

@@ -144,6 +144,21 @@ def test_gauss_laguerre_weights_match_per_n_integrate():
     assert np.array_equal(fine, ref)
 
 
+def test_weights_at_reads_the_weights_outside_the_memo(sampled_density):
+    ns = np.array([1, 7, 2, 1000, 10**6])
+    for mu in (AlphaMeasure(0.0), AlphaMeasure(2.5)):
+        w = mu.weights_at(ns)
+        assert mu._weight_cache is None
+        assert np.array_equal(w, [mu.weight(n) for n in ns.tolist()])
+        assert np.array_equal(w[:3], mu.weights(7)[ns[:3] - 1])
+    for mu in (DensityMeasure(h=exp3_density), sampled_density):
+        assert np.array_equal(mu.weights_at(ns), mu.weights_by_quadrature(ns))
+    with pytest.raises(InvalidInputError):
+        AlphaMeasure(0.0).weights_at([0])
+    with pytest.raises(InvalidInputError):
+        sampled_density.weights_at([0.5])
+
+
 def _rate_density(c):
     return lambda s: c * np.exp(-c * np.asarray(s, dtype=np.float64))
 

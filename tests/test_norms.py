@@ -110,6 +110,26 @@ def test_norm_hp_validation():
         d.norm_hp(d.from_terms({1: 1.0}, 4), 0.5)
 
 
+_NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: d.norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), _NAN),
+        lambda: d.norm_ap(d.from_terms({1: 1.0, 2: 0.5}, 2), _NAN, AlphaMeasure(0.0)),
+        lambda: d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), _NAN),
+        lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), _NAN, [0.5], 16),
+        lambda: d.point_eval_norm_hp(2.0, _NAN),
+        lambda: d.point_eval_ratio_alpha(0.0, _NAN, 2.0),
+    ],
+    ids=["norm_hp", "norm_ap", "qmc_norm_hp", "two_norm_profile", "point_eval_norm_hp", "ratio"],
+)
+def test_nan_p_is_refused(call):
+    with pytest.raises(InvalidInputError, match="p must be >= 1"):
+        call()
+
+
 def test_norm_hp_refuses_a_non_finite_translation():
     # inf * log 1 is NaN: an infinite sigma gave a NaN norm at p = 2 and 3
     for f in (d.from_terms({1: 1.0, 2: 0.5}, 2), d.from_terms({3: 1.0}, 3)):
@@ -154,6 +174,107 @@ def test_contractive_inclusion(alpha0, alpha1, custom_density):
             for _ in range(5):
                 f = random_polynomial(rng, 16)
                 assert d.norm_ap(f, p, mu) <= d.norm_hp(f, p) + 1e-9
+
+
+def _power_terms(terms, q):
+    """{m: b_m} of f^q = sum b_m m^{-s}, by Dirichlet convolution of dicts."""
+    out = {1: 1.0}
+    for _ in range(q):
+        step = {}
+        for m, b in out.items():
+            for n, a in terms.items():
+                step[m * n] = step.get(m * n, 0.0) + b * a
+        out = step
+    return {m: b for m, b in out.items() if b != 0}
+
+
+def _random_terms(rng, degree):
+    return {
+        n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        for n in range(1, degree + 1)
+        if n == 1 or rng.random() < 0.6
+    }
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_sigma_rule_integrates_the_moment_function_to_the_weights(
+    q, alpha0, alpha1, custom_density, sampled_density
+):
+    # Fubini, checked through the measure's own sigma-rule: the integral of
+    # sigma -> sum |b_m|^2 m^{-2 sigma} over f^q is sum |b_m|^2 w_h(m)
+    rng = np.random.default_rng(31)
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
+        for _ in range(4):
+            b = _power_terms(_random_terms(rng, 12), q)
+            ms = np.array(sorted(b), dtype=np.float64)
+            mags = np.array([abs(b[m]) ** 2 for m in sorted(b)])
+            moments = mu.integrate(lambda sig: mags @ np.exp(-2.0 * np.outer(np.log(ms), sig)))
+            weighted = math.fsum(mags * mu.weights_at(ms))
+            assert moments == pytest.approx(weighted, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("p", [4.0, 6.0])
+def test_even_p_norm_ap_is_the_weighted_sum_over_f_to_the_q(alpha, p):
+    rng = np.random.default_rng(int(10 * alpha + p))
+    for _ in range(10):
+        terms = _random_terms(rng, 12)
+        b = _power_terms(terms, int(p) // 2)
+        ref = math.fsum(abs(c) ** 2 * (1.0 + math.log(m)) ** -(alpha + 1.0) for m, c in b.items())
+        f = d.from_terms(terms, max(terms))
+        assert d.norm_ap(f, p, AlphaMeasure(alpha)) == pytest.approx(
+            ref ** (1.0 / p), rel=1e-14, abs=0.0
+        )
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_even_p_norm_ap_reads_the_density_weights_at_the_support(p, custom_density, sampled_density):
+    rng = np.random.default_rng(37)
+    for mu in (custom_density, sampled_density):
+        for _ in range(5):
+            terms = _random_terms(rng, 12)
+            b = _power_terms(terms, int(p) // 2)
+            w = mu.weights_by_quadrature(sorted(b))
+            ref = math.fsum(abs(b[m]) ** 2 * wm for m, wm in zip(sorted(b), w))
+            f = d.from_terms(terms, max(terms))
+            assert d.norm_ap(f, p, mu) == pytest.approx(ref ** (1.0 / p), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "fresh",
+    [
+        lambda: AlphaMeasure(0.0),
+        lambda: AlphaMeasure(1.0),
+        lambda: DensityMeasure(h=exp3_density),
+        lambda: d.SampledDensityMeasure(samples=BUMP_SAMPLES),
+    ],
+    ids=["alpha0", "alpha1", "density", "sampled"],
+)
+def test_even_p_norm_ap_fills_no_weight_memo(fresh):
+    # f^2 = 1 + 1000^{-s} + 10^6^{-s}/4 has degree 10^6 but three terms: the
+    # weights are read at those three indices, not through weights(10^6)
+    mu = fresh()
+    f = d.from_terms({1: 1.0, 1000: 0.5}, 1000)
+    value = d.norm_ap(f, 4.0, mu)
+    assert mu._weight_cache is None
+    ref = (1.0 + mu.weight(1000) + mu.weight(10**6) / 16) ** 0.25
+    assert value == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_only_non_even_norm_ap_integrates_over_sigma(monkeypatch, alpha0, alpha1):
+    calls = []
+    integrate = d.Measure.integrate
+    monkeypatch.setattr(
+        d.Measure, "integrate", lambda self, g: calls.append(1) or integrate(self, g)
+    )
+    f = d.from_terms({1: 1.0, 2: 0.3 - 0.1j, 6: 0.2j}, 6)
+    for mu in (alpha0, alpha1):
+        for p in (2.0, 4.0, 6.0):
+            d.norm_ap(f, p, mu)
+        assert not calls
+        d.norm_ap(f, 3.0, mu)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_norm_ap_noneven_matches_per_node_route():
@@ -474,6 +595,27 @@ def test_two_terms_integrate_on_one_axis(monkeypatch):
     assert stderr <= 1e-12 * value
     # inside the band of the scrambled-Sobol estimate it had on the 4-D lift
     assert abs(value - 0.9807946727186968) <= 5 * 1.333262100829733e-4
+
+
+def test_lift_axes_take_what_the_reduced_axes_leave_open(monkeypatch):
+    # 1.824 + c 4^{-s} + c' 18^{-s} lifts to (2, 0) and (1, 2): on the reduced
+    # axes, those two differences, the 256^2 grid ends above the tolerance,
+    # and the lift's own axes converge on their 256^2 grid
+    grids = _spy_grids(monkeypatch)
+    lattice = []
+    monkeypatch.setattr(d.torus, "_qmc_moments", lambda *args: lattice.append(args))
+    c4, c18 = 0.097 - 0.900j, -0.056 - 0.900j
+    f = d.from_terms({1: 1.824, 4: c4, 18: c18}, 18)
+    value, stderr = d.qmc_norm_hp(f, 3.0)
+    assert not lattice
+    assert grids[-1] == (256, 256) and all(len(grid) == 2 for grid in grids)
+    # reference: the 2048^2 grid on the lift's coordinates, summed exactly
+    M = 2048
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    rows = [math.fsum(np.abs(1.824 + c4 * z1**2 + c18 * z1 * z**2) ** 3) for z1 in z]
+    ref = (math.fsum(rows) / M**2) ** (1.0 / 3.0)
+    assert abs(value - ref) <= 1e-13 * ref
+    assert stderr <= 1e-12 * value
 
 
 def test_terms_on_independent_directions_take_one_axis_each(monkeypatch):

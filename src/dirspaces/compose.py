@@ -103,7 +103,8 @@ class OperatorMatrix:
 
     Held as its nonzero entries M[rows[j], ns[cols[j]]] = values[j] (rows
     from 1, column positions from 0, column by column, rows ascending).  The
-    dense (N, n_cols) `entries` is scattered from them on first read.
+    dense (N, n_cols) `entries` is scattered from them on first read.  Every
+    array is read-only, as the section is frozen.
     """
 
     rows: np.ndarray
@@ -118,6 +119,7 @@ class OperatorMatrix:
     def entries(self) -> np.ndarray:
         out = np.zeros((self.N, len(self.ns)), dtype=np.complex128, order="F")
         out[self.rows - 1, self.cols] = self.values
+        out.setflags(write=False)
         return out
 
     def column_norms(self) -> np.ndarray:
@@ -196,6 +198,8 @@ def operator_matrix(
     ns = _section_columns(sym, N)
     rows, cols, values = compose_basis(sym, ns, N)
     values = values * sqw[rows - 1] / sqw[cols]  # column j is n = j + 1
+    for a in (rows, cols, values):
+        a.setflags(write=False)
     return OperatorMatrix(
         rows, cols, values, ns=ns, N=N, measure=measure_tag(mu), symbol=sym.to_json()
     )

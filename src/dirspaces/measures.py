@@ -6,15 +6,17 @@ callable, integrated by Gauss-Laguerre rules; and sampled densities, the
 linear interpolant of samples (sigma_i, h_i), integrated by composite
 Gauss-Legendre rules over the sample segments.  The weight w_h(n) = integral
 of n^{-2 sigma} d mu(sigma) drives every A^2 norm, even-p A^p norm and
-kernel evaluation, so weights(N) is memoized per measure; weights_at reads
-the weights at any array of n outside that memo.  Each measure builds a
-coarse rule of _NODES nodes and a fine one with twice as many, and every
-quadrature goes through one node-doubled integrate, which accepts a value
-once the two rules agree to DOUBLING_TOL, relative to max(1, |value|).  The
-weight integrand is e^{-2 sigma log n}, one np.exp of a table of np.log n:
-at the large Laguerre nodes n^{-2 sigma} underflows, where np.power is
-several times slower.  The Gauss rules are built here in numpy and cached
-per node count (and alpha).
+kernel evaluation.  weights_at is the one place a measure decides them:
+the closed form for the Gamma family, quadrature otherwise.  weight(n) and
+weights(N), a read-only memo that takes no lock (nothing here runs threads,
+and a race between two would only cost a recomputation), read through it,
+so all three agree bitwise.  Each measure builds a coarse rule of _NODES nodes
+and a fine one with twice as many, and every quadrature goes through one
+node-doubled integrate, which accepts a value once the two rules agree to
+DOUBLING_TOL, relative to max(1, |value|).  The weight integrand is
+e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large Laguerre
+nodes n^{-2 sigma} underflows, where np.power is several times slower.  The
+Gauss rules are built here in numpy and cached per node count (and alpha).
 
 Each measure also bounds the tail over n > N of the kernel sum of
 f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
@@ -39,7 +41,6 @@ plus f(x_k) (1 + x_k/|s_k|).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -139,7 +140,11 @@ def _decay(logs):
 
 class Measure:
     """Base class; concrete measures implement density() and _gl_nodes(), or
-    build their own pair of rules in _rules."""
+    build their own pair of rules in _rules.  weights_at decides the weights;
+    weight(n) and weights(N), a read-only memo kept like _rules in the
+    instance __dict__ and guarded by no lock, read through it."""
+
+    _weight_cache = None
 
     def density(self, sigma):
         raise NotImplementedError
@@ -179,7 +184,7 @@ class Measure:
 
     def weight(self, n) -> float:
         """w_h(n) = integral of n^{-2 sigma} d mu(sigma); n real >= 1 allowed."""
-        return self.weights_by_quadrature(n)
+        return float(self.weights_at([n])[0])
 
     def kernel_tail(self, a: float, N: int) -> float:
         """Bound on the sum over n > N of n^{-a}/w_h(n), for a above the
@@ -233,14 +238,14 @@ class Measure:
         )
 
     def weights(self, N: int) -> np.ndarray:
-        """Memoized vector (w_h(1), ..., w_h(N))."""
-        with self._lock:
-            cached = self._weight_cache
-            if cached is not None and cached.size >= N:
-                return cached[:N]
-            w = self.weights_at(np.arange(1, N + 1))
-            object.__setattr__(self, "_weight_cache", w)
-            return w
+        """Memoized read-only vector (w_h(1), ..., w_h(N))."""
+        cached = self._weight_cache
+        if cached is not None and cached.size >= N:
+            return cached[:N]
+        w = self.weights_at(np.arange(1, N + 1))
+        w.setflags(write=False)
+        self.__dict__["_weight_cache"] = w
+        return w
 
     def weights_at(self, ns) -> np.ndarray:
         """w_h(n) for every n in ns, computed afresh, outside the memo of
@@ -267,10 +272,6 @@ class Measure:
         """The m-node Gauss-Laguerre rule for this measure."""
         raise NotImplementedError
 
-    def __post_init__(self):
-        object.__setattr__(self, "_lock", threading.Lock())
-        object.__setattr__(self, "_weight_cache", None)
-
 
 @dataclass(frozen=True, eq=False)
 class AlphaMeasure(Measure):
@@ -281,7 +282,6 @@ class AlphaMeasure(Measure):
     def __post_init__(self):
         if not -1 < self.alpha < math.inf:
             raise InvalidInputError("alpha must be finite and exceed -1")
-        Measure.__post_init__(self)
 
     def density(self, sigma):
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -293,14 +293,10 @@ class AlphaMeasure(Measure):
         x, w = _gauss_laguerre(m, self.alpha)
         return x / 2.0, w
 
-    def weight(self, n) -> float:
-        # closed form 1/(log n + 1)^{alpha+1}
-        return alpha_weight(self.alpha, n)
-
     def weights_at(self, ns) -> np.ndarray:
-        # the scalar closed form, so weights_at(ns), weights(N)[n-1] and
-        # weight(n) agree bitwise
-        return np.array([self.weight(n) for n in np.asarray(ns).tolist()], dtype=np.float64)
+        # the scalar closed form 1/(log n + 1)^{alpha+1}, index by index
+        ns = np.asarray(ns).tolist()
+        return np.array([alpha_weight(self.alpha, n) for n in ns], dtype=np.float64)
 
     def kernel_tail(self, a: float, N: int) -> float:
         """The integral of f from N plus its peak on [N, inf), in closed
@@ -390,7 +386,6 @@ class DensityMeasure(Measure):
     def __post_init__(self):
         if self.h is None:
             raise InvalidInputError("a density callable is required")
-        Measure.__post_init__(self)
         self._validate()
 
     def density(self, sigma):
@@ -463,7 +458,6 @@ class SampledDensityMeasure(Measure):
             raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        Measure.__post_init__(self)
 
     def density(self, sigma):
         sig, val = self.samples.T

@@ -259,6 +259,20 @@ def test_entries_are_the_scatter_of_the_triplets(alpha1):
             assert m.entries.tobytes() == dense.tobytes()
 
 
+def test_section_arrays_are_read_only(alpha0):
+    sym = symbol(1, {1: 1.0, 2: 0.3})
+    m = d.operator_matrix(sym, alpha0, 8)
+    ref = d.operator_matrix(sym, alpha0, 8)
+    for a in (m.rows, m.cols, m.values, m.entries):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        m.entries[0, 0] = 100.0
+    with pytest.raises(ValueError):
+        m.values[0] = 100.0
+    assert m.column_norms()[0] == ref.column_norms()[0] == 1.0
+    assert d.gram(m).tobytes() == d.gram(ref).tobytes()
+
+
 def test_admissibility_certificate_routes():
     assert admissibility_certificate(symbol(1, 2j)).verdict is d.Verdict.CERTIFIED_YES
     assert admissibility_certificate(symbol(0, 1.0)).verdict is d.Verdict.CERTIFIED_YES

@@ -131,6 +131,10 @@ def test_folded_helpers_stay_gone():
         assert "_rule" not in class_methods(measures, cls), cls
     for cls in (n.name for n in measures.body if isinstance(n, ast.ClassDef)):
         assert "weight_and_gap" not in class_methods(measures, cls), cls
+    # weights_at is where a measure decides its weights; weight and the
+    # memo read through it, and no __post_init__ sets up a lock or memo
+    assert "weight" not in class_methods(measures, "AlphaMeasure")
+    assert "__post_init__" not in class_methods(measures, "Measure")
 
 
 def test_only_the_bohr_lift_factorizes():
@@ -183,8 +187,8 @@ def test_checker_flags_module_state():
 
 
 def test_no_module_keeps_state():
-    """No module holds a table or a lock at module level, and only measures
-    imports threading, for the lock of its per-measure weight memo."""
+    """No module holds a table or a lock at module level, and none imports
+    threading: the per-measure weight memo is read-only and takes no lock."""
     importers = []
     for path in MODULES + [PACKAGE / "__init__.py"]:
         tree = _tree(path)
@@ -198,7 +202,7 @@ def test_no_module_keeps_state():
                 continue
             if "threading" in names:
                 importers.append(path.name)
-    assert importers == ["measures.py"]
+    assert importers == []
 
 
 def test_the_torus_lives_in_one_module():

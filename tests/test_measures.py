@@ -1,4 +1,6 @@
 import math
+import re
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,7 +146,9 @@ def test_gauss_laguerre_weights_match_per_n_integrate():
     assert np.array_equal(fine, ref)
 
 
-def test_weights_at_reads_the_weights_outside_the_memo(sampled_density):
+def test_weights_at_reads_the_weights_outside_the_memo(
+    alpha0, alpha1, custom_density, sampled_density
+):
     ns = np.array([1, 7, 2, 1000, 10**6])
     for mu in (AlphaMeasure(0.0), AlphaMeasure(2.5)):
         w = mu.weights_at(ns)
@@ -157,6 +161,50 @@ def test_weights_at_reads_the_weights_outside_the_memo(sampled_density):
         AlphaMeasure(0.0).weights_at([0])
     with pytest.raises(InvalidInputError):
         sampled_density.weights_at([0.5])
+    # weight(n), weights_at([n])[0] and weights(N)[n - 1] are one computation
+    panel = [1, 2, 2.5, 7, 7.5, 1000, 12345.25, 10**6, 2**40]
+    N = 64
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
+        memo = mu.weights(N)
+        for n in panel:
+            try:
+                w = mu.weight(n)
+            except NumericError as e:
+                # the same refusal by either route: the coarse and fine
+                # Gauss-Laguerre rules of the e^{-3 sigma} density disagree at 2^40
+                assert mu is custom_density and n == 2**40
+                with pytest.raises(NumericError, match=re.escape(str(e))):
+                    mu.weights_at([n])
+                continue
+            assert isinstance(w, float)
+            assert w == mu.weights_at([n])[0]
+            if n == int(n) <= N:
+                assert w == memo[int(n) - 1]
+
+
+def test_weight_memo_is_read_only():
+    mu = AlphaMeasure(0.0)
+    f = d.from_terms({1: 1.0, 2: 0.5}, 2)
+    w = mu.weights(8)
+    with pytest.raises(ValueError):
+        w[1] = 5.0
+    with pytest.raises(ValueError):
+        mu.weights(4)[1] = 5.0  # a prefix of the memo is read-only too
+    assert mu.weights(8)[1] == mu.weight(2) == 0.5906161091496412
+    assert np.array_equal(mu.weights(8), AlphaMeasure(0.0).weights_at(np.arange(1, 9)))
+    assert d.norm_a2(f, mu) == d.norm_a2(f, AlphaMeasure(0.0))
+    assert d.norm_ap(f, 2, mu) == d.norm_ap(f, 2, AlphaMeasure(0.0))
+
+
+def test_weight_memo_without_a_lock_serves_threads():
+    # four threads at once read one fresh memo; a race only costs a recomputation
+    sizes = (16, 64, 256, 1024)
+    for mu in (AlphaMeasure(0.5), SampledDensityMeasure(samples=[[0.0, 2.0], [1.0, 0.0]])):
+        with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
+            got = dict(zip(sizes, pool.map(mu.weights, sizes)))
+        for N in sizes:
+            assert not got[N].flags.writeable
+            assert np.array_equal(got[N], mu.weights_at(np.arange(1, N + 1)))
 
 
 def _rate_density(c):

@@ -17,6 +17,12 @@ DOUBLING_TOL, relative to max(1, |value|).  The weight integrand is
 e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large Laguerre
 nodes n^{-2 sigma} underflows, where np.power is several times slower.  The
 Gauss rules are built here in numpy and cached per node count (and alpha).
+Every DensityMeasure integrates at the same nodes, half those of the
+Gauss-Laguerre rule for e^{-x}, and only its factors depend on h, so its
+weights at integers n read one shared read-only table of n^{-2 sigma_i}
+(_laguerre_decay) per node count and power of two of rows, up to one
+weights_at block; other n, and the kernel tail, take np.exp afresh, and
+both routes give the same bits.
 
 Each measure also bounds the tail over n > N of the kernel sum of
 f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
@@ -136,6 +142,18 @@ def _decay(logs):
     and n^{-2 sigma} underflows at most nodes of the Laguerre rules, where
     np.power takes a slow path and np.exp does not."""
     return lambda s: np.exp(logs[..., None] * (-2.0 * s))
+
+
+@lru_cache(maxsize=8)
+def _laguerre_decay(m: int, N: int) -> np.ndarray:
+    """n^{-2 sigma_i} for n = 1..N (rows) at the nodes sigma_i = x_i/2 of the
+    m-node rule _gauss_laguerre(m, 0), read-only: the integrand of every
+    DensityMeasure's weights at integers, whose rules differ only in their
+    factors.  Built by _decay, so its rows keep the bits of that route."""
+    x, _ = _gauss_laguerre(m, 0.0)
+    table = _decay(np.log(np.arange(1, N + 1, dtype=np.float64)))(x / 2.0)
+    table.setflags(write=False)
+    return table
 
 
 class Measure:
@@ -259,9 +277,13 @@ class Measure:
     def weights_by_quadrature(self, ns) -> np.ndarray:
         """Quadrature weights w_h(n) for every n in ns by one integrate call."""
         ns = np.asarray(ns, dtype=np.float64)
-        if np.any(ns < 1):
+        if not np.all(ns >= 1):  # NaN included
             raise InvalidInputError("weight requires n >= 1")
-        return self.integrate(_decay(np.log(ns)))
+        return self.integrate(self._decay_at(ns))
+
+    def _decay_at(self, ns: np.ndarray):
+        """The integrand sigma -> n^{-2 sigma} of the weights at ns >= 1."""
+        return _decay(np.log(ns))
 
     @cached_property
     def _rules(self):
@@ -364,7 +386,7 @@ def alpha_weight(alpha: float, n) -> float:
     if not -1 < alpha < math.inf:
         raise InvalidInputError("alpha must be finite and exceed -1")
     n = float(n)
-    if n < 1:
+    if not n >= 1:  # NaN included
         raise InvalidInputError("weight requires n >= 1")
     try:
         return 1.0 / (math.log(n) + 1.0) ** (alpha + 1)
@@ -409,6 +431,16 @@ class DensityMeasure(Measure):
         total = self.integrate(lambda s: np.ones_like(s))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
+
+    def _decay_at(self, ns: np.ndarray):
+        # Integers up to one weights_at block read rows of the table shared
+        # by every density, at the m = s.size nodes of its rules; the table
+        # has the least power of two of rows that holds the largest n.
+        top = ns.max(initial=1.0)
+        if top > _BLOCK // (2 * _NODES) or not np.all(ns == np.floor(ns)):
+            return super()._decay_at(ns)
+        rows, size = ns.astype(np.intp) - 1, 1 << (int(top) - 1).bit_length()
+        return lambda s: _laguerre_decay(s.size, size)[rows]
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         # integral g h d sigma = (1/2) sum w_i e^{x_i} g(x_i/2) h(x_i/2) with u = 2 sigma.

@@ -27,12 +27,15 @@ _torus_moments is the one entry.  The derivation, stated here once:
   d_a its largest exponent, so that the grids of M_a, M_a / 2 and M_a / 4
   points all integrate |f|^2 exactly; the points of the first grid whose
   indices are all even, or all multiples of 4, form the other two, so one
-  evaluation gives the three rules.  Every M_a doubles while the grid fits
-  QMC_REPLICATES * QMC_POINTS = 2^17 points.  A sigma is done, with the gap
-  between the first two rules as its error bar, once that gap is below
-  _TORUS_REL_TOL of the value and the gap between the last two below its
-  square root, as geometric convergence has them: a phase of f that
-  cancels the leading alias of one gap does not cancel it in the other.
+  evaluation gives the three rules.  The root index of every point and
+  the masks of the two sub-grids depend on the grid alone: one shared
+  read-only plan per grid (_grid_plan) holds them.  Every M_a doubles
+  while the grid fits QMC_REPLICATES * QMC_POINTS = 2^17 points.  A sigma
+  is done, with the gap between the first two rules as its error bar, once
+  that gap is below _TORUS_REL_TOL of the value and the gap between the
+  last two below its square root, as geometric convergence has them: a
+  phase of f that cancels the leading alias of one gap does not cancel it
+  in the other.
 - A sigma still open at the budget, or whose gap, squared once per
   doubling left, would stay above the tolerance (f_sigma vanishes on the
   torus, or there are too many axes), or whose rule overflows, runs the
@@ -211,6 +214,40 @@ def _roots_of_unity(L: int) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=32)
+def _grid_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """What the trapezoid rules on the grid of `sizes` points per axis take
+    from the grid alone, read-only: (index, offsets, masks).
+
+    The points go in chunks of step = min(size, QMC_POINTS) in C order.  The
+    grid sizes and the step are powers of two, so the flat index of a
+    point is the bitwise or of its chunk's start and its place r in the
+    chunk, and its grid index j_a on each axis is j_a(start) + j_a(r).
+    index[a, r] is j_a(r) L/n_a, L the largest grid size, and offsets[c, a]
+    is j_a(start) L/n_a for chunk c: alpha.(index[:, r] + offsets[c]) mod L
+    is the root index of z^alpha at the point.  masks[c] holds the three
+    rules' masks over chunk c: True (every point), the points whose j_a are
+    all even (the grid/2 rule) and those whose j_a are all multiples of 4
+    (grid/4); where the start of chunk c has a j_a that is odd, or not a
+    multiple of 4, that mask is False.
+    """
+    size, L = math.prod(sizes), max(sizes)
+    step = min(size, QMC_POINTS)
+    scale = np.array([L // n for n in sizes])[:, None]
+    local = np.array(np.unravel_index(np.arange(step), sizes))
+    starts = np.array(np.unravel_index(np.arange(0, size, step), sizes))
+    index, offsets = local * scale, (starts * scale).T
+    low = np.bitwise_or.reduce(local & 3, axis=0)  # j_0 | j_1 | ... mod 4
+    half, quarter = (low & 1) == 0, low == 0
+    for a in (index, offsets, half, quarter):
+        a.flags.writeable = False
+    masks = tuple(
+        (True, half if j & 1 == 0 else False, quarter if j & 3 == 0 else False)
+        for j in np.bitwise_or.reduce(starts, axis=0).tolist()
+    )
+    return index, offsets, masks
+
+
 def _trapezoid_rules(
     alphas: np.ndarray, coeffs: np.ndarray, p: float, grid: np.ndarray, rules: int = 3
 ) -> np.ndarray:
@@ -222,40 +259,32 @@ def _trapezoid_rules(
     mod L, L the largest grid size, taken from one table per L, and the
     terms are added one by one in a fixed order, so every sigma gets the
     same bits whatever batch it is in.  Points and sigmas go in chunks, so
-    that no array outgrows terms x QMC_POINTS entries.  The grid sizes and
-    the chunk are powers of two, so a chunk of the points in C order is a
-    box: one index on the leading axes, a run of indices on one axis and
-    every index on the rest.  Its phases and masks are built by
-    broadcasting one range per axis.
+    that no array outgrows terms x QMC_POINTS entries.  The grid's root
+    indices and rule masks come from _grid_plan, shared by every call on
+    the same grid: here each chunk's indices are alphas @ index plus its
+    offset, an exact integer sum.
     """
     terms, k = alphas.shape
-    sizes = grid.tolist()
+    sizes = tuple(grid.tolist())
     size, L = math.prod(sizes), max(sizes)
     roots = _roots_of_unity(L)
-    step = min(size, QMC_POINTS)
-    rows = max(1, terms * QMC_POINTS // step)
-    # alpha_{t,a} as (terms, 1, ..., 1) arrays that broadcast against the box
-    columns = alphas.T.reshape((k, terms) + (1,) * k)
+    index, offsets, masks = _grid_plan(sizes)
+    rows = max(1, terms * QMC_POINTS // index.shape[1])
     sums = np.zeros((rules, len(coeffs)))
-    for start in range(0, size, step):
-        phases = np.zeros((1,) * (k + 1), dtype=np.int64)
-        low = np.zeros((1,) * k, dtype=np.int64)  # j_0 | j_1 | ... mod 4
-        for axis, n_a in enumerate(sizes):
-            below = math.prod(sizes[axis + 1 :])  # flat index step of axis
-            first = start // below % n_a
-            j = np.arange(first, first + min(n_a, max(1, step // below)))
-            j = j.reshape((-1,) + (1,) * (k - 1 - axis))
-            phases = phases + columns[axis] * (j * (L // n_a))
-            low = low | (j & 3)
-        chars = np.take(roots, phases.reshape(terms, step) & (L - 1))
-        on = (True, ((low & 1) == 0).ravel(), (low == 0).ravel())[:rules]
+    for shift, on in zip(offsets @ alphas.T, masks):
+        # alphas @ index + shift, one axis at a time: numpy's integer matmul
+        # takes no fast path
+        phases = shift[:, None] + alphas[:, :1] * index[0]
+        for axis in range(1, k):
+            phases += alphas[:, axis, None] * index[axis]
+        chars = np.take(roots, phases & (L - 1))
         for lo in range(0, len(coeffs), rows):
             c = coeffs[lo : lo + rows]
             values = c[:, :1] * chars[0]
             for t in range(1, terms):
                 values += c[:, t, None] * chars[t]
             mags = np.abs(values) ** p
-            for rule, mask in enumerate(on):
+            for rule, mask in enumerate(on[:rules]):
                 sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
     return sums * np.array([1, 2**k, 4**k])[:rules, None] / size
 

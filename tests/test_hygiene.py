@@ -4,6 +4,7 @@ imports scipy, the measures form no weight by np.power, and compose takes
 no SVD."""
 
 import ast
+import importlib
 import inspect
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dirspaces"
@@ -205,6 +207,57 @@ def test_no_module_keeps_state():
     assert importers == []
 
 
+def cached_helpers(tree: ast.Module) -> set[str]:
+    """Top-level functions decorated with functools' lru_cache or cache."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if (getattr(dec, "id", None) or getattr(dec, "attr", None)) in ("lru_cache", "cache"):
+                    found.add(node.name)
+    return found
+
+
+# One call of every cached helper, by module.
+_CACHED_CALLS = {
+    "measures": {
+        "_gauss_laguerre": lambda f: f(16, 0.5),
+        "_gauss_legendre": lambda f: f(16),
+        "_laguerre_decay": lambda f: f(16, 8),
+    },
+    "series": {"_exp_plan": lambda f: f((2, 3), 64)},
+    "torus": {
+        "_roots_of_unity": lambda f: f(16),
+        "_axes_of": lambda f: f(bytes(8 * 6), (3, 2)),
+        "_lattice_vector": lambda f: f(3),
+        "_grid_plan": lambda f: f((4, 2**13)),
+    },
+}
+
+
+def _arrays(value):
+    """The numpy arrays in `value`, through nested tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_cached_helpers_return_read_only_arrays():
+    """Every lru_cache'd helper hands each caller the same arrays, so none of
+    them is writable."""
+    found = {p.stem: cached_helpers(_tree(p)) for p in MODULES}
+    assert {m: h for m, h in found.items() if h} == {m: set(c) for m, c in _CACHED_CALLS.items()}
+    for module, helpers in _CACHED_CALLS.items():
+        mod = importlib.import_module(f"dirspaces.{module}")
+        for name, call in helpers.items():
+            arrays = list(_arrays(call(getattr(mod, name))))
+            assert arrays, name
+            assert not any(a.flags.writeable for a in arrays), name
+
+
 def test_the_torus_lives_in_one_module():
     """Only torus defines or calls the trapezoid, lattice and axes helpers,
     and norms reaches torus through one call."""
@@ -214,6 +267,7 @@ def test_the_torus_lives_in_one_module():
         "_axes_of",
         "_independent_rows",
         "_roots_of_unity",
+        "_grid_plan",
         "_trapezoid_rules",
         "_qmc_moments",
         "_lattice_vector",

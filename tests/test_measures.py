@@ -14,7 +14,14 @@ from dirspaces import (
     NumericError,
     SampledDensityMeasure,
 )
-from dirspaces.measures import _NODES, _decay, _gauss_laguerre, _gauss_legendre, measure_from_json
+from dirspaces.measures import (
+    _BLOCK,
+    _NODES,
+    _decay,
+    _gauss_laguerre,
+    _gauss_legendre,
+    measure_from_json,
+)
 
 from conftest import exp3_density
 
@@ -180,6 +187,75 @@ def test_weights_at_reads_the_weights_outside_the_memo(
             assert w == mu.weights_at([n])[0]
             if n == int(n) <= N:
                 assert w == memo[int(n) - 1]
+
+
+def test_a_nan_index_is_refused_by_every_measure(sampled_density):
+    with pytest.raises(InvalidInputError, match="n >= 1"):
+        d.alpha_weight(0.0, math.nan)
+    for mu in (AlphaMeasure(0.0), AlphaMeasure(2.5), DensityMeasure(h=exp3_density), sampled_density):
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            mu.weight(math.nan)
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            mu.weights_at([2, math.nan])
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            mu.weights_at([math.nan, 3, 1])
+
+
+def _gamma1_density(sigma):
+    """h(sigma) = 4 sigma e^{-2 sigma}, a callable density that vanishes at 0."""
+    sigma = np.asarray(sigma, dtype=np.float64)
+    return 4.0 * sigma * np.exp(-2.0 * sigma)
+
+
+def _decay_route(mu, ns):
+    """The weights at ns by integrate over the integrand built from np.log ns,
+    or the refusal's message."""
+    try:
+        return mu.integrate(_decay(np.log(np.asarray(ns, dtype=np.float64))))
+    except NumericError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("h", [exp3_density, _gamma1_density], ids=["exp3", "gamma1"])
+def test_density_table_is_bitwise_the_decay_route(h):
+    # a block of integer indices holds at most this many rows of the table
+    assert _BLOCK // (2 * _NODES) == 4096
+    for N in (1, 31, 32, 33, 128, 4096, 4097):
+        mu = DensityMeasure(h=h)
+        w = mu.weights(N)
+        assert w.shape == (N,) and np.array_equal(w, _decay_route(mu, np.arange(1, N + 1))), N
+    mu = DensityMeasure(h=h)
+    for ns in ([9, 2, 9, 1, 300, 2], [64, 64, 1], [4096, 1], [4097, 3], [2, 7.5, 3]):
+        assert np.array_equal(mu.weights_at(ns), _decay_route(mu, ns)), ns
+    empty = mu.weights_at([])
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    for n in (1, 2, 7.5, 64, 65, 4096, 4097, 2**40):
+        try:
+            w = mu.weight(n)
+        except NumericError as e:
+            w = str(e)
+        expected = _decay_route(mu, [n])
+        assert w == (expected if isinstance(expected, str) else expected[0]), n
+
+
+def test_densities_share_one_read_only_decay_table(monkeypatch):
+    seen = []
+    table = d.measures._laguerre_decay
+
+    def spy(m, N):
+        seen.append(table(m, N))
+        return seen[-1]
+
+    monkeypatch.setattr(d.measures, "_laguerre_decay", spy)
+    for h in (exp3_density, _gamma1_density):
+        DensityMeasure(h=h).weights(50)
+    coarse, fine, coarse_again, fine_again = seen
+    assert coarse is coarse_again and fine is fine_again
+    # the least power of two of rows that holds n = 50, at the nodes of both rules
+    assert coarse.shape == (64, _NODES) and fine.shape == (64, 2 * _NODES)
+    for t in (coarse, fine):
+        with pytest.raises(ValueError):
+            t[0, 0] = 0.0
 
 
 def test_weight_memo_is_read_only():

@@ -457,6 +457,26 @@ def test_trapezoid_rules_match_the_naive_grid_bitwise():
         assert np.array_equal(full, expected[:1]), grid
 
 
+def test_grid_plans_are_shared_and_read_only():
+    # one chunk, then two, four and eight chunks of QMC_POINTS points
+    for sizes in ((8,), (4, 16), (2**15,), (2, 4, 2**13), (8, 8, 8, 8, 4, 8)):
+        plan = d.torus._grid_plan(sizes)
+        assert plan is d.torus._grid_plan(sizes)
+        index, offsets, masks = plan
+        size, L = math.prod(sizes), max(sizes)
+        step = min(size, d.torus.QMC_POINTS)
+        assert index.shape == (len(sizes), step) and len(offsets) == len(masks) == size // step
+        arrays = [index, offsets] + [m for on in masks for m in on if isinstance(m, np.ndarray)]
+        assert not any(a.flags.writeable for a in arrays)
+        scale = np.array([L // n for n in sizes])[:, None]
+        for c, (offset, on) in enumerate(zip(offsets, masks)):
+            j = np.array(np.unravel_index(np.arange(c * step, (c + 1) * step), sizes))
+            assert np.array_equal(index + offset[:, None], j * scale), (sizes, c)
+            for rule, stride in enumerate((1, 2, 4)):
+                expected = np.all(j % stride == 0, axis=0)
+                assert np.array_equal(np.broadcast_to(on[rule], (step,)), expected), (sizes, c)
+
+
 def test_root_tables_are_shared_and_read_only():
     for L in (1, 8, 2**14):
         roots = d.torus._roots_of_unity(L)

@@ -179,6 +179,8 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
     """
     if not p >= 1:
         raise InvalidInputError("p must be >= 1")
+    if p == math.inf:
+        raise InvalidInputError("p must be finite")
     tau = is_vertical_translation(sym)
     cert = admissibility_certificate(sym)
     notes: list[str] = []

@@ -13,16 +13,18 @@ and a race between two would only cost a recomputation), read through it,
 so all three agree bitwise.  Each measure builds a coarse rule of _NODES nodes
 and a fine one with twice as many, and every quadrature goes through one
 node-doubled integrate, which accepts a value once the two rules agree to
-DOUBLING_TOL, relative to max(1, |value|).  The weight integrand is
+DOUBLING_TOL, relative to max(1, |value|).  Both rules are evaluated in one
+pass: the integrand is called once, at the nodes of both, and the two
+weighted sums are split from its values.  The weight integrand is
 e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large Laguerre
 nodes n^{-2 sigma} underflows, where np.power is several times slower.  The
 Gauss rules are built here in numpy and cached per node count (and alpha).
 Every DensityMeasure integrates at the same nodes, half those of the
-Gauss-Laguerre rule for e^{-x}, and only its factors depend on h, so its
-weights at integers n read one shared read-only table of n^{-2 sigma_i}
-(_laguerre_decay) per node count and power of two of rows, up to one
-weights_at block; other n, and the kernel tail, take np.exp afresh, and
-both routes give the same bits.
+Gauss-Laguerre rules for e^{-x}, and only its factors depend on h, so its
+weights at integers n up to 4096 read one shared read-only table of
+n^{-2 sigma_i} at the nodes of both rules (_laguerre_decay) per power of two
+of rows, 12 MiB at most; other n, and the kernel tail, take np.exp afresh,
+and both routes give the same bits.
 
 Each measure also bounds the tail over n > N of the kernel sum of
 f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
@@ -144,13 +146,14 @@ def _decay(logs):
     return lambda s: np.exp(logs[..., None] * (-2.0 * s))
 
 
-@lru_cache(maxsize=8)
-def _laguerre_decay(m: int, N: int) -> np.ndarray:
+@lru_cache(maxsize=4)
+def _laguerre_decay(N: int) -> np.ndarray:
     """n^{-2 sigma_i} for n = 1..N (rows) at the nodes sigma_i = x_i/2 of the
-    m-node rule _gauss_laguerre(m, 0), read-only: the integrand of every
-    DensityMeasure's weights at integers, whose rules differ only in their
-    factors.  Built by _decay, so its rows keep the bits of that route."""
-    x, _ = _gauss_laguerre(m, 0.0)
+    _NODES and 2 _NODES node rules _gauss_laguerre(m, 0), in that order,
+    read-only: the integrand of every DensityMeasure's weights at integers,
+    whose rules differ only in their factors.  Built by _decay, so its rows
+    keep the bits of that route."""
+    x = np.concatenate([_gauss_laguerre(m, 0.0)[0] for m in (_NODES, 2 * _NODES)])
     table = _decay(np.log(np.arange(1, N + 1, dtype=np.float64)))(x / 2.0)
     table.setflags(write=False)
     return table
@@ -180,8 +183,9 @@ class Measure:
 
         g maps the nodes, shape (m,), to values of shape (..., m); the result
         has shape (...), a float for a scalar integrand.  Evaluates the fixed
-        rule at _NODES and 2 _NODES nodes and returns the finer value once
-        every component of the two agrees to DOUBLING_TOL.
+        rules at _NODES and 2 _NODES nodes in one pass, one call of g at the
+        nodes of both, and returns the finer value once every component of
+        the two agrees to DOUBLING_TOL.
         """
         est, ref = self._both_rules(g)
         bad = np.abs(ref - est) > DOUBLING_TOL * np.maximum(1.0, np.abs(ref))
@@ -192,10 +196,13 @@ class Measure:
         return float(ref) if np.ndim(ref) == 0 else ref
 
     def _both_rules(self, g):
-        """g integrated by the coarse and the fine rule, the latter finite."""
-        (x1, w1), (x2, w2) = self._rules
-        est = np.sum(w1 * g(x1), axis=-1)
-        ref = np.sum(w2 * g(x2), axis=-1)
+        """g integrated by the coarse and the fine rule, the latter finite:
+        one call of g at the nodes of both rules (_nodes), whose values are
+        split into the two weighted sums."""
+        (x1, w1), (_, w2) = self._rules
+        values = g(self._nodes)
+        est = np.sum(w1 * values[..., : x1.size], axis=-1)
+        ref = np.sum(w2 * values[..., x1.size :], axis=-1)
         if not np.all(np.isfinite(ref)):
             raise NumericError("integrand produced non-finite values")
         return est, ref
@@ -268,9 +275,9 @@ class Measure:
     def weights_at(self, ns) -> np.ndarray:
         """w_h(n) for every n in ns, computed afresh, outside the memo of
         weights(): by quadrature, in blocks of n that bound the size of the
-        integrand arrays."""
+        integrand arrays, which hold one value per node of both rules."""
         ns = np.asarray(ns)
-        step = max(1, _BLOCK // self._rules[1][0].size)
+        step = max(1, _BLOCK // self._nodes.size)
         blocks = range(0, max(ns.size, 1), step)
         return np.concatenate([self.weights_by_quadrature(ns[lo : lo + step]) for lo in blocks])
 
@@ -289,6 +296,13 @@ class Measure:
     def _rules(self):
         """The _NODES and 2 _NODES rules that integrate compares."""
         return self._gl_nodes(_NODES), self._gl_nodes(2 * _NODES)
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        """The nodes of the coarse rule, then those of the fine one, read-only."""
+        nodes = np.concatenate([x for x, _ in self._rules])
+        nodes.setflags(write=False)
+        return nodes
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """The m-node Gauss-Laguerre rule for this measure."""
@@ -421,9 +435,20 @@ class DensityMeasure(Measure):
             hi *= 2.0
         return hi
 
+    def _h_at(self, sigma: np.ndarray) -> np.ndarray:
+        """h at the node array `sigma`, refused unless it is an array of the
+        same shape: every rule multiplies it into its weights node by node."""
+        vals = np.asarray(self.h(sigma), dtype=np.float64)
+        if vals.shape != sigma.shape:
+            raise InvalidInputError(
+                f"the density callable maps {sigma.size} nodes to shape {vals.shape}, "
+                f"not {sigma.shape}"
+            )
+        return vals
+
     def _validate(self):
         nodes = np.linspace(1e-6, self._find_sigma_max(), 257)
-        vals = np.asarray(self.h(nodes), dtype=np.float64)
+        vals = self._h_at(nodes)
         if np.any(~np.isfinite(vals)) or np.any(vals < 0):
             raise InvalidInputError("density must be finite and nonnegative")
         if np.any(vals <= 0):
@@ -433,14 +458,15 @@ class DensityMeasure(Measure):
             raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
 
     def _decay_at(self, ns: np.ndarray):
-        # Integers up to one weights_at block read rows of the table shared
-        # by every density, at the m = s.size nodes of its rules; the table
-        # has the least power of two of rows that holds the largest n.
+        # Integers up to 4096 read rows of the table shared by every
+        # density, at the nodes of both its rules, which are the s that
+        # integrate passes; the table has the least power of two of rows
+        # that holds the largest n.
         top = ns.max(initial=1.0)
         if top > _BLOCK // (2 * _NODES) or not np.all(ns == np.floor(ns)):
             return super()._decay_at(ns)
         rows, size = ns.astype(np.intp) - 1, 1 << (int(top) - 1).bit_length()
-        return lambda s: _laguerre_decay(s.size, size)[rows]
+        return lambda s: _laguerre_decay(size)[rows]
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         # integral g h d sigma = (1/2) sum w_i e^{x_i} g(x_i/2) h(x_i/2) with u = 2 sigma.
@@ -448,7 +474,7 @@ class DensityMeasure(Measure):
         # large nodes, while their product stays moderate for h decaying like e^{-2s}.
         x, w = _gauss_laguerre(m, 0.0)
         sig = x / 2.0
-        hv = np.asarray(self.h(sig), dtype=np.float64)
+        hv = self._h_at(sig)
         factors = np.zeros_like(x)
         pos = (w > 0) & (hv > 0)
         factors[pos] = np.exp(np.log(w[pos]) + x[pos] + np.log(hv[pos]) + math.log(0.5))

@@ -138,6 +138,8 @@ def _norm(
     """
     if not p >= 1:
         raise InvalidInputError("p must be >= 1")
+    if p == math.inf:
+        raise InvalidInputError("p must be finite")
     if not f.exact:
         raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
     if sigmas is not None:

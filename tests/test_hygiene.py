@@ -224,7 +224,7 @@ _CACHED_CALLS = {
     "measures": {
         "_gauss_laguerre": lambda f: f(16, 0.5),
         "_gauss_legendre": lambda f: f(16),
-        "_laguerre_decay": lambda f: f(16, 8),
+        "_laguerre_decay": lambda f: f(8),
     },
     "series": {"_exp_plan": lambda f: f((2, 3), 64)},
     "torus": {

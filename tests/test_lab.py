@@ -70,6 +70,16 @@ def test_prop1_bound_and_classify_refuse_p_below_one(alpha0, monkeypatch, p):
             d.classify(sym, alpha0, 16, p=p)
 
 
+def test_classify_refuses_an_infinite_p(alpha0, monkeypatch):
+    # round(p / 2) raised a bare OverflowError past the c0 = 0 branch, and a
+    # c0 = 0 symbol got a report at p = inf
+    for name in ("isometry_defect", "admissibility_certificate", "prop1_bound"):
+        monkeypatch.setattr(lab, name, lambda *a, **k: pytest.fail("p was not refused first"))
+    for sym in (symbol(0, 1.0), symbol(1, {1: 1.0, 2: 0.5}), symbol(1, {1: 1.0, 2: 0.2})):
+        with pytest.raises(InvalidInputError, match=r"^p must be finite$"):
+            d.classify(sym, alpha0, 16, p=math.inf)
+
+
 # ---------- two-norm profile ----------
 
 

@@ -105,6 +105,61 @@ def test_rules_are_built_once(monkeypatch):
     assert calls == [128, 256]
 
 
+def _count_calls(g, shapes):
+    """g, recording the shape of the nodes of every call in `shapes`."""
+
+    def counted(s):
+        shapes.append(s.shape)
+        return g(s)
+
+    return counted
+
+
+def test_integrate_calls_its_integrand_once(alpha0, custom_density, sampled_density):
+    # both rules in one pass: one call at the nodes of the coarse and the
+    # fine rule together, a scalar and a vector integrand alike
+    for mu in (alpha0, custom_density, sampled_density):
+        (x1, _), (x2, _) = mu._rules
+        for g in (np.exp, lambda s: np.stack([np.ones_like(s), s])):
+            shapes = []
+            value = mu.integrate(_count_calls(g, shapes))
+            assert shapes == [(x1.size + x2.size,)]
+            assert np.ndim(value) == (0 if g is np.exp else 1)
+        assert np.array_equal(mu._nodes, np.concatenate([x1, x2]))
+        assert not mu._nodes.flags.writeable
+
+
+def test_kernel_tail_steps_call_their_integrand_once(
+    monkeypatch, custom_density, sampled_density
+):
+    # each step of the walk builds one weight integrand and calls it once
+    for mu in (custom_density, sampled_density):
+        built, shapes = [], []
+
+        def decay(logs):
+            built.append(logs)
+            return _count_calls(_decay(logs), shapes)
+
+        monkeypatch.setattr(d.measures, "_decay", decay)
+        tail = mu.kernel_tail(3.0, 16)
+        monkeypatch.undo()
+        assert len(built) > 2 and len(shapes) == len(built)
+        assert set(shapes) == {mu._nodes.shape}
+        assert tail == mu.kernel_tail(3.0, 16)
+
+
+def test_a_density_of_the_wrong_shape_is_refused():
+    # h must map its node array to values of the same shape; a scalar, or
+    # too few values, failed inside numpy (IndexError, a broadcasting
+    # ValueError)
+    for h in (lambda s: 1.0, lambda s: np.full(5, 2.0), lambda s: exp3_density(s)[:-1]):
+        with pytest.raises(InvalidInputError, match="density callable maps"):
+            DensityMeasure(h=h)
+    # a list of the right length is an array of that shape
+    mu = DensityMeasure(h=lambda s: list(exp3_density(s)))
+    assert mu.weight(3) == DensityMeasure(h=exp3_density).weight(3)
+
+
 @pytest.mark.parametrize("a", [-0.5, 0.0, 1.0, 10.0])
 def test_gauss_laguerre_matches_scipy(a):
     from scipy.special import roots_genlaguerre
@@ -242,20 +297,20 @@ def test_densities_share_one_read_only_decay_table(monkeypatch):
     seen = []
     table = d.measures._laguerre_decay
 
-    def spy(m, N):
-        seen.append(table(m, N))
+    def spy(N):
+        seen.append(table(N))
         return seen[-1]
 
     monkeypatch.setattr(d.measures, "_laguerre_decay", spy)
     for h in (exp3_density, _gamma1_density):
         DensityMeasure(h=h).weights(50)
-    coarse, fine, coarse_again, fine_again = seen
-    assert coarse is coarse_again and fine is fine_again
+    # one table per weights call, read once for both rules
+    first, again = seen
+    assert first is again
     # the least power of two of rows that holds n = 50, at the nodes of both rules
-    assert coarse.shape == (64, _NODES) and fine.shape == (64, 2 * _NODES)
-    for t in (coarse, fine):
-        with pytest.raises(ValueError):
-            t[0, 0] = 0.0
+    assert first.shape == (64, 3 * _NODES)
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
 
 
 def test_weight_memo_is_read_only():

@@ -130,6 +130,24 @@ def test_nan_p_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: d.norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf),
+        lambda: d.norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf, sigmas=[0.5]),
+        lambda: d.norm_ap(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf, AlphaMeasure(0.0)),
+        lambda: d.norm_ap(d.from_terms({3: 1.0}, 3), math.inf, AlphaMeasure(0.0)),
+        lambda: d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf),
+        lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), math.inf, [0.5], 16),
+    ],
+    ids=["norm_hp", "translates", "norm_ap", "monomial", "qmc_norm_hp", "two_norm_profile"],
+)
+def test_infinite_p_is_refused(call):
+    # round(p / 2) raised a bare OverflowError
+    with pytest.raises(InvalidInputError, match="^p must be finite$"):
+        call()
+
+
 def test_norm_hp_refuses_a_non_finite_translation():
     # inf * log 1 is NaN: an infinite sigma gave a NaN norm at p = 2 and 3
     for f in (d.from_terms({1: 1.0, 2: 0.5}, 2), d.from_terms({3: 1.0}, 3)):
@@ -302,6 +320,47 @@ def test_norm_ap_noneven_lifts_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_norm_ap_noneven_takes_both_rules_in_one_torus_pass(monkeypatch):
+    moments = d.torus._torus_moments
+    sigmas = []
+
+    def spy(lift, p, sig):
+        sigmas.append(sig)
+        return moments(lift, p, sig)
+
+    monkeypatch.setattr(d.torus, "_torus_moments", spy)
+    mu = d.AlphaMeasure(1.0)
+    value = d.norm_ap(d.from_terms({1: 1.0, 6: 0.4j}, 6), 2.5, mu)
+    (sig,) = sigmas
+    assert np.array_equal(sig, mu._nodes) and sig.size == 3 * d.measures._NODES
+    assert value == 1.012720853082195
+
+
+@pytest.mark.parametrize(
+    "alpha, p, pinned",
+    [
+        (0.0, 3.0, "0x1.cb9e7bf3aafa1p-1"),
+        (0.0, 2.5, "0x1.be0592ad33d44p-1"),
+        (1.5, 3.0, "0x1.394a7ab82c80fp-1"),
+        (1.5, 2.5, "0x1.2aedbc1f3b190p-1"),
+    ],
+)
+def test_a_term_live_on_one_rule_alone_keeps_the_bits(alpha, p, pinned):
+    # 10^-107 + 2^{-s} + 0.5 3^{-s}: the constant term is dropped where its
+    # scaled modulus, 10^-107 2^sigma, is below eps/(3p), which holds at
+    # every node of the coarse rule and fails at the top nodes of the fine
+    # one, so the one torus pass over both rules keeps it for every node.
+    # The value, that of the fine rule, keeps the bits it had when each rule
+    # took its own pass; so does the same polynomial with 10^-20 in place.
+    mu = d.AlphaMeasure(alpha)
+    (x1, _), (x2, _) = mu._rules
+    live_from = math.log2(np.finfo(np.float64).eps / (3 * p) / 1e-107)
+    assert x1.max() < live_from < x2.max()
+    for c in (1e-107, 1e-20):
+        f = d.from_terms({1: c, 2: 1.0, 3: 0.5}, 3)
+        assert d.norm_ap(f, p, mu).hex() == pinned
+
+
 def test_norm_ap_noneven_monomial_closed_form(alpha0):
     # ||13^{-sigma}||_{H^1} = 13^{-sigma}, so the A^1 norm is the weight at
     # sqrt(13).  The top nodes of the default rule lie where 13^{-sigma}
@@ -455,6 +514,79 @@ def test_trapezoid_rules_match_the_naive_grid_bitwise():
         # the full rule alone, as the lattice calls take it, keeps its bits
         full = d.torus._trapezoid_rules(alphas, coeffs, p, grid, rules=1)
         assert np.array_equal(full, expected[:1]), grid
+
+
+def _lookahead_panel():
+    """Seeded ladders on 1 and 2 axes from start grids of 8 and 16 points
+    per axis, read from one grid two and one doublings up, with 1 to 4 rows."""
+    rng = np.random.default_rng(34)
+    for k in (1, 2):
+        for start in (8, 16):
+            for rungs in (2, 3):
+                terms = int(rng.integers(2, 5))
+                rows = int(rng.integers(1, 5))
+                shape = (rows, terms)
+                coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                alphas = rng.integers(0, start // 4, (terms, k))
+                p = float(rng.choice([1.0, 2.5, 3.5]))
+                yield alphas, coeffs, p, np.full(k, start << (rungs - 1)), rungs
+
+
+def test_lookahead_rungs_match_the_per_rung_rules_bitwise():
+    for alphas, coeffs, p, top, rungs in _lookahead_panel():
+        ladder = d.torus._trapezoid_rules(alphas, coeffs, p, top, rungs=rungs)
+        assert ladder.shape == (rungs, 3, len(coeffs))
+        for rung, rules in enumerate(ladder):
+            grid = top >> (rungs - 1 - rung)
+            assert np.array_equal(rules, d.torus._trapezoid_rules(alphas, coeffs, p, grid)), grid
+            assert np.array_equal(rules, _naive_trapezoid_rules(alphas, coeffs, p, grid)), grid
+
+
+# Near-constant polynomials that stop at the first rung, the first
+# qmc_norm_hp requests of the benchmark's norms stream (seed 1), which climb
+# three or four rungs, and ladders from start grids of 16 points on an
+# axis: the grids evaluated, and the rungs climbed.
+_LADDERS = [
+    ({1: 1.0, 2: 1e-9}, 3.0, [(32,)], 1),
+    ({1: 1.0, 2: 1e-9, 3: 1e-9}, 3.0, [(32, 32)], 1),
+    ({1: 1.0, 2: 1e-9, 3: 1e-9, 4: 1e-9j}, 2.5, [(32, 16)], 1),
+    (
+        {1: 0.948914 + 0.105016j, 4: 0.13943 + 0.057907j, 11: -0.122251 + 0.089807j},
+        2.5,
+        [(32, 32)],
+        3,
+    ),
+    (
+        {1: 1.003716 + 0.099028j, 5: -0.193303 - 0.075575j, 8: 0.224663 - 0.097351j},
+        3.0,
+        [(32, 32)],
+        3,
+    ),
+    (
+        {1: 0.904765 - 0.097938j, 3: -0.186749 + 0.057354j, 11: 0.034136 + 0.305911j},
+        2.5,
+        [(32, 32), (64, 64)],
+        4,
+    ),
+    ({1: 1.0, 2: 0.3j}, 3.5, [(32,), (64,)], 4),
+    ({1: 1.0, 2: 0.45, 4: -0.3j}, 1.5, [(64,), (128,)], 4),
+    ({1: 1.0, 2: 0.2, 3: 0.2, 4: 0.1j}, 2.5, [(32, 16), (64, 32)], 3),
+]
+
+
+@pytest.mark.parametrize("terms, p, calls, climbed", _LADDERS)
+def test_lookahead_ladder_keeps_the_bits_of_the_per_rung_ladder(
+    monkeypatch, terms, p, calls, climbed
+):
+    f = d.from_terms(terms, max(terms))
+    grids = _spy_grids(monkeypatch)
+    value = d.qmc_norm_hp(f, p)
+    assert grids == calls
+    # without the lookahead, one call per rung
+    grids.clear()
+    monkeypatch.setattr(d.torus, "_LOOKAHEAD_VALUES", 0)
+    assert d.qmc_norm_hp(f, p) == value
+    assert len(grids) == climbed
 
 
 def test_grid_plans_are_shared_and_read_only():
@@ -650,18 +782,37 @@ def test_terms_on_independent_directions_take_one_axis_each(monkeypatch):
 
 
 def test_qmc_stops_at_an_overflowing_spread(monkeypatch):
-    # at p = 10^12 + 1 the shifted means of one sigma-node of the fine rule
-    # are finite but their spread is not; that row can only fail the spread
-    # check, so the call ends after the first lattice of the fine rule
+    # at p = 10^12 + 1 the shifted means of the smallest sigma-nodes
+    # overflow, and at the fine rule's node 11.998... they are finite but
+    # their spread is not; such a row can only fail the spread check, so the
+    # call ends after the first lattice
     grids = _spy_grids(monkeypatch)
     f = d.from_terms({6: 1.0, 35: 1.0, 143: 0.7j, 323: -0.5}, 323)
-    with np.errstate(all="ignore"), pytest.raises(NumericError, match="spread inf"):
-        d.norm_ap(f, 1000000000001.0, AlphaMeasure(0.0))
-    # each rule first runs the 3-D grids of its three directions up to the
-    # budget; the coarse rule's lattices then double up to QMC_POINTS, and
-    # the fine rule's stop at once
+    p, mu = 1000000000001.0, AlphaMeasure(0.0)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="integral inf with spread nan"):
+        d.norm_ap(f, p, mu)
+    # one pass over the nodes of both rules runs the 3-D grids of its three
+    # directions up to the budget, then one lattice
     tensor = [(8, 8, 8), (16, 16, 16), (32, 32, 32)]
-    assert grids == tensor + [(2**m,) for m in range(10, 15)] + tensor + [(2**10,)]
+    assert grids == tensor + [(2**10,)]
+    # alone, that node is stuck on the first grid and fails the same way
+    grids.clear()
+    node = mu._rules[1][0][49]
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="spread inf"):
+        d.norm_hp(f, p, sigmas=[node])
+    assert grids == [(8, 8, 8), (2**10,)]
+
+
+def test_an_overflowing_lattice_mean_is_refused():
+    # |1 + 0.5i 2^{-s}|^3000.5 overflows on every grid: the lattice means
+    # are inf and their spread NaN, which passed the spread check, so
+    # qmc_norm_hp returned (inf, nan) and norm_hp inf
+    f = d.from_terms({1: 1.0, 2: 0.5j}, 2)
+    with np.errstate(all="ignore"):
+        for call in (d.qmc_norm_hp, d.norm_hp):
+            message = r"^QMC did not converge: integral inf with spread nan$"
+            with pytest.raises(NumericError, match=message):
+                call(f, 3000.5)
 
 
 def test_vanishing_polynomial_falls_back_to_qmc(monkeypatch):

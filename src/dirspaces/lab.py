@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, PoleError
 from .measures import Measure, measure_tag
-from .norms import norm_hp, point_eval_sum, zeta
-from .series import DirichletSeries
+from .norms import _check_p, norm_hp, point_eval_sum, zeta
+from .series import DirichletSeries, _size
 from .symbols import (
     Certificate,
     Lemma1Result,
@@ -68,8 +68,7 @@ def prop1_bound(sym: Symbol, mu: Measure, p: float, s: complex, N: int) -> float
     zeta(2 lb)^{1/p} / S(Re s), with lb the certified lower bound of
     Re Phi on C_{Re s}.  Exceeds 1 for constant symbols with Re c1 > 1/2,
     showing C_Phi is not a contraction."""
-    if not p >= 1:
-        raise InvalidInputError("p must be >= 1")
+    _check_p(p)
     if sym.c0 != 0:
         raise InvalidInputError("the contraction bound applies to c0 = 0 symbols")
     s = complex(s)
@@ -177,10 +176,8 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
     defect above threshold -> NotIsometry; anything else -> Inconclusive,
     with whatever evidence was collected attached.
     """
-    if not p >= 1:
-        raise InvalidInputError("p must be >= 1")
-    if p == math.inf:
-        raise InvalidInputError("p must be finite")
+    _check_p(p)
+    N = _size(N)
     tau = is_vertical_translation(sym)
     cert = admissibility_certificate(sym)
     notes: list[str] = []

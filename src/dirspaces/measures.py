@@ -56,6 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericError
+from .series import _size
 
 _NORMALIZATION_TOL = 1e-8
 # Nodes of the coarse rule of every measure; the fine rule has twice as many.
@@ -264,6 +265,7 @@ class Measure:
 
     def weights(self, N: int) -> np.ndarray:
         """Memoized read-only vector (w_h(1), ..., w_h(N))."""
+        N = _size(N)
         cached = self._weight_cache
         if cached is not None and cached.size >= N:
             return cached[:N]
@@ -316,8 +318,7 @@ class AlphaMeasure(Measure):
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not -1 < self.alpha < math.inf:
-            raise InvalidInputError("alpha must be finite and exceed -1")
+        alpha_weight(self.alpha, 1)  # refuses an invalid alpha
 
     def density(self, sigma):
         sigma = np.asarray(sigma, dtype=np.float64)

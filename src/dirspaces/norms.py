@@ -24,8 +24,8 @@ import numpy as np
 
 from . import torus
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import Measure
-from .series import DirichletSeries, bohr_lift, power
+from .measures import Measure, alpha_weight
+from .series import DirichletSeries, _finite_point, _size, bohr_lift, power
 
 # The benchmark's spans (bench/spans.py) size a qmc_norm_hp call from these.
 QMC_POINTS, QMC_REPLICATES = torus.QMC_POINTS, torus.QMC_REPLICATES
@@ -57,6 +57,8 @@ def zeta(x: float) -> float:
     mpow = M ** (-x - 1.0)
     fact = 2.0  # (2k)!
     for k, b in enumerate(_BERNOULLI, start=1):
+        if mpow == 0.0:  # so is every later term, while poch may overflow
+            break
         total += b / fact * poch * mpow
         poch *= (x + 2 * k - 1) * (x + 2 * k)
         mpow /= M * M
@@ -76,9 +78,18 @@ class FunctionalNormEstimate:
     lower: float | None = None
 
 
+def _check_p(p: float) -> None:
+    """Refuse p unless 1 <= p < inf, NaN included: the one rule for p."""
+    if not p >= 1:
+        raise InvalidInputError("p must be >= 1")
+    if p == math.inf:
+        raise InvalidInputError("p must be finite")
+
+
 def _homogeneous(norm):
-    """Compute `norm` on f / 2^e, e = log2 of the largest modulus of f
-    truncated toward zero, and multiply the norm (and its error bar) by 2^e.
+    """Refuse an inexact f, compute `norm` on f / 2^e, e = log2 of the largest
+    modulus of f truncated toward zero, and multiply the norm (and its error
+    bar) by 2^e.
 
     The quotient's largest modulus lies in (1/2, 2), so its p-th powers stay
     in the float range: 1e-200 + 3e-201 2^{-s} has norm about 1.04e-200,
@@ -88,12 +99,14 @@ def _homogeneous(norm):
 
     @wraps(norm)
     def scaled(f: DirichletSeries, *args, **kwargs):
+        if not f.exact:
+            raise InvalidInputError("norms are defined here for exact polynomials only")
         peak = float(np.abs(f.coeffs).max())
         e = int(math.log2(peak)) if 0 < peak < math.inf else 0
         if e == 0:
             return norm(f, *args, **kwargs)
         quotient = np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128)
-        out = norm(DirichletSeries(quotient, exact=f.exact), *args, **kwargs)
+        out = norm(DirichletSeries(quotient, exact=True), *args, **kwargs)
 
         def back(x):  # x 2^e, an array kept as one
             return x if x is None else np.ldexp(x, e) if np.ndim(x) else float(np.ldexp(x, e))
@@ -106,8 +119,6 @@ def _homogeneous(norm):
 @_homogeneous
 def norm_h2(f: DirichletSeries) -> float:
     """(sum |a_n|^2)^{1/2}; Parseval on the polytorus."""
-    if not f.exact:
-        raise InvalidInputError("H^2 norm is defined here for exact polynomials only")
     return float(np.linalg.norm(f.coeffs))
 
 
@@ -136,12 +147,7 @@ def _norm(
     for its translate), and in A^p the p-th root of the integral of
     n^{-p sigma} d mu, which is the weight w_h(n^{p/2}).
     """
-    if not p >= 1:
-        raise InvalidInputError("p must be >= 1")
-    if p == math.inf:
-        raise InvalidInputError("p must be finite")
-    if not f.exact:
-        raise InvalidInputError("H^p and A^p norms are defined here for exact polynomials only")
+    _check_p(p)
     if sigmas is not None:
         sigmas = np.asarray(sigmas, dtype=np.float64)
         if not np.all((sigmas >= 0) & (sigmas < math.inf)):
@@ -215,8 +221,6 @@ def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
 @_homogeneous
 def norm_a2(f: DirichletSeries, mu: Measure) -> float:
     """(sum |a_n|^2 w_h(n))^{1/2}."""
-    if not f.exact:
-        raise InvalidInputError("norm_a2 requires an exact polynomial")
     w = mu.weights(f.truncation)
     return float(math.sqrt(np.sum(np.abs(f.coeffs) ** 2 * w)))
 
@@ -237,12 +241,10 @@ class KernelValue:
 def kernel_series(mu: Measure, s: complex, N: int) -> DirichletSeries:
     """Coefficients n^{-conj(s)}/w_h(n) of the reproducing kernel K(s, .),
     in A^2 exactly for 2 Re s above mu.abscissa."""
+    s = _finite_point(s)
     if 2.0 * s.real <= mu.abscissa:
         raise PoleError(f"reproducing kernel requires 2 Re s above the abscissa {mu.abscissa!r}")
-    w = mu.weights(N)
-    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
-    coeffs = np.exp(-np.conjugate(complex(s)) * logs) / w
-    return DirichletSeries(coeffs, exact=False)
+    return DirichletSeries(_kernel_terms(mu, s.conjugate(), N), exact=False)
 
 
 def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
@@ -252,20 +254,24 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
     return complex(np.sum(f.coeffs[:N] * np.conjugate(g.coeffs[:N]) * w))
 
 
+def _kernel_terms(mu: Measure, z: complex, N: int) -> np.ndarray:
+    """n^{-z}/w_h(n) for n = 1..N."""
+    wh = mu.weights(N)
+    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
+    return np.exp(-z * logs) / wh
+
+
 def _weighted_sum(mu: Measure, z: complex, N: int) -> tuple[complex, float]:
     """Partial sum over n <= N of n^{-z}/w_h(n), and a bound on the rest.
     The sum converges exactly for Re z above mu.abscissa."""
-    if not N >= 1:
-        raise InvalidInputError("the truncation N must be >= 1")
-    z = complex(z)
+    N = _size(N, "the truncation N")
+    z = _finite_point(z, "the exponent z")
     if z.real <= mu.abscissa:
         raise DivergenceError(
             f"sum n^(-z)/w_h(n) diverges at Re z = {z.real!r}, "
             f"not above the abscissa {mu.abscissa!r} of the measure"
         )
-    wh = mu.weights(N)
-    logs = np.log(np.arange(1, N + 1, dtype=np.float64))
-    return complex(np.sum(np.exp(-z * logs) / wh)), mu.kernel_tail(z.real, N)
+    return complex(np.sum(_kernel_terms(mu, z, N))), mu.kernel_tail(z.real, N)
 
 
 def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:
@@ -276,9 +282,8 @@ def kernel(mu: Measure, s: complex, w: complex, N: int) -> KernelValue:
 
 def point_eval_norm_hp(s: complex, p: float) -> FunctionalNormEstimate:
     """||delta_s|| on H^p: zeta(2 Re s)^{1/p} (exact)."""
-    s = complex(s)
-    if not p >= 1:
-        raise InvalidInputError("p must be >= 1")
+    s = _finite_point(s)
+    _check_p(p)
     if s.real <= 0.5:
         raise PoleError("point evaluation is unbounded for Re s <= 1/2")
     return FunctionalNormEstimate(
@@ -295,7 +300,7 @@ def point_eval_sum(mu: Measure, sigma: float, N: int) -> tuple[float, float]:
 
 def point_eval_bound_a1(mu: Measure, s: complex, N: int) -> FunctionalNormEstimate:
     """Upper bound sum n^{-Re s}/w_h(n) for ||delta_s|| on A^1, with trivial lower bound 1."""
-    s = complex(s)
+    s = _finite_point(s)
     partial, tail = point_eval_sum(mu, s.real, N)
     return FunctionalNormEstimate(
         value=partial + tail,
@@ -309,11 +314,9 @@ def point_eval_bound_a1(mu: Measure, s: complex, N: int) -> FunctionalNormEstima
 
 def point_eval_ratio_alpha(alpha: float, p: float, s: complex) -> FunctionalNormEstimate:
     """Growth ratio (Re s / (2 Re s - 1))^{(2+alpha)/p}, up to an unspecified constant."""
-    s = complex(s)
-    if alpha <= -1:
-        raise InvalidInputError("alpha must exceed -1")
-    if not p >= 1:
-        raise InvalidInputError("p must be >= 1")
+    s = _finite_point(s)
+    alpha_weight(alpha, 1)  # refuses alpha as the Gamma family does
+    _check_p(p)
     if s.real <= 0.5:
         raise PoleError("ratio has a pole at Re s = 1/2")
     value = (s.real / (2.0 * s.real - 1.0)) ** ((2.0 + alpha) / p)

@@ -15,12 +15,33 @@ finite section both read it.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .primes import factorize
+
+
+def _size(n, what: str = "truncation") -> int:
+    """n as an int: every size and index is an integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidInputError(f"{what} must be >= 1")
+    return n
+
+
+def _finite_point(s, what: str = "s") -> complex:
+    """complex(s), refused unless both of its parts are finite."""
+    s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise InvalidInputError(f"{what} must be a finite point, got {s!r}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -48,8 +69,7 @@ class DirichletSeries:
         return int(nz[-1]) + 1 if nz.size else 1
 
     def coeff(self, n: int) -> complex:
-        if n < 1:
-            raise InvalidInputError(f"index {n} is invalid, indices start at 1")
+        n = _size(n, "index")
         if n > self.truncation:
             if self.exact:
                 return 0.0 + 0.0j
@@ -84,15 +104,13 @@ class PolytorusPolynomial:
 
 def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
     """Exact polynomial with the given index -> coefficient map, truncated at N."""
-    if N < 1:
-        raise InvalidInputError("truncation must be >= 1")
+    N = _size(N)
     try:
         coeffs = np.zeros(N, dtype=np.complex128)
     except (ValueError, MemoryError) as e:  # past numpy's largest dimension, or the memory
         raise InvalidInputError(f"truncation {N} cannot be allocated: {e}") from None
     for n, c in terms.items():
-        if n < 1:
-            raise InvalidInputError(f"index {n} is invalid, indices start at 1")
+        n = _size(n, "index")
         if n > N:
             raise InvalidInputError(f"index {n} exceeds truncation {N}")
         coeffs[n - 1] = c
@@ -117,8 +135,7 @@ def linear(f: DirichletSeries, g: DirichletSeries, a: complex = 1.0, b: complex 
 
 def multiply(f: DirichletSeries, g: DirichletSeries, N: int | None = None) -> DirichletSeries:
     """Dirichlet convolution: coefficient at n is sum over d|n of f_d g_{n/d}."""
-    if N is None:
-        N = min(f.truncation, g.truncation)
+    N = min(f.truncation, g.truncation) if N is None else _size(N)
     if N > min(f.truncation, g.truncation):
         raise InvalidInputError("requested truncation exceeds operand truncations")
     fa = f.coeffs[:N]
@@ -136,8 +153,7 @@ def power(f: DirichletSeries, q: int, N: int | None = None) -> DirichletSeries:
     convolutions with it."""
     if q < 0:
         raise InvalidInputError("exponent must be nonnegative")
-    if N is None:
-        N = f.truncation
+    N = f.truncation if N is None else _size(N)
     if q == 0:
         return one(N)
     base = DirichletSeries(_padded(f, N), exact=f.exact)
@@ -244,8 +260,6 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
     arithmetic takes, so each column is bitwise the scalar recurrence of
     t_i f, whatever the other members and their truncations.
     """
-    if N is None:
-        N = f.truncation
     if f.coeff(1) != 0:
         raise InvalidInputError("exp requires a zero constant term; factor it out first")
     ts = np.ones(1) if t is None else np.asarray(t, dtype=np.float64)
@@ -259,6 +273,8 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
         # the members by decreasing truncation, so that each wave's are a prefix
         order = np.argsort(-tops, kind="stable")
         ts, tops, N = ts[order], tops[order], int(tops.max())
+    else:
+        N = f.truncation if N is None else _size(N)
     fa = _padded(f, N)
     support = tuple(int(i) + 1 for i in np.nonzero(fa)[0])
     idx, log_d, waves = _exp_plan(support, N)
@@ -306,8 +322,9 @@ def translate(f: DirichletSeries, sigma: float) -> DirichletSeries:
 
 def evaluate(f: DirichletSeries, s: complex) -> complex:
     """Partial sum of a_n n^{-s} over the available coefficients."""
+    s = _finite_point(s)
     logs = np.log(np.arange(1, f.truncation + 1, dtype=np.float64))
-    return complex(np.sum(f.coeffs * np.exp(-complex(s) * logs)))
+    return complex(np.sum(f.coeffs * np.exp(-s * logs)))
 
 
 def bohr_lift(f: DirichletSeries) -> PolytorusPolynomial:

@@ -202,28 +202,39 @@ def _min_re_phi(sym: Symbol, sigmas: np.ndarray, ts: np.ndarray) -> tuple[float,
     return float(vals[i, j]), complex(sigmas[i], ts[j])
 
 
+def _certify(sym: Symbol, floor: float) -> Certificate:
+    """Certificate for Re phi > floor on C_+ (floor 0 or 1/2).
+
+    CertifiedYes when Re c1 - sum |c_k| exceeds floor, decided exactly on
+    the bound of halfplane_lower_bound at eps = 0, with that slack rounded
+    down as its margin; a tie certifies only at floor 0.  CertifiedNo with
+    a grid witness where Re phi <= floor - 1e-12; Unknown otherwise.
+    """
+    slack = _domination_bound(sym, 0.0) - _fixed(floor)  # exact
+    if slack > 0 or (slack == 0 and floor == 0):
+        return Certificate(
+            Verdict.CERTIFIED_YES, margin=_float_down(slack), method="coefficient-domination"
+        )
+    low, witness = _min_re_phi(sym, *_refutation_grid(sym))
+    if low <= floor - 1e-12:
+        return Certificate(
+            Verdict.CERTIFIED_NO, margin=floor - low, method="grid-witness", witness=witness
+        )
+    return Certificate(Verdict.UNKNOWN, margin=low - floor, method="grid-inconclusive")
+
+
 def check_theorem1(sym: Symbol) -> Certificate:
     """Certificate for phi(C_+) inside C_+ (boundedness with c0 >= 1).
 
     CertifiedYes when phi is a purely imaginary constant or when
-    Re c1 >= sum |c_k| (coefficient domination, decided by
-    halfplane_lower_bound at eps = 0); CertifiedNo with a grid
-    witness where Re phi < -1e-12; Unknown otherwise.
+    Re c1 >= sum |c_k| (coefficient domination); CertifiedNo with a grid
+    witness where Re phi <= -1e-12; Unknown otherwise (see _certify).
     """
     if sym.c0 < 1:
         raise InvalidInputError("theorem-1 check applies to c0 >= 1")
     if not np.any(sym.phi.coeffs[1:]) and sym.c1.real == 0.0:
         return Certificate(Verdict.CERTIFIED_YES, margin=0.0, method="imaginary-constant")
-    low = halfplane_lower_bound(sym)
-    if low >= 0.0:
-        return Certificate(Verdict.CERTIFIED_YES, margin=low, method="coefficient-domination")
-    sigmas, ts = _refutation_grid(sym)
-    low, witness = _min_re_phi(sym, sigmas, ts)
-    if low < -1e-12:
-        return Certificate(
-            Verdict.CERTIFIED_NO, margin=-low, method="grid-witness", witness=witness
-        )
-    return Certificate(Verdict.UNKNOWN, margin=low, method="grid-inconclusive")
+    return _certify(sym, 0.0)
 
 
 def check_theorem2(sym: Symbol) -> Certificate:
@@ -233,22 +244,11 @@ def check_theorem2(sym: Symbol) -> Certificate:
     of halfplane_lower_bound at eps = 0, with that slack rounded down, the
     supremum of the certified eta, as its margin; a tie certifies no eta.
     CertifiedNo with a witness violating the necessary condition
-    Re Phi > 1/2; Unknown otherwise.
+    Re Phi > 1/2; Unknown otherwise (see _certify).
     """
     if sym.c0 != 0:
         raise InvalidInputError("theorem-2 check applies to c0 = 0")
-    slack = _domination_bound(sym, 0.0) - _fixed(0.5)  # exact
-    if slack > 0:
-        return Certificate(
-            Verdict.CERTIFIED_YES, margin=_float_down(slack), method="coefficient-domination"
-        )
-    sigmas, ts = _refutation_grid(sym)
-    low, witness = _min_re_phi(sym, sigmas, ts)
-    if low <= 0.5 - 1e-12:
-        return Certificate(
-            Verdict.CERTIFIED_NO, margin=0.5 - low, method="grid-witness", witness=witness
-        )
-    return Certificate(Verdict.UNKNOWN, margin=low - 0.5, method="grid-inconclusive")
+    return _certify(sym, 0.5)
 
 
 def translate_symbol(sym: Symbol, sigma: float) -> tuple[Symbol, Symbol]:
@@ -257,8 +257,8 @@ def translate_symbol(sym: Symbol, sigma: float) -> tuple[Symbol, Symbol]:
     Phi_sigma keeps linear part c0; its polynomial part is c0 sigma plus the
     translated phi (coefficients c_k k^{-sigma}).
     """
-    if sigma <= 0:
-        raise InvalidInputError("translation requires sigma > 0")
+    if not 0 < sigma < math.inf:
+        raise InvalidInputError("translation requires a finite sigma > 0")
     phi_t = ds.translate(sym.phi, sigma)
     shift = np.zeros(phi_t.truncation, dtype=np.complex128)
     shift[0] = sym.c0 * sigma

@@ -201,6 +201,18 @@ def test_classify_refuses_p_below_one(capsys, c0, phi, p):
     assert (code, out, err) == (2, "", "error: p must be >= 1\n")
 
 
+def test_classify_with_a_huge_constant_exits_0(capsys):
+    # zeta(2e18) was NaN, so the report was refused as not finite (exit 3);
+    # zeta is 1.0 there, as at 2e17
+    bounds = []
+    for c1 in ("1e17", "1e18"):
+        argv = ["classify", "--c0", "0", "--phi", f"[[1,{c1},0]]", "--N", "16"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        bounds.append(json.loads(out)["prop1_bound"])
+    assert bounds[0] == bounds[1] < 1
+
+
 def test_indices_up_to_the_size_cap_are_read(capsys):
     code, out, _ = run_cli(capsys, "norm", "--terms", f"[[{_SIZE_CAP},1,0]]", "--space", "h")
     assert code == 0 and json.loads(out)["value"] == 1.0

@@ -279,6 +279,15 @@ def test_admissibility_certificate_routes():
     assert admissibility_certificate(symbol(0, 0.3)).verdict is d.Verdict.CERTIFIED_NO
 
 
+def test_both_theorems_refute_at_their_floor_less_1e12():
+    # a constant phi has Re phi = Re c1 at every grid point; theorem 1
+    # refuted only below -1e-12 while theorem 2 refuted at 1/2 - 1e-12
+    for sym, floor in ((symbol(1, -1e-12), 0.0), (symbol(0, 0.5 - 1e-12), 0.5)):
+        cert = admissibility_certificate(sym)
+        assert cert.verdict is d.Verdict.CERTIFIED_NO and cert.method == "grid-witness"
+        assert cert.margin == floor - sym.c1.real
+
+
 def test_gram_identity_for_translation(alpha0):
     g = d.gram(d.operator_matrix(symbol(1, 5j), alpha0, 16))
     assert np.allclose(g, np.eye(16), atol=1e-14)

@@ -139,6 +139,62 @@ def test_folded_helpers_stay_gone():
     assert "__post_init__" not in class_methods(measures, "Measure")
 
 
+def _sites(predicate, paths=MODULES) -> list[str]:
+    """module.function for each node in `paths` matching `predicate`, by
+    the top-level definition that holds it."""
+    return [
+        f"{path.stem}.{getattr(top, 'name', top.lineno)}"
+        for path in paths
+        for top in _tree(path).body
+        for node in ast.walk(top)
+        if predicate(node)
+    ]
+
+
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
+
+
+def _is_constant(node, value) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _is_constant(node.operand, -value)
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _compares(node, name: str, value) -> bool:
+    """A comparison of the variable `name` with the constant `value`."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    named = any(_is_name(x, name) for x in operands)
+    return named and any(_is_constant(x, value) for x in operands)
+
+
+def _attr_call(node, attr: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr
+
+
+def test_each_folded_rule_has_one_site():
+    """p, alpha, exactness, the theorem-1/2 refutation and the kernel terms
+    are each decided in one place, which every entry calls."""
+    norms, symbols = [PACKAGE / "norms.py"], [PACKAGE / "symbols.py"]
+    assert _sites(lambda n: _compares(n, "p", 1)) == ["norms._check_p"]
+    assert _sites(lambda n: _compares(n, "alpha", -1)) == ["measures.alpha_weight"]
+    exact = _sites(
+        lambda n: isinstance(n, ast.Attribute) and n.attr == "exact" and _is_name(n.value, "f"),
+        norms,
+    )
+    assert exact == ["norms._homogeneous"]
+    refutations = _sites(
+        lambda n: isinstance(n, ast.Call) and _is_name(n.func, "_refutation_grid"), symbols
+    )
+    assert refutations == ["symbols._certify"]
+    log_tables = _sites(
+        lambda n: _attr_call(n, "log") and n.args and _attr_call(n.args[0], "arange"), norms
+    )
+    assert log_tables == ["norms._kernel_terms"]
+
+
 def test_only_the_bohr_lift_factorizes():
     """The lift's arrays are the one factorization of a support: every
     other consumer reads them."""

@@ -49,6 +49,12 @@ def test_zeta_pole():
         d.zeta(0.5)
 
 
+def test_zeta_is_one_far_out():
+    # the Euler-Maclaurin correction overflowed to inf * 0 from x = 1.36e18
+    for x in (2e17, 1.4e18, 1e300, math.inf):
+        assert d.zeta(x) == 1.0
+
+
 # ---------- H^p ----------
 
 
@@ -122,8 +128,17 @@ _NAN = math.nan
         lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), _NAN, [0.5], 16),
         lambda: d.point_eval_norm_hp(2.0, _NAN),
         lambda: d.point_eval_ratio_alpha(0.0, _NAN, 2.0),
+        lambda: d.prop1_bound(d.symbol(0, {1: 2.0}), AlphaMeasure(0.0), _NAN, 12.0, 64),
     ],
-    ids=["norm_hp", "norm_ap", "qmc_norm_hp", "two_norm_profile", "point_eval_norm_hp", "ratio"],
+    ids=[
+        "norm_hp",
+        "norm_ap",
+        "qmc_norm_hp",
+        "two_norm_profile",
+        "point_eval_norm_hp",
+        "ratio",
+        "prop1_bound",
+    ],
 )
 def test_nan_p_is_refused(call):
     with pytest.raises(InvalidInputError, match="p must be >= 1"):
@@ -139,11 +154,25 @@ def test_nan_p_is_refused(call):
         lambda: d.norm_ap(d.from_terms({3: 1.0}, 3), math.inf, AlphaMeasure(0.0)),
         lambda: d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf),
         lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), math.inf, [0.5], 16),
+        lambda: d.point_eval_norm_hp(2.0, math.inf),
+        lambda: d.point_eval_ratio_alpha(0.0, math.inf, 1.0),
+        lambda: d.prop1_bound(d.symbol(0, {1: 2.0}), AlphaMeasure(0.0), math.inf, 12.0, 64),
     ],
-    ids=["norm_hp", "translates", "norm_ap", "monomial", "qmc_norm_hp", "two_norm_profile"],
+    ids=[
+        "norm_hp",
+        "translates",
+        "norm_ap",
+        "monomial",
+        "qmc_norm_hp",
+        "two_norm_profile",
+        "point_eval_norm_hp",
+        "ratio",
+        "prop1_bound",
+    ],
 )
 def test_infinite_p_is_refused(call):
-    # round(p / 2) raised a bare OverflowError
+    # round(p / 2) raised a bare OverflowError; the point evaluations and
+    # prop1_bound answered 1.0 and 0.9995827 as if p were a number
     with pytest.raises(InvalidInputError, match="^p must be finite$"):
         call()
 

@@ -528,3 +528,66 @@ def test_json_round_trip():
     assert obj["N"] == 8 and obj["exact"] is True
     assert obj["terms"] == [[1, 1.0, 0.0], [3, 2.0, -1.0]]
     assert from_json(obj) == f
+
+
+# ---------- sizes and points ----------
+
+
+def _warm():
+    mu = d.AlphaMeasure(0.0)
+    mu.weights(64)  # a memo longer than any size below
+    return mu
+
+
+_F = d.from_terms({1: 1.0, 2: 0.5}, 4)
+_PSI = d.from_terms({2: 0.5}, 4)
+_SYM = d.symbol(1, {1: 1.0, 2: 0.2})
+_SYM0 = d.symbol(0, {1: 2.0})
+
+# Each call passes one size that is not an integer >= 1, or one point that
+# is not finite.  Before, they returned values, empty vectors or NaN, read
+# 2.7 as 2, or raised TypeError, AttributeError, IndexError or NumericError.
+_REFUSED = {
+    "weights_float_fresh": lambda: d.AlphaMeasure(0.0).weights(2.5),
+    "weights_float_warm": lambda: _warm().weights(2.5),
+    "weights_whole_float": lambda: _warm().weights(8.0),
+    "weights_zero": lambda: d.AlphaMeasure(0.0).weights(0),
+    "weights_negative": lambda: d.AlphaMeasure(0.0).weights(-3),
+    "kernel_float_N": lambda: d.kernel(_warm(), 1, 1, 2.5),
+    "kernel_series_float_N": lambda: d.kernel_series(_warm(), 2.0, 8.0),
+    "point_eval_sum_float_N": lambda: d.norms.point_eval_sum(_warm(), 3.0, 8.0),
+    "prop1_bound_float_N": lambda: d.prop1_bound(_SYM0, _warm(), 2.0, 12.0, 8.0),
+    "compose_basis_float_n": lambda: d.compose_basis(_SYM, 2.5, 16),
+    "compose_basis_float_index": lambda: d.compose_basis(_SYM, [2.7, 3], 16),
+    "compose_basis_float_N": lambda: d.compose_basis(_SYM, 2, 16.0),
+    "operator_matrix_float_N": lambda: d.operator_matrix(_SYM, None, 16.0),
+    "apply_float_N": lambda: d.apply(_SYM, _F, 16.0),
+    "two_norm_profile_float_N": lambda: d.two_norm_profile(_SYM, 2.0, [0.5], 16.0),
+    "contraction_lower_bound_float_N": lambda: d.contraction_lower_bound(_SYM, None, 16.0),
+    "isometry_defect_float_N": lambda: d.isometry_defect(_SYM, _warm(), 16.0),
+    "classify_c0_zero_float_N": lambda: d.classify(_SYM0, _warm(), 2.5),
+    "classify_c0_zero_zero_N": lambda: d.classify(_SYM0, _warm(), 0),
+    "from_terms_float_N": lambda: d.from_terms({1: 1.0}, 4.0),
+    "from_terms_float_index": lambda: d.from_terms({2.5: 1.0}, 4),
+    "coeff_float_index": lambda: _F.coeff(2.5),
+    "multiply_float_N": lambda: d.multiply(_F, _F, 2.0),
+    "power_float_N": lambda: d.power(_F, 2, 4.0),
+    "exp_float_N": lambda: d.exp_series(_PSI, 4.0),
+    "kernel_series_nan_s": lambda: d.kernel_series(_warm(), math.nan, 8),
+    "kernel_infinite_s": lambda: d.kernel(_warm(), complex(1.0, math.inf), 1.0, 8),
+    "point_eval_norm_hp_infinite_s": lambda: d.point_eval_norm_hp(math.inf, 2.0),
+    "point_eval_ratio_alpha_nan_s": lambda: d.point_eval_ratio_alpha(0.0, 2.0, math.nan),
+    "point_eval_bound_a1_nan_s": lambda: d.point_eval_bound_a1(_warm(), math.nan, 64),
+    "lemma2_profile_nan_sigma": lambda: d.lemma2_profile(_warm(), [math.nan], 64),
+    "evaluate_nan_s": lambda: d.evaluate(_F, math.nan),
+    "symbol_at_infinite_s": lambda: _SYM(complex(0.0, math.inf)),
+    "translate_symbol_infinite_sigma": lambda: d.translate_symbol(_SYM, math.inf),
+    "ratio_nan_alpha": lambda: d.point_eval_ratio_alpha(math.nan, 2.0, 1.0),
+    "ratio_infinite_alpha": lambda: d.point_eval_ratio_alpha(math.inf, 2.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_bad_sizes_and_points_are_refused(name):
+    with pytest.raises(InvalidInputError):
+        _REFUSED[name]()

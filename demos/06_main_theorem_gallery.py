@@ -4,7 +4,10 @@ For a gallery of symbols, classify() decides Isometry/Invertible/Fredholm
 (exactly the vertical translations), NotIsometry (stabilized defect above
 threshold), or Inconclusive, and attaches the numeric evidence: isometry
 defect, finite-section norm, norm profile, and the contraction lower bound
-for c0 = 0 symbols.
+for c0 = 0 symbols.  A translation's evidence is in closed form, with no
+section built: column n is n^{-i tau} e_n, so its defect is exactly 0 and
+its section norm 1.  The closing profile takes the numeric route for both
+symbols.
 """
 
 import dirspaces as d

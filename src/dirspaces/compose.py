@@ -365,6 +365,14 @@ def _gram_eigenvalues(values, block, along, across, rank, length):
     return np.ldexp(scaled, np.repeat(2 * shift, rank)), top
 
 
+def _halvable(N) -> int:
+    """N as a size with an N/2 section to compare against."""
+    N = ds._size(N)
+    if N < 4:
+        raise InvalidInputError("need N >= 4 to compare against the N/2 section")
+    return N
+
+
 def isometry_defect(
     sym: Symbol, mu: Measure | None, N: int, *, require_admissible: bool = True
 ) -> DefectReport:
@@ -375,9 +383,7 @@ def isometry_defect(
     n with n^{c0} <= N/2), since coefficients and weights up to N/2 do not
     depend on N, and _section_spectra takes both block by block.
     """
-    N = ds._size(N)
-    if N < 4:
-        raise InvalidInputError("need N >= 4 to compare against the N/2 section")
+    N = _halvable(N)
     m = operator_matrix(sym, mu, N, require_admissible=require_admissible)
     half = N // 2
     (lam, s_max), (lam_half, _) = _section_spectra(

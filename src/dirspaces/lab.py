@@ -2,10 +2,12 @@
 isometry = vertical-translation equivalence.
 
 The verdict of classify() is structural: isometry (equivalently
-invertibility and Fredholmness) holds exactly for vertical translations, and
-the matrix numerics corroborate rather than decide.  A NotIsometry verdict
-additionally demands a stabilized isometry defect above a calibrated
-threshold.
+invertibility and Fredholmness) holds exactly for vertical translations.
+For those, classify() reports the section in closed form and builds no
+matrix: C_Phi n^{-s} = n^{-i tau} n^{-s} on every measure, so the section is
+diagonal and unimodular.  For every other symbol the matrix numerics are
+the evidence: a NotIsometry verdict demands certified admissibility and a
+stabilized isometry defect above a calibrated threshold.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ from .symbols import (
     is_vertical_translation,
     lemma1_region,
 )
-from .compose import admissibility_certificate, compose_basis, isometry_defect
+from .compose import _halvable, admissibility_certificate, compose_basis, isometry_defect
 
 # Calibrated on the non-translation symbol gallery at N = 64 (not a theory value).
 DEFECT_THRESHOLD = 0.01
+# The sigmas of classify's norm profile.
+_PROFILE_SIGMAS = (0.25, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -172,22 +176,45 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
     """Full diagnostic run for one symbol on one measure.
 
     Verdict logic: vertical translation -> Isometry/Invertible/Fredholm
-    (structural); certified-admissible non-translation with a stabilized
-    defect above threshold -> NotIsometry; anything else -> Inconclusive,
-    with whatever evidence was collected attached.
+    (structural, reported in closed form with no section built);
+    certified-admissible non-translation with a stabilized defect above
+    threshold -> NotIsometry; anything else -> Inconclusive, with whatever
+    evidence was collected attached.
     """
     _check_p(p)
     N = _size(N)
     tau = is_vertical_translation(sym)
     cert = admissibility_certificate(sym)
     notes: list[str] = []
-    common = dict(symbol=sym.to_json(), measure=measure_tag(mu), N=N, p=p, admissibility=cert)
+    common = dict(
+        symbol=sym.to_json(), measure=measure_tag(mu), N=N, p=p, admissibility=cert,
+        vertical_translation=tau,
+    )
+
+    if tau is not None:
+        # column n of the section is n^{-i tau} e_n at every N and on every
+        # measure, and |2^{-Phi(sigma+it)}| = 2^{-sigma}: every number is exact
+        _halvable(N)
+        return ClassificationReport(
+            verdict="Isometry/Invertible/Fredholm",
+            isometry_defect=0.0,
+            defect_half=0.0,
+            stabilization_delta=0.0,
+            contraction_bound=1.0,
+            lemma1=lemma1_region(sym),
+            norm_profile=[
+                ProfilePoint(sigma, 2.0**-sigma, 2.0**-sigma) for sigma in _PROFILE_SIGMAS
+            ],
+            notes=(
+                f"vertical translation by tau={tau:g}: column n is n^(-i tau) e_n, "
+                "so the section is unitary and its defect is 0",
+            ),
+            **common,
+        )
 
     if cert.verdict is Verdict.CERTIFIED_NO:
         notes.append(f"admissibility refuted at witness {cert.witness!r}")
-        return ClassificationReport(
-            verdict="Inconclusive", vertical_translation=tau, notes=tuple(notes), **common
-        )
+        return ClassificationReport(verdict="Inconclusive", notes=tuple(notes), **common)
 
     if sym.c0 == 0:
         prop1 = None
@@ -201,7 +228,6 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
             notes.append(f"contraction bound unavailable: {e}")
         return ClassificationReport(
             verdict="Inconclusive",
-            vertical_translation=tau,
             prop1=prop1,
             notes=tuple(notes),
             **common,
@@ -210,12 +236,9 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
     # admissibility was already screened above; Unknown proceeds with that caveat attached
     defect = isometry_defect(sym, mu, N, require_admissible=False)
     region = lemma1_region(sym)
-    profile = two_norm_profile(sym, p, (0.25, 0.5, 1.0, 2.0), N)
+    profile = two_norm_profile(sym, p, _PROFILE_SIGMAS, N)
 
-    if tau is not None:
-        verdict = "Isometry/Invertible/Fredholm"
-        notes.append(f"vertical translation by tau={tau:g}; defect {defect.value:.3e} corroborates")
-    elif cert.verdict is Verdict.CERTIFIED_YES and (
+    if cert.verdict is Verdict.CERTIFIED_YES and (
         defect.value > DEFECT_THRESHOLD
         and defect.stabilization_delta < defect.value / 10.0
     ):
@@ -228,7 +251,6 @@ def classify(sym: Symbol, mu: Measure, N: int, p: float = 2.0) -> Classification
             notes.append("isometry defect did not stabilize above threshold")
     return ClassificationReport(
         verdict=verdict,
-        vertical_translation=tau,
         isometry_defect=defect.value,
         defect_half=defect.value_half,
         stabilization_delta=defect.stabilization_delta,

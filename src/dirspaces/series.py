@@ -25,14 +25,14 @@ from .errors import InvalidInputError
 from .primes import factorize
 
 
-def _size(n, what: str = "truncation") -> int:
-    """n as an int: every size and index is an integer >= 1."""
+def _size(n, what: str = "truncation", least: int = 1) -> int:
+    """n as an int: every size and index is an integer >= 1 (>= least)."""
     try:
         n = operator.index(n)
     except TypeError:
         raise InvalidInputError(f"{what} must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InvalidInputError(f"{what} must be >= 1")
+    if n < least:
+        raise InvalidInputError(f"{what} must be >= {least}")
     return n
 
 
@@ -151,8 +151,7 @@ def multiply(f: DirichletSeries, g: DirichletSeries, N: int | None = None) -> Di
 def power(f: DirichletSeries, q: int, N: int | None = None) -> DirichletSeries:
     """f convolved with itself q times (q >= 0): f padded to N, then q - 1
     convolutions with it."""
-    if q < 0:
-        raise InvalidInputError("exponent must be nonnegative")
+    q = _size(q, "exponent", least=0)
     N = f.truncation if N is None else _size(N)
     if q == 0:
         return one(N)
@@ -267,7 +266,10 @@ def exp(f: DirichletSeries, N: int | None = None, t=None):
         raise InvalidInputError("t must be a 1-d array of reals")
     tops = None
     if np.ndim(N):
-        tops = np.asarray(N, dtype=np.int64)
+        tops = np.asarray(N)
+        if tops.size and tops.dtype.kind not in "iu":  # a float, or an int past int64
+            raise InvalidInputError(f"each truncation must be an integer, got {N!r}")
+        tops = tops.astype(np.int64, copy=False)  # a uint past int64 turns negative
         if t is None or tops.shape != ts.shape or not tops.size or tops.min() < 1:
             raise InvalidInputError("exp takes one truncation >= 1 per member of t")
         # the members by decreasing truncation, so that each wave's are a prefix

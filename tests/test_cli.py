@@ -31,6 +31,38 @@ def test_classify_vertical_translation(capsys):
     assert obj["vertical_translation"] == pytest.approx(2.0)
 
 
+_TRANSLATION = ["classify", "--symbol-json", '{"c0":1,"phi":{"terms":[[1,0,-3.5]]}}']
+# the triangle on (0, 2) sampled at 65 points, whose weights do not pass node doubling
+_TRIANGLE_65 = json.dumps(
+    {"type": "density", "samples": [[k / 32, 1 - abs(k / 32 - 1)] for k in range(65)]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    [
+        (["--N", "1"], 2, "need N >= 4"),
+        (["--N", "2"], 2, "need N >= 4"),
+        (["--N", "3"], 2, "need N >= 4"),
+        (["--p", "0.5"], 2, "p must be >= 1"),
+        (["--p", "1e300"], 0, None),
+        (["--N", "1048576"], 0, None),
+        # reads no weight: the verdict is structural on every measure
+        (["--measure-json", _TRIANGLE_65, "--N", "64"], 0, None),
+    ],
+    ids=["N1", "N2", "N3", "p0.5", "p1e300", "N2^20", "triangle65"],
+)
+def test_classify_translation_exits(capsys, argv, expected, message):
+    code, out, err = run_cli(capsys, *_TRANSLATION, *argv)
+    assert code == expected
+    if code:
+        assert out == "" and err.startswith("error:") and message in err
+    else:
+        obj = json.loads(out, parse_constant=_reject_constant)
+        assert obj["verdict"] == "Isometry/Invertible/Fredholm"
+        assert obj["isometry_defect"] == 0.0 and obj["contraction_bound"] == 1.0
+
+
 def test_weights_closed_form(capsys):
     code, out, _ = run_cli(capsys, "weights", "--alpha", "0", "--nmax", "4")
     assert code == 0

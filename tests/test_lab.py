@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dirspaces as d
-from dirspaces import InvalidInputError, PoleError, lab, series, symbol
+from dirspaces import InvalidInputError, PoleError, compose, lab, norms, series, symbol
+from dirspaces.measures import AlphaMeasure, Measure
 from dirspaces.cli import main
 from dirspaces.lab import lemma2_to_csv, profile_to_csv
 from dirspaces.symbols import translate_symbol
 
-from conftest import GALLERY
+from conftest import GALLERY, VERTICAL_TAUS, exp3_density
 
 
 # ---------- lemma 2 profile ----------
@@ -193,13 +194,64 @@ def test_two_norm_profile_runs_one_exp_pass(monkeypatch):
 
 
 def test_classify_runs_two_exp_passes(monkeypatch, alpha0):
-    # one for the section, one for the whole norm profile
+    # one for the section, one for the whole norm profile; a translation
+    # runs none (test_classify_translation_builds_no_section)
     calls = {}
     _counted(monkeypatch, series, "exp", calls)
-    for sym in [s for s in GALLERY if s.c0 == 1] + [symbol(1, 2j)]:
+    for sym in [s for s in GALLERY if s.c0 == 1]:
         calls.clear()
         d.classify(sym, alpha0, 64)
         assert calls == {"exp": 2}
+
+
+def test_classify_translation_builds_no_section(
+    monkeypatch, alpha0, alpha1, custom_density, sampled_density
+):
+    # C_Phi n^{-s} = n^{-i tau} n^{-s}: the report is exact without a section,
+    # an exp pass, a norm or a weight
+    calls = {}
+    _counted(monkeypatch, series, "exp", calls)
+    _counted(monkeypatch, compose, "operator_matrix", calls)
+    _counted(monkeypatch, norms, "norm_hp", calls)
+    _counted(monkeypatch, lab, "norm_hp", calls)
+    for cls in (Measure, AlphaMeasure):
+        for name in ("weight", "weights", "weights_at"):
+            if name in vars(cls):
+                _counted(monkeypatch, cls, name, calls)
+    for mu in (alpha0, alpha1, custom_density, sampled_density):
+        for tau in VERTICAL_TAUS:
+            for p in (1.0, 1.5, 2.0, 3.0, 4.0):
+                for N in (4, 64, 2**20):
+                    rep = d.classify(symbol(1, complex(0.0, tau)), mu, N, p)
+                    assert rep.verdict == "Isometry/Invertible/Fredholm"
+                    assert rep.isometry_defect == 0.0
+    assert calls == {}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    tau=st.floats(-1e3, 1e3),
+    N=st.integers(4, 512),
+    p=st.floats(1.0, 5.0),
+    mu=st.sampled_from(
+        [d.AlphaMeasure(0.0), d.AlphaMeasure(1.0), d.DensityMeasure(h=exp3_density)]
+    ),
+)
+def test_classify_translation_closed_form_matches_numeric_routes(tau, N, p, mu):
+    sym = symbol(1, complex(0.0, tau))
+    rep = d.classify(sym, mu, N, p)
+    assert rep.verdict == "Isometry/Invertible/Fredholm"
+    assert rep.vertical_translation == tau
+    assert rep.isometry_defect == rep.defect_half == rep.stabilization_delta == 0.0
+    assert rep.contraction_bound == 1.0
+    assert [(pt.sigma, pt.reference, pt.value) for pt in rep.norm_profile] == [
+        (s, 2.0**-s, 2.0**-s) for s in (0.25, 0.5, 1.0, 2.0)
+    ]
+    # the public routes still build the section, and agree
+    assert compose.isometry_defect(sym, mu, N).value <= 1e-12
+    assert abs(compose.contraction_lower_bound(sym, mu, N) - 1.0) <= 1e-12
+    for pt in d.two_norm_profile(sym, p, (0.25, 0.5, 1.0, 2.0), N):
+        assert abs(pt.value - 2.0**-pt.sigma) <= 1e-12
 
 
 # ---------- H^inf bound ----------
@@ -229,7 +281,7 @@ def test_classify_vertical_translation(alpha0):
     rep = d.classify(symbol(1, 2j), alpha0, 32)
     assert rep.verdict == "Isometry/Invertible/Fredholm"
     assert rep.vertical_translation == pytest.approx(2.0)
-    assert rep.isometry_defect <= 1e-12
+    assert rep.isometry_defect == 0.0
     assert rep.lemma1.status == "vertical-translation"
 
 

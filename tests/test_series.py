@@ -572,7 +572,12 @@ _REFUSED = {
     "coeff_float_index": lambda: _F.coeff(2.5),
     "multiply_float_N": lambda: d.multiply(_F, _F, 2.0),
     "power_float_N": lambda: d.power(_F, 2, 4.0),
+    "power_float_exponent": lambda: d.power(_F, 2.5),
+    "power_negative_exponent": lambda: d.power(_F, -1),
     "exp_float_N": lambda: d.exp_series(_PSI, 4.0),
+    "exp_float_member_N": lambda: d.exp_series(_PSI, [2.5, 8], t=[1.0, 1.0]),
+    "exp_zero_member_N": lambda: d.exp_series(_PSI, [0, 8], t=[1.0, 1.0]),
+    "classify_translation_float_N": lambda: d.classify(d.symbol(1, 2j), _warm(), 8.0),
     "kernel_series_nan_s": lambda: d.kernel_series(_warm(), math.nan, 8),
     "kernel_infinite_s": lambda: d.kernel(_warm(), complex(1.0, math.inf), 1.0, 8),
     "point_eval_norm_hp_infinite_s": lambda: d.point_eval_norm_hp(math.inf, 2.0),

@@ -45,9 +45,7 @@ from .norms import (
     norm_ap,
     norm_h2,
     norm_hp,
-    point_eval_bound_a1,
     point_eval_norm_hp,
-    point_eval_ratio_alpha,
     qmc_norm_hp,
     zeta,
 )
@@ -76,7 +74,6 @@ from .compose import (
 from .lab import (
     ClassificationReport,
     classify,
-    hinf_bound_2pow,
     lemma2_profile,
     prop1_bound,
     two_norm_profile,

@@ -11,8 +11,6 @@ zero column would fake non-isometry).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 from dataclasses import dataclass
@@ -126,26 +124,6 @@ class OperatorMatrix:
 
     def column_norms(self) -> np.ndarray:
         return np.linalg.norm(self.entries, axis=0)
-
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "columns": list(self.ns),
-            "measure": self.measure,
-            "symbol": self.symbol,
-            "entries": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.entries
-            ],
-        }
-
-    def to_csv(self) -> str:
-        """CSV of |entries| with a header row of column indices."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["m"] + [f"n={n}" for n in self.ns])
-        for m, row in enumerate(np.abs(self.entries), start=1):
-            writer.writerow([m] + [f"{v:.12g}" for v in row])
-        return buf.getvalue()
 
 
 def admissibility_certificate(sym: Symbol) -> Certificate:

@@ -124,14 +124,6 @@ def two_norm_profile(sym: Symbol, p: float, sigma_grid, N: int = 128) -> list[Pr
     ]
 
 
-def hinf_bound_2pow(sym: Symbol, sigma: float) -> float:
-    """Upper bound 2^{-lb} for ||2^{-Phi(sigma+.)}||_{H^inf}, lb the certified
-    lower bound of Re Phi on C_sigma (|2^{-w}| = 2^{-Re w})."""
-    if sigma <= 0:
-        raise InvalidInputError("sigma must be positive")
-    return 2.0 ** -halfplane_lower_bound(sym, sigma)
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     symbol: dict

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import torus
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
-from .measures import Measure, alpha_weight
+from .measures import Measure
 from .series import DirichletSeries, _finite_point, _size, bohr_lift, power
 
 # The benchmark's spans (bench/spans.py) size a qmc_norm_hp call from these.
@@ -68,14 +68,12 @@ def zeta(x: float) -> float:
 
 @dataclass(frozen=True)
 class FunctionalNormEstimate:
-    """Norm (or bound) of a point-evaluation functional."""
+    """Norm of a point-evaluation functional."""
 
     value: float
-    kind: str  # "exact" | "upper-bound" | "ratio-up-to-constant"
+    kind: str  # "exact"
     space: str
     point: complex
-    tail: float = 0.0
-    lower: float | None = None
 
 
 def _check_p(p: float) -> None:
@@ -297,29 +295,3 @@ def point_eval_sum(mu: Measure, sigma: float, N: int) -> tuple[float, float]:
     value, tail = _weighted_sum(mu, sigma, N)
     return value.real, tail
 
-
-def point_eval_bound_a1(mu: Measure, s: complex, N: int) -> FunctionalNormEstimate:
-    """Upper bound sum n^{-Re s}/w_h(n) for ||delta_s|| on A^1, with trivial lower bound 1."""
-    s = _finite_point(s)
-    partial, tail = point_eval_sum(mu, s.real, N)
-    return FunctionalNormEstimate(
-        value=partial + tail,
-        kind="upper-bound",
-        space="A^1",
-        point=s,
-        tail=tail,
-        lower=1.0,
-    )
-
-
-def point_eval_ratio_alpha(alpha: float, p: float, s: complex) -> FunctionalNormEstimate:
-    """Growth ratio (Re s / (2 Re s - 1))^{(2+alpha)/p}, up to an unspecified constant."""
-    s = _finite_point(s)
-    alpha_weight(alpha, 1)  # refuses alpha as the Gamma family does
-    _check_p(p)
-    if s.real <= 0.5:
-        raise PoleError("ratio has a pole at Re s = 1/2")
-    value = (s.real / (2.0 * s.real - 1.0)) ** ((2.0 + alpha) / p)
-    return FunctionalNormEstimate(
-        value=value, kind="ratio-up-to-constant", space=f"A^{p:g}_alpha", point=s
-    )

@@ -119,10 +119,6 @@ def from_terms(terms: dict[int, complex], N: int) -> DirichletSeries:
     return DirichletSeries(coeffs, exact=True)
 
 
-def zero(N: int) -> DirichletSeries:
-    return from_terms({}, N)
-
-
 def one(N: int) -> DirichletSeries:
     return from_terms({1: 1.0}, N)
 
@@ -378,7 +374,9 @@ def from_json(obj: dict) -> DirichletSeries:
     try:
         terms = {_integer(n): complex(re, im) for n, re, im in obj["terms"]}
         N = _integer(obj.get("N") or max(terms, default=1))
-        exact = bool(obj.get("exact", True))
+        exact = obj.get("exact", True)
+        if not isinstance(exact, bool):
+            raise ValueError(f"exact is {exact!r}, not a boolean")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed series JSON: {e}") from e
     f = from_terms(terms, N)

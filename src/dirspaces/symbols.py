@@ -86,7 +86,7 @@ def symbol(c0: int, terms: dict[int, complex] | complex) -> Symbol:
 
 def symbol_from_json(obj: dict) -> Symbol:
     try:
-        c0 = int(obj["c0"])
+        c0 = ds._integer(obj["c0"])
         phi = obj["phi"]
     except (TypeError, KeyError, ValueError, OverflowError) as e:
         raise InvalidInputError(f"malformed symbol JSON: {e}") from e

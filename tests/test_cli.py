@@ -214,6 +214,14 @@ HUGE = 10**14  # a term index whose coefficient vector would take 1.6 PB
         ["norm", "--terms", "[[true,1,0]]"],
         ["norm", "--terms", '[["5",1,0]]'],
         ["norm", "--series-json", '{"N":2.5,"terms":[[1,1,0]]}'],
+        # nor is a non-integral, boolean or string c0: 1.5 read as 1 made a
+        # translation of it, and 0.9 a c0 = 0 symbol
+        ["classify", "--symbol-json", '{"c0":1.5,"phi":{"terms":[[1,0,2]]}}'],
+        ["classify", "--symbol-json", '{"c0":0.9,"phi":{"terms":[[1,0,2]]}}'],
+        ["classify", "--symbol-json", '{"c0":true,"phi":{"terms":[[1,0,2]]}}'],
+        ["classify", "--symbol-json", '{"c0":"1","phi":{"terms":[[1,0,2]]}}'],
+        # a series is exact or not: "false" is no boolean, and was read as true
+        ["norm", "--space", "h", "--series-json", '{"terms":[[1,1,0],[2,0.5,0]],"exact":"false"}'],
     ],
 )
 def test_huge_or_non_integral_sizes_exit_2(capsys, argv):

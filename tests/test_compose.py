@@ -540,27 +540,3 @@ def test_singular_value_oracle(alpha0):
     s_max = max(np.linalg.svd(m.entries, compute_uv=False))
     assert d.contraction_lower_bound(symbol(2, {}), alpha0, 8) == pytest.approx(s_max)
 
-
-# ---------- export ----------
-
-
-def test_matrix_json_and_csv(alpha0, alpha1):
-    m = d.operator_matrix(symbol(2, {}), alpha0, 4)
-    obj = m.to_json()
-    assert obj["N"] == 4 and obj["columns"] == [1, 2]
-    w = 0.8423359734085933  # sqrt(w(4) / w(2))
-    zero = [0.0, 0.0]
-    assert obj["entries"] == [[[1.0, 0.0], zero], [zero, zero], [zero, zero], [zero, [w, 0.0]]]
-    assert m.to_csv() == "m,n=1,n=2\r\n1,1,0\r\n2,0,0\r\n3,0,0\r\n4,0,0.842335973409\r\n"
-    m = d.operator_matrix(symbol(1, {1: 1.0, 2: 0.5}), alpha1, 6)
-    assert m.to_csv().splitlines() == [
-        "m,n=1,n=2,n=3,n=4,n=5,n=6",
-        "1,1,0,0,0,0,0",
-        "2,0,0.5,0,0,0,0",
-        "3,0,0,0.333333333333,0,0,0",
-        "4,0,0.122952161058,0,0.25,0,0",
-        "5,0,0,0,0,0.2,0",
-        "6,0,0,0.137640872175,0,0,0.166666666667",
-    ]
-    assert m.to_json()["entries"][3][1] == [-0.12295216105771782, 0.0]
-    assert m.to_json()["entries"][5][2] == [-0.13764087217479132, 0.0]

@@ -1,7 +1,7 @@
-"""Source hygiene: no unused imports in the package modules, helpers that
-were folded into one implementation stay folded, no path of the package
-imports scipy, the measures form no weight by np.power, and compose takes
-no SVD."""
+"""Source hygiene: no unused imports in the package modules, no public name
+without a reader, helpers that were folded into one implementation stay
+folded, no path of the package imports scipy, the measures form no weight by
+np.power, and compose takes no SVD."""
 
 import ast
 import importlib
@@ -9,14 +9,17 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dirspaces"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "dirspaces"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -62,6 +65,88 @@ def calls(tree: ast.AST, name: str) -> list[ast.Call]:
     ]
 
 
+def public_definitions(tree: ast.Module):
+    """(name, node) of each public top-level function and class, and
+    (Class.method, node) of each public method of a public class."""
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            yield top.name, top
+            if isinstance(top, ast.ClassDef):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{top.name}.{node.name}", node
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree`: as a name, an attribute or an
+    imported name (the unused-import check sees that an import is read)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rsplit(".", 1)[-1]] += 1
+    return found
+
+
+def unread_names(modules: dict[str, ast.Module], outside: Counter) -> list[str]:
+    """module.name of each public definition that no module reads outside
+    the definition itself, and that `outside` does not read."""
+    everywhere = sum((reads(tree) for tree in modules.values()), Counter(outside))
+    return [
+        f"{module}.{qualname}"
+        for module, tree in modules.items()
+        for qualname, node in public_definitions(tree)
+        if everywhere[node.name] == reads(node)[node.name]
+    ]
+
+
+def test_checker_flags_unread_names():
+    tree = ast.parse(
+        "def f(n):\n    return f(n - 1)\n"
+        "def g():\n    return h\n"
+        "def h():\n    pass\n"
+        "class C:\n    def m(self):\n        return self.m\n    def k(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+    )
+    assert unread_names({"mod": tree}, Counter({"k": 1})) == ["mod.f", "mod.g", "mod.C", "mod.C.m"]
+
+
+# Public names that only tests read, kept because tests check against them.
+_TEST_REFERENCES = {
+    "translate_symbol": "test_lab checks two_norm_profile's one-pass route against it",
+    "linear": "test_series builds its exp reference with it",
+    "column_norms": "test_acceptance reads it for an acceptance criterion",
+    "density": "tests pass AlphaMeasure(5.0).density as the h of a DensityMeasure",
+}
+
+
+def test_every_public_name_has_a_reader():
+    """A public function, class or method is read somewhere in the package
+    (outside its own definition and __init__), a demo or the benchmark:
+    a name that only its own tests read is dead code."""
+    outside = Counter()
+    for path in sorted(REPO.glob("demos/*.py")) + sorted(REPO.glob("bench/**/*.py")):
+        outside += reads(_tree(path))
+    unread = unread_names({p.stem: _tree(p) for p in MODULES}, outside)
+    assert [q for q in unread if q.rsplit(".", 1)[-1] not in _TEST_REFERENCES] == []
+
+
+def test_readme_names_every_export():
+    """The README's module table names each name that dirspaces exports."""
+    exports = {
+        alias.asname or alias.name
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    readme = (REPO / "README.md").read_text().splitlines()
+    table = "\n".join(line for line in readme if line.startswith("| `dirspaces."))
+    assert sorted(exports - set(re.findall(r"`([A-Za-z_]\w*)", table))) == []
+
+
 def test_checker_flags_unused_import():
     tree = ast.parse("import os\nimport math\nfrom x import y, z\nmath.pi\nz()\n")
     assert unused_imports(tree) == ["os (line 1)", "y (line 3)"]
@@ -86,6 +171,8 @@ def test_folded_helpers_stay_gone():
             "_kernel_tail",
             "_secant_tail",
             "_log_upper_gamma",
+            "point_eval_bound_a1",
+            "point_eval_ratio_alpha",
         },
         "series.py": {
             "_mono_with_table",
@@ -93,11 +180,16 @@ def test_folded_helpers_stay_gone():
             "monomial_of_index",
             "index_of_monomial",
             "_nth_prime_bound",
+            "zero",
         },
         "primes.py": {"primes_upto", "spf_table"},
+        "lab.py": {"hinf_bound_2pow"},
     }
     for name, names in gone.items():
         assert not names & top_level_names(_tree(PACKAGE / name)), name
+    # no export of a section: other classes' to_json hide it from a scan by name
+    compose = _tree(PACKAGE / "compose.py")
+    assert not {"to_json", "to_csv"} & class_methods(compose, "OperatorMatrix")
     norms = _tree(PACKAGE / "norms.py")
     assert "_POWER_CAP_Q" not in {n.id for n in ast.walk(norms) if isinstance(n, ast.Name)}
     # even p is decided once, in the one H^p / A^p norm routine

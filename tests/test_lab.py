@@ -254,26 +254,6 @@ def test_classify_translation_closed_form_matches_numeric_routes(tau, N, p, mu):
         assert abs(pt.value - 2.0**-pt.sigma) <= 1e-12
 
 
-# ---------- H^inf bound ----------
-
-
-def test_hinf_bound_examples():
-    assert d.hinf_bound_2pow(symbol(1, 4j), 1.0) == pytest.approx(0.5)
-    assert d.hinf_bound_2pow(symbol(2, {}), 0.5) == pytest.approx(0.5)
-    assert d.hinf_bound_2pow(symbol(1, 1.0), 0.6) == pytest.approx(2.0**-1.6)
-
-
-def test_hinf_bound_soundness():
-    rng = np.random.default_rng(29)
-    for sym in GALLERY:
-        for sig in (0.3, 1.0):
-            bound = d.hinf_bound_2pow(sym, sig)
-            for _ in range(20):
-                s = complex(rng.uniform(1e-6, 3.0), rng.uniform(-20, 20))
-                exact = 2.0 ** -(sym(sig + s).real)
-                assert exact <= bound + 1e-12
-
-
 # ---------- classify ----------
 
 

@@ -127,7 +127,6 @@ _NAN = math.nan
         lambda: d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), _NAN),
         lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), _NAN, [0.5], 16),
         lambda: d.point_eval_norm_hp(2.0, _NAN),
-        lambda: d.point_eval_ratio_alpha(0.0, _NAN, 2.0),
         lambda: d.prop1_bound(d.symbol(0, {1: 2.0}), AlphaMeasure(0.0), _NAN, 12.0, 64),
     ],
     ids=[
@@ -136,7 +135,6 @@ _NAN = math.nan
         "qmc_norm_hp",
         "two_norm_profile",
         "point_eval_norm_hp",
-        "ratio",
         "prop1_bound",
     ],
 )
@@ -155,7 +153,6 @@ def test_nan_p_is_refused(call):
         lambda: d.qmc_norm_hp(d.from_terms({1: 1.0, 2: 0.5}, 2), math.inf),
         lambda: d.two_norm_profile(d.symbol(1, {1: 1.0, 2: 0.2}), math.inf, [0.5], 16),
         lambda: d.point_eval_norm_hp(2.0, math.inf),
-        lambda: d.point_eval_ratio_alpha(0.0, math.inf, 1.0),
         lambda: d.prop1_bound(d.symbol(0, {1: 2.0}), AlphaMeasure(0.0), math.inf, 12.0, 64),
     ],
     ids=[
@@ -166,7 +163,6 @@ def test_nan_p_is_refused(call):
         "qmc_norm_hp",
         "two_norm_profile",
         "point_eval_norm_hp",
-        "ratio",
         "prop1_bound",
     ],
 )
@@ -1302,37 +1298,3 @@ def test_point_eval_norm_hp():
     with pytest.raises(PoleError):
         d.point_eval_norm_hp(0.5, 2.0)
 
-
-def test_point_eval_bound_a1(alpha0):
-    est = d.point_eval_bound_a1(alpha0, 10.0, 10_000)
-    oracle = sum(n**-10.0 * (1.0 + math.log(n)) for n in range(1, 10_001))
-    assert est.value == pytest.approx(oracle, abs=1e-5)
-    assert est.value == pytest.approx(1.00169, abs=1e-4)
-    assert est.kind == "upper-bound" and est.lower == 1.0
-    assert d.point_eval_bound_a1(alpha0, 40.0, 4096).value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_point_eval_bound_a1_monotone(alpha0):
-    vals = [d.point_eval_bound_a1(alpha0, s, 4096).value for s in (4.0, 6.0, 8.0, 10.0)]
-    assert all(v >= 1.0 for v in vals)
-    assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_point_eval_bound_a1_divergence(alpha0):
-    with pytest.raises(DivergenceError) as exc:
-        d.point_eval_bound_a1(alpha0, 0.8, 8192)
-    assert "abscissa" in str(exc.value)
-
-
-def test_point_eval_ratio_alpha():
-    assert d.point_eval_ratio_alpha(0.0, 2.0, 1.0).value == pytest.approx(1.0)
-    assert d.point_eval_ratio_alpha(0.0, 2.0, 0.75).value == pytest.approx(1.5)
-    # blow-up with the stated exponent as Re s drops to 1/2
-    v1 = d.point_eval_ratio_alpha(1.0, 2.0, 0.51).value
-    v2 = d.point_eval_ratio_alpha(1.0, 2.0, 0.501).value
-    ratio = v2 / v1
-    s1, s2 = 0.51, 0.501
-    expected = ((s2 / (2 * s2 - 1)) / (s1 / (2 * s1 - 1))) ** 1.5
-    assert ratio == pytest.approx(expected, rel=1e-9)
-    with pytest.raises(PoleError):
-        d.point_eval_ratio_alpha(0.0, 2.0, 0.5)

@@ -581,14 +581,10 @@ _REFUSED = {
     "kernel_series_nan_s": lambda: d.kernel_series(_warm(), math.nan, 8),
     "kernel_infinite_s": lambda: d.kernel(_warm(), complex(1.0, math.inf), 1.0, 8),
     "point_eval_norm_hp_infinite_s": lambda: d.point_eval_norm_hp(math.inf, 2.0),
-    "point_eval_ratio_alpha_nan_s": lambda: d.point_eval_ratio_alpha(0.0, 2.0, math.nan),
-    "point_eval_bound_a1_nan_s": lambda: d.point_eval_bound_a1(_warm(), math.nan, 64),
     "lemma2_profile_nan_sigma": lambda: d.lemma2_profile(_warm(), [math.nan], 64),
     "evaluate_nan_s": lambda: d.evaluate(_F, math.nan),
     "symbol_at_infinite_s": lambda: _SYM(complex(0.0, math.inf)),
     "translate_symbol_infinite_sigma": lambda: d.translate_symbol(_SYM, math.inf),
-    "ratio_nan_alpha": lambda: d.point_eval_ratio_alpha(math.nan, 2.0, 1.0),
-    "ratio_infinite_alpha": lambda: d.point_eval_ratio_alpha(math.inf, 2.0, 1.0),
 }
 
 

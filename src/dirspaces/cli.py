@@ -2,9 +2,10 @@
 
 Every subcommand reads flags (or inline JSON), dispatches to one library
 operation, and prints a JSON report (CSV with --csv where a profile is
-tabular).  Exit codes: 0 success, 2 validation error, 3 numeric error.
-Output is deterministic: the same flags print the same bytes, with keys
-sorted and floats in their shortest round-trip representation.
+tabular).  Exit codes: 0 success, 1 stdout closed by its reader,
+2 validation error, 3 numeric error.  Output is deterministic: the same
+flags print the same bytes, with keys sorted and floats in their shortest
+round-trip representation.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -299,6 +301,12 @@ def main(argv: list[str] | None = None) -> int:
         # checks exit 3; numpy's warnings about them would only add noise
         with np.errstate(all="ignore"):
             args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left, and the flush at
+        # shutdown, to devnull, so that no traceback follows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InvalidInputError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,9 +6,11 @@ exactly to convolution powers (||f||_p = ||f^{p/2}||_2^{2/p}).  Other p
 integrate |f|^p over the polytorus through the Bohr lift (see torus).  A^p
 norms integrate the translated H^p norms against the measure: at p = 2q, by
 Fubini, that integral is sum |b_m|^2 w_h(m) over f^q = sum b_m m^{-s}, with
-the weights read at the support of f^q only; at other p, the measure's
-quadrature of the torus integrals.  Every norm is
-computed on f scaled by a power of two, so that tiny and huge coefficients
+the weights read at the support of f^q only; f^q is one plain array of
+D^q coefficients (D the degree of f), q - 1 passes of series._convolve,
+and at p = 2 it is the support of f itself, with no convolution.  At
+other p it is the measure's quadrature of the torus integrals.  Every norm
+is computed on f scaled by a power of two, so that tiny and huge coefficients
 keep their norm.  Kernels and point evaluations are one sum of n^{-z}/w_h(n),
 refused at or below the measure's abscissa, with the measure's bound on
 its tail (Measure.kernel_tail).
@@ -25,7 +27,7 @@ import numpy as np
 from . import torus
 from .errors import DivergenceError, InvalidInputError, NumericError, PoleError
 from .measures import Measure
-from .series import DirichletSeries, _finite_point, _size, bohr_lift, power
+from .series import DirichletSeries, _convolve, _finite_point, _size, bohr_lift
 
 # The benchmark's spans (bench/spans.py) size a qmc_norm_hp call from these.
 QMC_POINTS, QMC_REPLICATES = torus.QMC_POINTS, torus.QMC_REPLICATES
@@ -151,7 +153,7 @@ def _norm(
         if not np.all((sigmas >= 0) & (sigmas < math.inf)):
             raise InvalidInputError("translation requires a finite sigma >= 0")
     q = _even_q(p)
-    support = np.flatnonzero(f.coeffs)
+    support = f.coeffs.nonzero()[0]
     if support.size <= 1:
         value = float(np.abs(f.coeffs[support]).sum())
         if sigmas is not None:
@@ -168,10 +170,20 @@ def _norm(
         D = f.degree  # f^q has degree D^q, checked before that huge integer is formed
         if q * math.log(D) > math.log(_POWER_CAP) + 1.0 or D**q > _POWER_CAP:
             raise InvalidInputError(f"convolution power f^{q:.6g} too large (degree {D})")
-        fq = power(f, q, D**q)
-        mags = np.abs(fq.coeffs) ** 2
-        nz = np.nonzero(mags)[0]
-        mags = mags[nz]
+        if q == 1:  # f^1 is f: its terms are the support's
+            nz, b = support, f.coeffs[support]
+        else:  # f padded with zeros to D^q, convolved with itself q - 1 times
+            base = np.zeros(D**q, dtype=np.complex128)
+            base[:D] = f.coeffs[:D]
+            fq = base
+            for _ in range(q - 1):
+                fq = _convolve(fq, base, D**q)
+            nz = fq.nonzero()[0]
+            b = fq[nz]
+        mags = np.abs(b) ** 2
+        keep = mags.nonzero()[0]
+        if keep.size < mags.size:  # a term whose square underflows adds nothing
+            nz, mags = nz[keep], mags[keep]
         if mu is not None:  # Fubini: m^{-2 sigma} integrates to w_h(m)
             return float(mags @ mu.weights_at(nz + 1)) ** (1.0 / p), None
         logs = np.log(nz + 1.0)
@@ -253,9 +265,11 @@ def inner_a2(f: DirichletSeries, g: DirichletSeries, mu: Measure) -> complex:
 
 
 def _kernel_terms(mu: Measure, z: complex, N: int) -> np.ndarray:
-    """n^{-z}/w_h(n) for n = 1..N."""
+    """n^{-z}/w_h(n) for n = 1..N, real at a real z."""
     wh = mu.weights(N)
     logs = np.log(np.arange(1, N + 1, dtype=np.float64))
+    if z.imag == 0:  # the real exp is several times faster than the complex one
+        return np.exp(-z.real * logs) / wh
     return np.exp(-z * logs) / wh
 
 

@@ -65,7 +65,7 @@ class DirichletSeries:
     @property
     def degree(self) -> int:
         """Largest index with a nonzero coefficient (1 for the zero series)."""
-        nz = np.nonzero(self.coeffs)[0]
+        nz = self.coeffs.nonzero()[0]
         return int(nz[-1]) + 1 if nz.size else 1
 
     def coeff(self, n: int) -> complex:
@@ -129,19 +129,23 @@ def linear(f: DirichletSeries, g: DirichletSeries, a: complex = 1.0, b: complex 
     return DirichletSeries(a * f.coeffs[:N] + b * g.coeffs[:N], exact=f.exact and g.exact)
 
 
+def _convolve(a: np.ndarray, b: np.ndarray, N: int) -> np.ndarray:
+    """Dirichlet convolution of coefficient arrays a and b (each of length
+    >= N) up to N: entry n - 1 is the sum over d|n of a_d b_{n/d}, added d
+    by d over the nonzero a_d, ascending."""
+    out = np.zeros(N, dtype=np.complex128)
+    for d0 in a[:N].nonzero()[0].tolist():
+        d = d0 + 1
+        out[d0::d] += a[d0] * b[: N // d]
+    return out
+
+
 def multiply(f: DirichletSeries, g: DirichletSeries, N: int | None = None) -> DirichletSeries:
     """Dirichlet convolution: coefficient at n is sum over d|n of f_d g_{n/d}."""
     N = min(f.truncation, g.truncation) if N is None else _size(N)
     if N > min(f.truncation, g.truncation):
         raise InvalidInputError("requested truncation exceeds operand truncations")
-    fa = f.coeffs[:N]
-    ga = g.coeffs[:N]
-    out = np.zeros(N, dtype=np.complex128)
-    for d0 in np.nonzero(fa)[0]:
-        d = int(d0) + 1
-        m = N // d
-        out[d - 1 :: d][:m] += fa[d0] * ga[:m]
-    return DirichletSeries(out, exact=f.exact and g.exact)
+    return DirichletSeries(_convolve(f.coeffs, g.coeffs, N), exact=f.exact and g.exact)
 
 
 def power(f: DirichletSeries, q: int, N: int | None = None) -> DirichletSeries:
@@ -151,11 +155,11 @@ def power(f: DirichletSeries, q: int, N: int | None = None) -> DirichletSeries:
     N = f.truncation if N is None else _size(N)
     if q == 0:
         return one(N)
-    base = DirichletSeries(_padded(f, N), exact=f.exact)
+    base = _padded(f, N)
     out = base
     for _ in range(q - 1):
-        out = multiply(out, base, N)
-    return out
+        out = _convolve(out, base, N)
+    return DirichletSeries(out, exact=f.exact)
 
 
 def _padded(f: DirichletSeries, N: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -736,3 +737,25 @@ def test_overflow_prints_one_error_line(argv):
     assert run.returncode == 3 and run.stdout == ""
     assert len(run.stderr.splitlines()) == 1
     assert run.stderr.startswith("numeric error:") and "Warning" not in run.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--nmax", "100000"],  # the print itself meets the closed pipe
+        ["weights", "--nmax", "4"],  # a short report meets it only at the flush
+        _TRANSLATION,
+    ],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes a byte
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "dirspaces.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert run.returncode == 1
+    assert run.stderr == ""

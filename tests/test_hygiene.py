@@ -120,6 +120,7 @@ _TEST_REFERENCES = {
     "linear": "test_series builds its exp reference with it",
     "column_norms": "test_acceptance reads it for an acceptance criterion",
     "density": "tests pass AlphaMeasure(5.0).density as the h of a DensityMeasure",
+    "power": "test_norms checks the even-p norms' one-array route against it",
 }
 
 
@@ -229,6 +230,32 @@ def test_folded_helpers_stay_gone():
     # memo read through it, and no __post_init__ sets up a lock or memo
     assert "weight" not in class_methods(measures, "AlphaMeasure")
     assert "__post_init__" not in class_methods(measures, "Measure")
+
+
+def _is_strided_add(node) -> bool:
+    """`x[a::d] += ...`: a Dirichlet convolution's slice-add."""
+    return (
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Subscript)
+        and any(isinstance(n, ast.Slice) and n.step is not None for n in ast.walk(node.target))
+    )
+
+
+def test_one_convolution_loop():
+    """series has one Dirichlet convolution loop, in _convolve; multiply and
+    power call it, and the norms form f^q through it, not through power."""
+    series = _tree(PACKAGE / "series.py")
+    functions = {n.name: n for n in series.body if isinstance(n, ast.FunctionDef)}
+    for name in ("multiply", "power"):
+        assert calls(functions[name], "_convolve"), name
+    (add,) = [n for n in ast.walk(series) if _is_strided_add(n)]
+    (loop,) = [n for n in ast.walk(functions["_convolve"]) if isinstance(n, ast.For)]
+    assert add in ast.walk(loop)
+    norms = _tree(PACKAGE / "norms.py")
+    assert not calls(norms, "power")
+    assert calls(norms, "_convolve")
+    assert not [n for n in ast.walk(norms) if _is_strided_add(n)]
 
 
 def _sites(predicate, paths=MODULES) -> list[str]:

@@ -403,6 +403,68 @@ def test_norm_ap_noneven_without_constant_term(alpha):
     assert d.norm_ap(f, 3.0, d.AlphaMeasure(alpha)) == pytest.approx(ref, rel=1e-12)
 
 
+def _power_reference(f, p, mu=None, sigmas=None):
+    """The even-p norm as (|power(f, q, D^q)|^2 @ weights)^{1/p}, on f scaled
+    by the power of two the norms use: in A^p given mu, else in H^p (at
+    `sigmas` if given)."""
+    q = round(p / 2)
+    peak = float(np.abs(f.coeffs).max())
+    e = int(math.log2(peak))
+    g = d.DirichletSeries(np.ldexp(f.coeffs.view(np.float64), -e).view(np.complex128), exact=True)
+    mags = np.abs(d.power(g, q, g.degree**q).coeffs) ** 2
+    nz = np.nonzero(mags)[0]
+    mags = mags[nz]
+    if mu is not None:
+        return float(np.ldexp(float(mags @ mu.weights_at(nz + 1)) ** (1.0 / p), e))
+    sig = np.zeros(1) if sigmas is None else np.asarray(sigmas, dtype=np.float64)
+    integrals = np.exp(-2.0 * np.outer(sig, np.log(nz + 1.0))) @ mags
+    if sigmas is None:  # a float's root, which numpy's array power may round otherwise
+        return float(np.ldexp(float(integrals[0]) ** (1.0 / p), e))
+    return np.ldexp(integrals ** (1.0 / p), e)
+
+
+def test_even_p_norms_are_the_power_formula_bit_for_bit():
+    rng = np.random.default_rng(39)
+    measures = [AlphaMeasure(0.0), AlphaMeasure(1.0), DensityMeasure(h=exp3_density)]
+    sigmas = [0.0, 0.25, 1.0, 3.0]
+    refused = 0
+    for case in range(90):
+        p = (2.0, 4.0, 6.0)[case % 3]
+        top = (12, 40, 200)[case // 3 % 3]
+        idx = rng.choice(np.arange(1, top + 1), size=rng.integers(2, 6), replace=False)
+        scale = 2.0 ** rng.integers(-40, 40)
+        f = d.from_terms({int(n): complex(*rng.uniform(-1, 1, 2)) * scale for n in idx}, int(idx.max()))
+        mu = measures[case % len(measures)]
+        if f.degree ** round(p / 2) > 4_000_000:
+            refused += 1
+            for call in (lambda: d.norm_ap(f, p, mu), lambda: d.norm_hp(f, p)):
+                with pytest.raises(InvalidInputError):
+                    call()
+            continue
+        got = [d.norm_ap(f, p, mu), d.norm_hp(f, p), d.norm_hp(f, p, sigmas)]
+        ref = [_power_reference(f, p, mu), _power_reference(f, p), _power_reference(f, p, sigmas=sigmas)]
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (case, p, sorted(idx))
+    assert 0 < refused < 30
+
+
+def test_even_p_norm_builds_no_series(alpha1, monkeypatch):
+    # the largest modulus lies in (1/2, 2), so no scaled copy of f is made either
+    f = d.from_terms({1: 1.5, 3: 0.4 - 0.2j, 10: 0.3j}, 10)
+    built = []
+    init = d.DirichletSeries.__post_init__
+
+    def counted(self):
+        built.append(self.truncation)
+        init(self)
+
+    monkeypatch.setattr(d.DirichletSeries, "__post_init__", counted)
+    for p in (2.0, 4.0, 6.0):
+        d.norm_ap(f, p, alpha1)
+        d.norm_hp(f, p)
+    assert built == []
+
+
 # ---------- torus route ----------
 
 
@@ -1035,12 +1097,12 @@ _TAIL_PINS = {
     "gamma-alpha0": (
         lambda: AlphaMeasure(0.0), 0.8 + 2.0j, 0.7 - 0.5j, 3.0, 64,
         ["0x1.4563e81bf8764p-2", "0x1.a14994c299c56p-2", "0x1.ccbf7a3ba22d8p+0",
-         "0x1.6645c590f03fap+0", "0x1.747c7d13588d4p-11"],
+         "0x1.6645c590f03fbp+0", "0x1.747c7d13588d4p-11"],
     ),
     "gamma-alpha1": (
         lambda: AlphaMeasure(1.0), 1.1 - 1.0j, 0.6 + 3.0j, 2.5, 128,
         ["0x1.43ccf226c0881p-1", "0x1.89b8636a7baecp-2", "0x1.5248af8e049a1p+1",
-         "0x1.56d7f526304a2p+1", "0x1.46e271aa0f588p-6"],
+         "0x1.56d7f526304a1p+1", "0x1.46e271aa0f588p-6"],
     ),
     "secant-exp3": (
         lambda: DensityMeasure(h=exp3_density), 0.9 + 1.0j, 0.8 - 2.0j, 2.0, 32,

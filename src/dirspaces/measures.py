@@ -20,11 +20,19 @@ e^{-2 sigma log n}, one np.exp of a table of np.log n: at the large Laguerre
 nodes n^{-2 sigma} underflows, where np.power is several times slower.  The
 Gauss rules are built here in numpy and cached per node count (and alpha).
 Every DensityMeasure integrates at the same nodes, half those of the
-Gauss-Laguerre rules for e^{-x}, and only its factors depend on h, so its
-weights at integers n up to 4096 read one shared read-only table of
-n^{-2 sigma_i} at the nodes of both rules (_laguerre_decay) per power of two
-of rows, 12 MiB at most; other n, and the kernel tail, take np.exp afresh,
-and both routes give the same bits.
+Gauss-Laguerre rules for e^{-x}, and only its factors depend on h: the
+nodes and log w_i + x_i of each rule are shared and read-only
+(_density_rule).  So its weights at integers n up to 4096 read one shared
+read-only table of n^{-2 sigma_i} at the nodes of both rules
+(_laguerre_decay) per power of two of rows, 12 MiB at most, a run of n such
+as weights(N) asks for as a slice of it; other n, and the kernel tail, take
+np.exp afresh, and both routes give the same bits.  A DensityMeasure is
+checked once, when it is made: h is finite and positive at 257 points of
+[1e-6, sigma_max], sigma_max the first of 1, 2, 4, ... past which the fine
+rule holds mass below 1e-12, read from one cumulative sum of its weights
+from the largest node down; and the two rules' weight sums, their values
+of the integral of 1 bit for bit, pass node doubling, the fine one within
+_NORMALIZATION_TOL of 1.
 
 Each measure also bounds the tail over n > N of the kernel sum of
 f(n) = n^{-a}/w_h(n), for a above its abscissa (kernel_tail).  For the Gamma
@@ -160,6 +168,29 @@ def _laguerre_decay(N: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=4)
+def _density_rule(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the m-node rule of every DensityMeasure takes from
+    _gauss_laguerre(m, 0) alone, read-only: the nodes sigma_i = x_i/2, where
+    w_i > 0, and log w_i + x_i, of which a density's factors read those
+    where w_i > 0."""
+    x, w = _gauss_laguerre(m, 0.0)
+    with np.errstate(divide="ignore"):
+        parts = x / 2.0, w > 0, np.log(w) + x
+    for a in parts:
+        a.setflags(write=False)
+    return parts
+
+
+@lru_cache(maxsize=8)
+def _check_nodes(hi: float) -> np.ndarray:
+    """The 257 points of [1e-6, hi] at which a DensityMeasure checks its
+    density, read-only."""
+    nodes = np.linspace(1e-6, hi, 257)
+    nodes.setflags(write=False)
+    return nodes
+
+
 class Measure:
     """Base class; concrete measures implement density() and _gl_nodes(), or
     build their own pair of rules in _rules.  weights_at decides the weights;
@@ -188,9 +219,13 @@ class Measure:
         nodes of both, and returns the finer value once every component of
         the two agrees to DOUBLING_TOL.
         """
-        est, ref = self._both_rules(g)
+        return self._accepted(*self._both_rules(g))
+
+    def _accepted(self, est, ref):
+        """The fine rule's value `ref`, once every component of it agrees
+        with the coarse rule's `est` to DOUBLING_TOL."""
         bad = np.abs(ref - est) > DOUBLING_TOL * np.maximum(1.0, np.abs(ref))
-        if np.any(bad):
+        if bad.any():
             i = np.argmax(bad)  # flat index of the first failing component
             e, r = float(np.ravel(est)[i]), float(np.ravel(ref)[i])
             raise NumericError(f"quadrature did not converge: {e!r} vs {r!r} on node doubling")
@@ -200,11 +235,16 @@ class Measure:
         """g integrated by the coarse and the fine rule, the latter finite:
         one call of g at the nodes of both rules (_nodes), whose values are
         split into the two weighted sums."""
-        (x1, w1), (_, w2) = self._rules
         values = g(self._nodes)
-        est = np.sum(w1 * values[..., : x1.size], axis=-1)
-        ref = np.sum(w2 * values[..., x1.size :], axis=-1)
-        if not np.all(np.isfinite(ref)):
+        m = self._rules[0][0].size
+        return self._weighted_sums(values[..., :m], values[..., m:])
+
+    def _weighted_sums(self, coarse, fine):
+        """The coarse and the fine rule's sums of their weights times
+        `coarse` and `fine`, the values at their nodes, the latter finite."""
+        (_, w1), (_, w2) = self._rules
+        est, ref = np.add.reduce(w1 * coarse, axis=-1), np.add.reduce(w2 * fine, axis=-1)
+        if not np.isfinite(ref).all():
             raise NumericError("integrand produced non-finite values")
         return est, ref
 
@@ -286,7 +326,7 @@ class Measure:
     def weights_by_quadrature(self, ns) -> np.ndarray:
         """Quadrature weights w_h(n) for every n in ns by one integrate call."""
         ns = np.asarray(ns, dtype=np.float64)
-        if not np.all(ns >= 1):  # NaN included
+        if not (ns >= 1).all():  # NaN included
             raise InvalidInputError("weight requires n >= 1")
         return self.integrate(self._decay_at(ns))
 
@@ -429,10 +469,14 @@ class DensityMeasure(Measure):
         return self.h(np.asarray(sigma, dtype=np.float64))
 
     def _find_sigma_max(self) -> float:
-        """The first of 1, 2, 4, ... past which the fine rule holds mass below 1e-12."""
+        """The first of 1, 2, 4, ... past which the fine rule holds mass
+        below 1e-12: past the last node whose tail, its mass and that of
+        every node above it, is not below 1e-12."""
         x, w = self._rules[1]
+        # the nodes increase, so the tails that reach 1e-12 are the first ones
+        heavy = np.count_nonzero(np.cumsum(w[::-1]) >= 1e-12)
         hi = 1.0
-        while np.sum(w[x > hi]) >= 1e-12:  # ends once no node lies past hi
+        while heavy and hi < x[heavy - 1]:
             hi *= 2.0
         return hi
 
@@ -448,13 +492,14 @@ class DensityMeasure(Measure):
         return vals
 
     def _validate(self):
-        nodes = np.linspace(1e-6, self._find_sigma_max(), 257)
-        vals = self._h_at(nodes)
-        if np.any(~np.isfinite(vals)) or np.any(vals < 0):
+        vals = self._h_at(_check_nodes(self._find_sigma_max()))
+        lo, hi = vals.min(), vals.max()  # both NaN where a value is
+        if not (lo >= 0 and hi < math.inf):
             raise InvalidInputError("density must be finite and nonnegative")
-        if np.any(vals <= 0):
+        if lo == 0:
             raise InvalidInputError("density must be positive on (0, inf)")
-        total = self.integrate(lambda s: np.ones_like(s))
+        # the rules' values of the integral of 1 are their weight sums
+        total = self._accepted(*self._weighted_sums(1.0, 1.0))
         if abs(total - 1.0) > _NORMALIZATION_TOL:
             raise InvalidInputError(f"density integrates to {total!r}, not a probability measure")
 
@@ -462,23 +507,25 @@ class DensityMeasure(Measure):
         # Integers up to 4096 read rows of the table shared by every
         # density, at the nodes of both its rules, which are the s that
         # integrate passes; the table has the least power of two of rows
-        # that holds the largest n.
+        # that holds the largest n.  A run of consecutive n, as weights(N)
+        # asks for, reads a slice of it, a view.
         top = ns.max(initial=1.0)
-        if top > _BLOCK // (2 * _NODES) or not np.all(ns == np.floor(ns)):
+        if top > _BLOCK // (2 * _NODES) or not (ns == np.floor(ns)).all():
             return super()._decay_at(ns)
         rows, size = ns.astype(np.intp) - 1, 1 << (int(top) - 1).bit_length()
+        if rows.size and (rows[1:] - rows[:-1] == 1).all():
+            rows = slice(rows[0], rows[-1] + 1)
         return lambda s: _laguerre_decay(size)[rows]
 
     def _gl_nodes(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         # integral g h d sigma = (1/2) sum w_i e^{x_i} g(x_i/2) h(x_i/2) with u = 2 sigma.
         # Assembled in log space: w_i underflows and e^{x_i} overflows separately at
         # large nodes, while their product stays moderate for h decaying like e^{-2s}.
-        x, w = _gauss_laguerre(m, 0.0)
-        sig = x / 2.0
+        sig, weighted, log_wx = _density_rule(m)
         hv = self._h_at(sig)
-        factors = np.zeros_like(x)
-        pos = (w > 0) & (hv > 0)
-        factors[pos] = np.exp(np.log(w[pos]) + x[pos] + np.log(hv[pos]) + math.log(0.5))
+        factors = np.zeros_like(sig)
+        pos = weighted & (hv > 0)
+        factors[pos] = np.exp(log_wx[pos] + np.log(hv[pos]) + math.log(0.5))
         return sig, factors
 
 

@@ -219,10 +219,12 @@ def qmc_norm_hp(f: DirichletSeries, p: float) -> tuple[float, float]:
 
     At even p the value is exact and `stderr` is 0.  At other p it is the
     torus integral of the Bohr lift (see torus), and `stderr` is that
-    integral's error bar (the gap between the two finest trapezoid rules,
-    or the standard error of the shifted lattice rules) propagated through
-    the 1/p-th root.  Raises NumericError where the lattice rules do not
-    converge.
+    integral's error bar propagated through the 1/p-th root.  The error bar
+    is the gap between the trapezoid rules on the final grid and on the
+    grid of half as many points per axis, each the mean of its own points
+    in C order, with the bits a call on that grid gives; or, where the
+    grids do not converge, the standard error of the shifted lattice
+    rules.  Raises NumericError where the lattice rules do not converge.
     """
     value, stderr = _norm(f, p)
     return value, stderr or 0.0

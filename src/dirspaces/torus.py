@@ -27,23 +27,26 @@ _torus_moments is the one entry.  The derivation, stated here once:
   d_a its largest exponent, so that the grids of M_a, M_a / 2 and M_a / 4
   points all integrate |f|^2 exactly; the points of the first grid whose
   indices are all even, or all multiples of 4, form the other two, so one
-  evaluation gives the three rules.  The root index of every point and
-  the masks of the two sub-grids depend on the grid alone: one shared
-  read-only plan per grid (_grid_plan) holds them.  Every M_a doubles
+  evaluation gives the three rules.  Each rule is the mean of a C-order
+  copy of its own points, and each sub-grid is summed once.  The grid
+  alone gives the root index of every point (_grid_plan), and on a grid
+  of one chunk the exponents and the grid give the root index of every
+  z^alpha: one read-only uint16 table per exponent matrix and grid
+  (_grid_characters), built once for the process.  Every M_a doubles
   while the grid fits QMC_REPLICATES * QMC_POINTS = 2^17 points.  The
   first evaluation of a ladder goes up to two doublings further, while its
   rows hold at most _LOOKAHEAD_VALUES = 2^10 values there, as a call that
   small costs its overhead, not its points; the rungs below are its
-  sub-grids of the points whose indices are all multiples of 2 or 4.  At
-  such a point z^alpha has twice (four times) the root index it has on
-  the coarser grid, and the table of L roots taken at every second
-  (fourth) entry is the table of L/2 (L/4) roots, bit for bit, so every
-  rung keeps the bits of its own evaluation.  A sigma
-  is done, with the gap between the first two rules as its error bar, once
-  that gap is below _TORUS_REL_TOL of the value and the gap between the
-  last two below its square root, as geometric convergence has them: a
-  phase of f that cancels the leading alias of one gap does not cancel it
-  in the other.
+  sub-grids of the points whose indices are all multiples of 2 or 4, so
+  r rungs sum r + 2 sub-grids.  At such a point z^alpha has twice (four
+  times) the root index it has on the coarser grid, and the table of L
+  roots taken at every second (fourth) entry is the table of L/2 (L/4)
+  roots, bit for bit, so every rung keeps the bits of its own evaluation.
+  A sigma is done, with the gap between the first two rules as its error
+  bar, once that gap is below _TORUS_REL_TOL of the value and the gap
+  between the last two below its square root, as geometric convergence
+  has them: a phase of f that cancels the leading alias of one gap does
+  not cancel it in the other.
 - A sigma still open at the budget, or whose gap, squared once per
   doubling left, would stay above the tolerance (f_sigma vanishes on the
   torus, or there are too many axes), or whose rule overflows, runs the
@@ -84,10 +87,16 @@ QMC_MAX_REL_SPREAD = 0.2
 # A torus integral is done once the trapezoid rules on the grids of M and M/2
 # points per axis agree to this relative gap.
 _TORUS_REL_TOL = 1e-12
+# ... and the gap between the rules on M/2 and M/4 points to its square root.
+_GAP_TOLS = np.array([[_TORUS_REL_TOL], [math.sqrt(_TORUS_REL_TOL)]])
+# The 2^m-th root of _TORUS_REL_TOL at m, for every number of doublings a
+# grid can have left within the budget of QMC_REPLICATES * QMC_POINTS points.
+_STUCK_ABOVE = _TORUS_REL_TOL ** 0.5 ** np.arange((QMC_REPLICATES * QMC_POINTS).bit_length())
 # A tensor grid of this many values, rows x points, costs about its per-call
 # overhead: on a 2-vCPU x86-64 machine one call of 3 terms and one row took
 # about 30, 35 and 55 us on 64, 256 and 1024 points.
 _LOOKAHEAD_VALUES = 2**10
+_TINY, _EPS = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
 
 
 def _torus_moments(
@@ -103,17 +112,19 @@ def _torus_moments(
     alphas, coeffs = lift.exponents, lift.coeffs
     # Each row is divided by its largest modulus in log scale: at sigma in
     # the hundreds the moduli, and their p-th powers sooner, underflow.
-    log_mods = np.log(np.abs(coeffs)) - sigmas[:, None] * np.log(lift.indices)
-    log_peak = np.max(log_mods, axis=1)
+    mods = np.abs(coeffs)
+    log_mods = np.log(mods) - sigmas[:, None] * np.log(lift.indices)
+    log_peak = log_mods.max(axis=1)
     # numpy divides by a modulus through its reciprocal, which overflows for
     # a subnormal one; such a coefficient is scaled by a power of two first,
     # which keeps its phase, and the others keep their bits.
-    phases = coeffs.copy()
-    phases[np.abs(coeffs) < np.finfo(np.float64).tiny] *= 2.0**64
+    phases = np.where(mods < _TINY, coeffs * 2.0**64, coeffs)
     scaled = phases / np.abs(phases) * np.exp(log_mods - log_peak[:, None])
-    live = np.any(np.abs(scaled) >= np.finfo(np.float64).eps / (p * len(alphas)), axis=0)
-    alphas, scaled = alphas[live], scaled[:, live]
-    alphas = alphas[:, alphas.any(axis=0)]
+    live = (np.abs(scaled) >= _EPS / (p * len(alphas))).any(axis=0)
+    if not live.all():
+        # every coordinate of the lift is used by some term
+        alphas, scaled = alphas[live], scaled[:, live]
+        alphas = alphas[:, alphas.any(axis=0)]
     if not alphas.shape[1]:
         # only the constant term, of scaled modulus 1, is left
         return np.exp(p * log_peak), np.zeros(sigmas.size)
@@ -150,26 +161,25 @@ def _tensor_moments(
         rungs += 1
     while todo.size and grid.prod() <= budget:
         ladder = _trapezoid_rules(alphas, coeffs[todo], p, grid << (rungs - 1), rungs=rungs)
-        # each of fine, half and quarter holds one row per rung
-        fine, half, quarter = ladder.reshape(rungs, 3, -1).transpose(1, 0, 2)
-        gap = np.abs(fine - half)
-        done = (
-            (fine > 0)
-            & (gap <= _TORUS_REL_TOL * fine)
-            & (np.abs(half - quarter) <= math.sqrt(_TORUS_REL_TOL) * fine)
-        )
+        ladder = ladder.reshape(rungs, 3, -1)  # one row per rung at rungs = 1 too
+        # fine, the gap to half and the gap of half to quarter, one row per rung
+        fine, gaps = ladder[:, 0], np.abs(ladder[:, 1:] - ladder[:, :-1])
+        done = (fine > 0) & (gaps <= _GAP_TOLS * fine[:, None]).all(axis=1)
         # Each doubling squares the gap of a geometric rule; a row whose gap
-        # would still be above the tolerance at the budget is stuck, as is
-        # one whose rule overflows: every finer grid holds this one.
+        # would still be above the tolerance at the budget, m doublings on,
+        # is stuck: its relative gap is above the 2^m-th root of the
+        # tolerance.  So is one whose rule overflows: every finer grid holds
+        # this one.
         left = int(math.log2(budget / grid.prod())) // k
-        squared = [q ** 2.0 ** (left - rung) for rung, q in enumerate(gap / fine)]
-        stuck = ~done & ((np.array(squared) > _TORUS_REL_TOL) | np.isinf(fine))
+        stuck_above = _STUCK_ABOVE[left + 1 - rungs : left + 1][::-1, None]
+        stuck = (gaps[:, 0] > stuck_above * fine) | np.isinf(fine)
         # a row ends at the first rung where it is done or stuck
         ends = done | stuck
         first = ends.argmax(axis=0), np.arange(todo.size)
         closed = done[first]
-        integral[todo[closed]], err[todo[closed]] = fine[first][closed], gap[first][closed]
-        finished[todo[closed]] = True
+        rows = todo[closed]
+        integral[rows], err[rows] = fine[first][closed], gaps[:, 0][first][closed]
+        finished[rows] = True
         todo = todo[~ends.any(axis=0)]
         grid, rungs = grid << rungs, 1
     return integral, err, finished
@@ -178,7 +188,7 @@ def _tensor_moments(
 def _start_grid(alphas: np.ndarray) -> np.ndarray:
     """Points per axis of the first trapezoid grid: the least power of two
     above 4 times the axis's largest exponent."""
-    return np.array([1 << int(4 * d).bit_length() for d in alphas.max(axis=0)])
+    return np.array([1 << (4 * d).bit_length() for d in alphas.max(axis=0).tolist()])
 
 
 def _difference_axes(alphas: np.ndarray) -> np.ndarray:
@@ -242,9 +252,9 @@ def _roots_of_unity(L: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _grid_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
+def _grid_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     """What the trapezoid rules on the grid of `sizes` points per axis take
-    from the grid alone, read-only: (index, offsets, masks).
+    from the grid alone, read-only: (index, offsets, box, lows).
 
     The points go in chunks of step = min(size, QMC_POINTS) in C order.  The
     grid sizes and the step are powers of two, so the flat index of a
@@ -252,11 +262,11 @@ def _grid_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     chunk, and its grid index j_a on each axis is j_a(start) + j_a(r).
     index[a, r] is j_a(r) L/n_a, L the largest grid size, and offsets[c, a]
     is j_a(start) L/n_a for chunk c: alpha.(index[:, r] + offsets[c]) mod L
-    is the root index of z^alpha at the point.  masks[c] holds the three
-    rules' masks over chunk c: True (every point), the points whose j_a are
-    all even (the grid/2 rule) and those whose j_a are all multiples of 4
-    (grid/4); where the start of chunk c has a j_a that is odd, or not a
-    multiple of 4, that mask is False.
+    is the root index of z^alpha at the point.  Every chunk's points fill,
+    in C order, a box of the shape `box`, and lows[c] is the bitwise or of
+    the j_a(start) of chunk c: the chunk holds points whose j_a are all
+    multiples of a power of two s, those of the box at every s-th index on
+    each axis, exactly where lows[c] is a multiple of s.
     """
     size, L = math.prod(sizes), max(sizes)
     step = min(size, QMC_POINTS)
@@ -264,15 +274,31 @@ def _grid_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, tuple]:
     local = np.array(np.unravel_index(np.arange(step), sizes))
     starts = np.array(np.unravel_index(np.arange(0, size, step), sizes))
     index, offsets = local * scale, (starts * scale).T
-    low = np.bitwise_or.reduce(local & 3, axis=0)  # j_0 | j_1 | ... mod 4
-    half, quarter = (low & 1) == 0, low == 0
-    for a in (index, offsets, half, quarter):
+    for a in (index, offsets):
         a.flags.writeable = False
-    masks = tuple(
-        (True, half if j & 1 == 0 else False, quarter if j & 3 == 0 else False)
-        for j in np.bitwise_or.reduce(starts, axis=0).tolist()
-    )
-    return index, offsets, masks
+    box = tuple((local[:, -1] + 1).tolist())
+    return index, offsets, box, tuple(np.bitwise_or.reduce(starts, axis=0).tolist())
+
+
+def _root_indices(alphas: np.ndarray, index: np.ndarray, L: int, shift=0) -> np.ndarray:
+    """alphas @ index + shift mod L, one axis at a time: numpy's integer
+    matmul takes no fast path."""
+    phases = alphas[:, :1] * index[0] + shift
+    for axis in range(1, alphas.shape[1]):
+        phases += alphas[:, axis, None] * index[axis]
+    return phases & (L - 1)
+
+
+@lru_cache(maxsize=64)
+def _grid_characters(data: bytes, shape: tuple[int, int], sizes: tuple[int, ...]) -> np.ndarray:
+    """The root index of z^alpha at every point of the one-chunk grid of
+    `sizes` points per axis, for the int64 exponent matrix with these bytes,
+    read-only.  L <= QMC_POINTS, so the indices fit uint16, which keeps
+    the cache small."""
+    alphas = np.frombuffer(data, dtype=np.int64).reshape(shape)
+    table = _root_indices(alphas, _grid_plan(sizes)[0], max(sizes)).astype(np.uint16)
+    table.flags.writeable = False
+    return table
 
 
 def _trapezoid_rules(
@@ -282,6 +308,7 @@ def _trapezoid_rules(
     grid: np.ndarray,
     rules: int = 3,
     rungs: int = 1,
+    cached: bool = True,
 ) -> np.ndarray:
     """Means of |sum_t c_t z^{alpha_t}|^p over the grids of `grid`, grid/2 and
     grid/4 points per axis of the k-torus, for each row c of `coeffs`: the
@@ -294,50 +321,57 @@ def _trapezoid_rules(
     terms are added one by one in a fixed order, so every sigma gets the
     same bits whatever batch it is in.  Points and sigmas go in chunks, so
     that no array outgrows terms x QMC_POINTS entries.  The grid's root
-    indices and rule masks come from _grid_plan, shared by every call on
-    the same grid: here each chunk's indices are alphas @ index plus its
-    offset, an exact integer sum.
+    indices come from _grid_plan, shared by every call on the same grid:
+    each chunk's indices are alphas @ index plus its offset, an exact
+    integer sum.  On a grid of one chunk they depend on alphas and the grid
+    alone and are built once (_grid_characters), unless `cached` is False,
+    as for the lattice rules, whose exponents change with every lattice.
 
-    A coarser rung's points are those of `grid` whose indices are all
-    multiples of its stride s, and there the index of z^alpha is s times
-    its own, while the table of L points taken at every s-th entry is the
-    table of L/s points, bit for bit.  So its |.|^p values are the ones a
-    call on its grid computes, and each rung sums a C-order copy of them
-    with the masks of its own plan, in the order that call would.
+    The rule on grid / s, s = 2^j, is the mean over the points of `grid`
+    whose indices are all multiples of s: there the index of z^alpha is s
+    times its own, while the table of L points taken at every s-th entry is
+    the table of L/s points, bit for bit.  So each distinct sub-grid is
+    summed once, from a C-order copy of its |.|^p values, chunk by chunk,
+    and a ladder's rungs share the sums of the sub-grids they have in
+    common: the rule on each grid keeps the bits of a call on that grid.
     """
     terms, k = alphas.shape
     sizes = tuple(grid.tolist())
     size, L = math.prod(sizes), max(sizes)
     roots = _roots_of_unity(L)
-    index, offsets, masks = _grid_plan(sizes)
+    index, offsets, box, lows = _grid_plan(sizes)
+    if cached and len(lows) == 1:
+        tables = [_grid_characters(alphas.tobytes(), alphas.shape, sizes)]
+    else:
+        tables = (_root_indices(alphas, index, L, shift[:, None]) for shift in offsets @ alphas.T)
     rows = max(1, terms * QMC_POINTS // index.shape[1])
-    # each coarser rung: the cut of the points whose indices are all
-    # multiples of its stride, and the rule masks of its own plan
-    strides = [1 << r for r in range(rungs - 1, 0, -1)]
-    cuts = [(slice(None),) + (slice(None, None, s),) * k for s in strides]
-    below = [_grid_plan(tuple(n // s for n in sizes))[2][0] for s in strides]
-    sums = np.zeros((rungs, rules, len(coeffs)))
-    for shift, on in zip(offsets @ alphas.T, masks):
-        # alphas @ index + shift, one axis at a time: numpy's integer matmul
-        # takes no fast path
-        phases = shift[:, None] + alphas[:, :1] * index[0]
-        for axis in range(1, k):
-            phases += alphas[:, axis, None] * index[axis]
-        chars = np.take(roots, phases & (L - 1))
+    # sub-grid j holds the points whose indices are all multiples of 2^j:
+    # every second point on each axis of sub-grid j - 1
+    subs = rungs + rules - 1
+    every_second = (slice(None),) + (slice(None, None, 2),) * k
+    sums = np.zeros((subs, len(coeffs)))
+    for table, low in zip(tables, lows):
+        chars = roots.take(table)
         for lo in range(0, len(coeffs), rows):
             c = coeffs[lo : lo + rows]
             values = c[:, :1] * chars[0]
             for t in range(1, terms):
                 values += c[:, t, None] * chars[t]
-            mags = np.abs(values) ** p
-            grids = [mags.reshape(-1, *sizes)[cut] for cut in cuts]
-            subs = [np.ascontiguousarray(g).reshape(len(c), -1) for g in grids] + [mags]
-            for rung, (sub, rung_masks) in enumerate(zip(subs, below + [on])):
-                rung_sums = [sub.sum(axis=1, where=m) for m in rung_masks[:rules]]
-                sums[rung, :, lo : lo + rows] += rung_sums
-    points = size >> k * np.arange(rungs - 1, -1, -1)
-    means = sums * np.array([1, 2**k, 4**k])[:rules, None] / points[:, None, None]
-    return means if rungs > 1 else means[0]
+            sub = (np.abs(values) ** p).reshape(-1, *box)
+            part = np.zeros((subs, len(c)))
+            for j in range(subs):
+                if low & ((1 << j) - 1):
+                    break  # the chunk holds no point of sub-grid j or finer
+                if j:
+                    sub = np.ascontiguousarray(sub[every_second])
+                np.add.reduce(sub.reshape(len(c), -1), axis=1, out=part[j])
+            sums[:, lo : lo + rows] += part
+    # sub-grid j has size / 2^(jk) points
+    means = sums * np.array([2.0 ** (k * j) / size for j in range(subs)])[:, None]
+    if rungs == 1:
+        return means
+    # rung r, coarsest first, reads sub-grids rungs - 1 - r onward
+    return means[np.arange(rungs - 1, -1, -1)[:, None] + np.arange(rules)]
 
 
 def _qmc_moments(
@@ -361,7 +395,8 @@ def _qmc_moments(
     while todo.size:
         g = (alphas @ z % n)[:, None]
         rows = rotated[todo].reshape(-1, terms)
-        means = _trapezoid_rules(g, rows, p, np.array([n]), rules=1)[0].reshape(todo.size, -1)
+        rules = _trapezoid_rules(g, rows, p, np.array([n]), rules=1, cached=False)
+        means = rules[0].reshape(todo.size, -1)
         mean = np.mean(means, axis=1)
         err = np.std(means, axis=1, ddof=1) / math.sqrt(QMC_REPLICATES)
         # a mean past the floats has a NaN spread

@@ -400,6 +400,8 @@ _CACHED_CALLS = {
         "_gauss_laguerre": lambda f: f(16, 0.5),
         "_gauss_legendre": lambda f: f(16),
         "_laguerre_decay": lambda f: f(8),
+        "_density_rule": lambda f: f(16),
+        "_check_nodes": lambda f: f(4.0),
     },
     "series": {"_exp_plan": lambda f: f((2, 3), 64)},
     "torus": {
@@ -407,6 +409,7 @@ _CACHED_CALLS = {
         "_axes_of": lambda f: f(bytes(8 * 6), (3, 2)),
         "_lattice_vector": lambda f: f(3),
         "_grid_plan": lambda f: f((4, 2**13)),
+        "_grid_characters": lambda f: f(np.array([[0, 1], [2, 1]]).tobytes(), (2, 2), (8, 4)),
     },
 }
 
@@ -443,6 +446,8 @@ def test_the_torus_lives_in_one_module():
         "_independent_rows",
         "_roots_of_unity",
         "_grid_plan",
+        "_root_indices",
+        "_grid_characters",
         "_trapezoid_rules",
         "_qmc_moments",
         "_lattice_vector",
@@ -470,6 +475,19 @@ def test_the_torus_lives_in_one_module():
         and n.func.value.id == "torus"
     ]
     assert into_torus == ["_torus_moments"]
+
+
+def test_torus_makes_no_masked_reduction():
+    """Each trapezoid rule sums a C-order copy of its own sub-grid, so no
+    call in torus passes where=: a masked sum pays for every point of the
+    grid and adds in another order than a call on the sub-grid."""
+    tree = _tree(PACKAGE / "torus.py")
+    masked = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and any(k.arg == "where" for k in n.keywords)
+    ]
+    assert masked == []
 
 
 def test_spectrum_path_never_reads_the_dense_section():

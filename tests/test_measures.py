@@ -313,6 +313,27 @@ def test_densities_share_one_read_only_decay_table(monkeypatch):
         first[0, 0] = 0.0
 
 
+def test_density_weights_read_the_shared_table_as_a_view(monkeypatch):
+    # weights(N) asks for runs of n, which read slices of the shared table,
+    # not gathered copies of its rows, and keep the bits of weights_at
+    values = []
+    both = d.measures.Measure._both_rules
+
+    def spy(self, g):
+        values.append(g(self._nodes))
+        return both(self, lambda s: values[-1])
+
+    monkeypatch.setattr(d.measures.Measure, "_both_rules", spy)
+    for N in (1, 32, 64, 128, 2731, 4096):
+        mu = DensityMeasure(h=exp3_density)
+        values.clear()
+        w = mu.weights(N)
+        table = d.measures._laguerre_decay(1 << (N - 1).bit_length())
+        assert values and all(np.shares_memory(v, table) for v in values), N
+        # n in decreasing order is no run: those rows are gathered
+        assert np.array_equal(w, mu.weights_at(np.arange(N, 0, -1))[::-1]), N
+
+
 def test_weight_memo_is_read_only():
     mu = AlphaMeasure(0.0)
     f = d.from_terms({1: 1.0, 2: 0.5}, 2)
@@ -508,10 +529,19 @@ def test_sampled_density_validation(samples, message):
 
 
 def test_callable_sigma_max_from_the_fine_rule():
-    # the mass past hi is e^{-rate hi}: below 1e-12 first at hi = 16, 16, 8
-    for rate, hi in ((2.5, 16.0), (3.0, 16.0), (4.0, 8.0)):
-        mu = DensityMeasure(h=lambda s, r=rate: r * np.exp(-r * np.asarray(s)))
-        assert mu._find_sigma_max() == hi
+    # the mass past hi is e^{-rate hi}: below 1e-12 first at hi = 32, 16, 16,
+    # 8, 4 and 1.  At rate 50 the rules fail node doubling, so each measure
+    # is built without the validation, which is not under test here.
+    for rate, hi in ((1.0, 32.0), (2.5, 16.0), (3.0, 16.0), (4.0, 8.0), (7.0, 4.0), (50.0, 1.0)):
+        mu = DensityMeasure.__new__(DensityMeasure)
+        object.__setattr__(mu, "h", lambda s, r=rate: r * np.exp(-r * np.asarray(s)))
+        # the definition: the first power of two past which the fine rule's
+        # mass is below 1e-12
+        x, w = mu._rules[1]
+        first = 1.0
+        while np.sum(w[x > first]) >= 1e-12:
+            first *= 2.0
+        assert mu._find_sigma_max() == first == hi, rate
 
 
 def test_measure_from_json_alpha():

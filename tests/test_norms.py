@@ -552,8 +552,10 @@ def test_noneven_norms_take_the_trapezoid_route(monkeypatch):
 
 
 def _naive_trapezoid_rules(alphas, coeffs, p, grid):
-    """_trapezoid_rules with every point's index from np.unravel_index and
-    the sub-grid masks from np.all, chunk by chunk in the same order."""
+    """_trapezoid_rules with every point's index from np.unravel_index, and
+    each rule the sum of the C-order copy of the points whose indices are
+    all multiples of its stride (picked by np.all), chunk by chunk in the
+    same order."""
     terms, k = alphas.shape
     size, L = int(grid.prod()), int(grid.max())
     roots = np.exp(2j * np.pi / L * np.arange(L))
@@ -566,7 +568,7 @@ def _naive_trapezoid_rules(alphas, coeffs, p, grid):
         for axis in range(k):
             phases += alphas[:, axis, None] * (j[axis] * (L // int(grid[axis])))
         chars = roots[phases % L]
-        on = [True] + [np.all([ja % stride == 0 for ja in j], axis=0) for stride in (2, 4)]
+        on = [np.all([ja % stride == 0 for ja in j], axis=0) for stride in (1, 2, 4)]
         for lo in range(0, len(coeffs), rows):
             c = coeffs[lo : lo + rows]
             values = c[:, :1] * chars[0]
@@ -574,7 +576,7 @@ def _naive_trapezoid_rules(alphas, coeffs, p, grid):
                 values += c[:, t, None] * chars[t]
             mags = np.abs(values) ** p
             for rule, mask in enumerate(on):
-                sums[rule, lo : lo + rows] += mags.sum(axis=1, where=mask)
+                sums[rule, lo : lo + rows] += np.ascontiguousarray(mags[:, mask]).sum(axis=1)
     return sums * np.array([1, 2**k, 4**k])[:, None] / size
 
 
@@ -681,19 +683,42 @@ def test_grid_plans_are_shared_and_read_only():
     for sizes in ((8,), (4, 16), (2**15,), (2, 4, 2**13), (8, 8, 8, 8, 4, 8)):
         plan = d.torus._grid_plan(sizes)
         assert plan is d.torus._grid_plan(sizes)
-        index, offsets, masks = plan
+        index, offsets, box, lows = plan
         size, L = math.prod(sizes), max(sizes)
         step = min(size, d.torus.QMC_POINTS)
-        assert index.shape == (len(sizes), step) and len(offsets) == len(masks) == size // step
-        arrays = [index, offsets] + [m for on in masks for m in on if isinstance(m, np.ndarray)]
-        assert not any(a.flags.writeable for a in arrays)
+        assert index.shape == (len(sizes), step) and len(offsets) == len(lows) == size // step
+        assert math.prod(box) == step and len(box) == len(sizes)
+        assert not index.flags.writeable and not offsets.flags.writeable
         scale = np.array([L // n for n in sizes])[:, None]
-        for c, (offset, on) in enumerate(zip(offsets, masks)):
+        for c, (offset, low) in enumerate(zip(offsets, lows)):
             j = np.array(np.unravel_index(np.arange(c * step, (c + 1) * step), sizes))
             assert np.array_equal(index + offset[:, None], j * scale), (sizes, c)
-            for rule, stride in enumerate((1, 2, 4)):
-                expected = np.all(j % stride == 0, axis=0)
-                assert np.array_equal(np.broadcast_to(on[rule], (step,)), expected), (sizes, c)
+            # the chunk's points whose indices are all multiples of s, in C
+            # order, are its box's points at every s-th index on each axis
+            for s in (2, 4, 8):
+                on = np.flatnonzero(np.all(j % s == 0, axis=0))
+                cut = np.arange(step).reshape(box)[(slice(None, None, s),) * len(sizes)]
+                assert np.array_equal(on, cut.ravel() if low % s == 0 else []), (sizes, c, s)
+
+
+def test_grid_characters_are_built_once_per_grid():
+    chars = d.torus._grid_characters
+    chars.cache_clear()
+    f = d.from_terms({1: 1.0, 2: 0.3, 3: 0.2j}, 3)
+    value = d.qmc_norm_hp(f, 2.5)
+    built = chars.cache_info()
+    assert built.misses >= 1
+    # a second request on the same axes and grids builds no characters
+    assert d.qmc_norm_hp(f, 2.5) == value
+    again = chars.cache_info()
+    assert again.misses == built.misses and again.hits > built.hits
+    # the lattice rules, whose exponents change with n, and grids of more
+    # than one chunk compute their own
+    rng = np.random.default_rng(5)
+    coeffs = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    d.torus._qmc_moments(np.array([[0, 0], [1, 0], [0, 1]]), coeffs, 2.5)
+    d.torus._trapezoid_rules(np.array([[0], [1], [3]]), coeffs, 2.5, np.array([2**15]))
+    assert chars.cache_info() == again
 
 
 def test_root_tables_are_shared_and_read_only():
@@ -956,7 +981,7 @@ _ROUTE_PINS = [
         {1: 1.0, 2: 0.3, 3: 0.2j, 6: 0.1 - 0.1j},
         3.0,
         "0x1.197939f357701p+0",
-        "0x1.a78552dbff8f3p-52",
+        "0x0.0p+0",
         "0x1.07afd88f9eb23p+0",
     ),
     (
@@ -985,6 +1010,77 @@ def test_route_outputs_keep_their_bits(terms, p, value, stderr, ap, alpha0):
     f = d.from_terms(terms, max(terms))
     assert d.qmc_norm_hp(f, p) == (float.fromhex(value), float.fromhex(stderr))
     assert d.norm_ap(f, 1.5, alpha0) == float.fromhex(ap)
+
+
+def _torus_panel():
+    """Seeded qmc_norm_hp inputs on one, two and three axes (the three-axis
+    grids reach 32^3 points, in two chunks, and some rows go on to the
+    lattices), then the 256^2 grid of 1.824 + c 4^{-s} + c' 18^{-s}, and
+    one-axis ladders that climb past their first call."""
+    rng = np.random.default_rng(41)
+    for primes in ((2,), (2, 3), (2, 3, 5)):
+        for _ in range(4):
+            terms = {1: complex(rng.uniform(0.9, 1.3), rng.uniform(-0.3, 0.3))}
+            for q in primes:
+                n = q ** int(rng.integers(1, 3))
+                terms[n] = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            yield terms, float(rng.choice([1.5, 2.5, 3.0, 3.5]))
+    yield {1: 1.824, 4: 0.097 - 0.900j, 18: -0.056 - 0.900j}, 3.0
+    yield {1: 1.0, 2: 0.3j}, 3.5
+    yield {1: 1.0, 2: 0.9}, 2.5
+
+
+# qmc_norm_hp's value on each input of _torus_panel, bit for bit.
+_TORUS_PINS = [
+    "0x1.50c60d249d212p+0",
+    "0x1.0ce93f0fd72d6p+0",
+    "0x1.370f44d0d78cap+0",
+    "0x1.55b1f99c38a8ap+0",
+    "0x1.1185b0fdb8461p+0",
+    "0x1.313b5b3083d5dp+0",
+    "0x1.2e8b268caca21p+0",
+    "0x1.42931dd1673a7p+0",
+    "0x1.3aaef0a45c29dp+0",
+    "0x1.50916438339e8p+0",
+    "0x1.5315017957d4bp+0",
+    "0x1.37c400b6675dcp+0",
+    "0x1.2d9f8b3fad19cp+1",
+    "0x1.12a75fba1cb01p+0",
+    "0x1.6422686dc0ac0p+0",
+]
+
+
+def test_torus_values_keep_their_bits():
+    for (terms, p), value in zip(_torus_panel(), _TORUS_PINS, strict=True):
+        f = d.from_terms(terms, max(terms))
+        assert d.qmc_norm_hp(f, p)[0] == float.fromhex(value), terms
+
+
+# Non-even A^p norms on alpha(0), alpha(1) and the exp-3 density, bit for bit.
+_NONEVEN_AP_PINS = [
+    (
+        {1: 1.0, 6: 0.4j},
+        1.5,
+        ["0x1.057b316eae71dp+0", "0x1.01f805f683602p+0", "0x1.06f6b6b416341p+0"],
+    ),
+    (
+        {1: 1.1 - 0.2j, 6: 0.3j, 10: 0.2 - 0.1j},
+        2.5,
+        ["0x1.24e3d85f84b9fp+0", "0x1.208375dc79ec4p+0", "0x1.26bb48c761ceap+0"],
+    ),
+    (
+        {1: 1.0, 2: 0.3, 3: 0.2j, 6: 0.1 - 0.1j},
+        3.0,
+        ["0x1.0e2df3fa46622p+0", "0x1.07ebedd7b73f1p+0", "0x1.1092d7bc98217p+0"],
+    ),
+]
+
+
+@pytest.mark.parametrize("terms, p, values", _NONEVEN_AP_PINS)
+def test_noneven_norm_ap_values_keep_their_bits(terms, p, values, alpha0, alpha1, custom_density):
+    f = d.from_terms(terms, max(terms))
+    for mu, value in zip((alpha0, alpha1, custom_density), values, strict=True):
+        assert d.norm_ap(f, p, mu) == float.fromhex(value), mu
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
